@@ -6,7 +6,7 @@
 # artifacts (see ROADMAP.md).
 set -eux
 
-UNFORMATTED=$(gofmt -l cmd internal examples *.go)
+UNFORMATTED=$(gofmt -l bench cmd internal examples *.go)
 if [ -n "$UNFORMATTED" ]; then
     echo "gofmt needed on:" >&2
     echo "$UNFORMATTED" >&2
@@ -32,14 +32,7 @@ go run ./cmd/obdalint -strict -quiet
 # for schema-v2 records, when the per-query usage block is missing).
 RUNLOG=$(mktemp)
 MIXOUT=$(mktemp)
-SRVLOG=$(mktemp)
-OBDAQD_BIN=$(mktemp)
-OBDAQD_PID=""
-cleanup() {
-    [ -n "$OBDAQD_PID" ] && kill "$OBDAQD_PID" 2> /dev/null
-    rm -f "$RUNLOG" "$MIXOUT" "$SRVLOG" "$OBDAQD_BIN"
-}
-trap cleanup EXIT
+trap 'rm -f "$RUNLOG" "$MIXOUT"' EXIT
 go run ./cmd/mixer -breakdown -scales 1 -seedscale 0.15 -runs 1 -warmup 0 \
     -triples=false -clients 1 -queries q2,q3 -jsonl "$RUNLOG" > /dev/null
 go run ./cmd/mixer -validatejsonl "$RUNLOG"
@@ -111,83 +104,22 @@ grep -q '"trace_id"' "$MIXOUT" || {
     exit 1
 }
 
-# Bench-regression differ: the committed fixture pair plants one genuine
-# regression (exit 1); self-diffing the repo's own parallel benchmark
-# report must be clean (exit 0).
+# The benchmark (bench/README.md): one short real pass must answer every
+# query correctly, and the differ must flag the regression planted in the
+# committed results.json fixture pair (exit 1) and pass a self-diff (exit 0).
+go run ./bench --workload mix_cold --seed 1 --seconds 2 --trace 0 | tee "$MIXOUT"
+tail -n 1 "$MIXOUT" | grep -q '"correct":true'
 if go run ./cmd/mixer -benchdiff \
-    internal/mixer/testdata/benchdiff_old.jsonl \
-    internal/mixer/testdata/benchdiff_new.jsonl > /dev/null; then
+    internal/mixer/testdata/results_old.json \
+    internal/mixer/testdata/results_new.json > /dev/null; then
     echo "benchdiff: seeded regression fixture not flagged" >&2
     exit 1
 fi
-go run ./cmd/mixer -benchdiff BENCH_parallel.json BENCH_parallel.json > /dev/null
+go run ./cmd/mixer -benchdiff \
+    internal/mixer/testdata/results_old.json \
+    internal/mixer/testdata/results_old.json > /dev/null
 
 # Determinism under a single OS thread: parallel scheduling interleaves
 # completely differently with GOMAXPROCS=1, and results (parallel vs
 # sequential, batched vs row-at-a-time) must still be bit-identical.
 GOMAXPROCS=1 go test -run 'TestParallelSequentialIdentical|TestBatchRowIdentical' .
-
-# Parallel-speedup benchmark: the full 21-query NPD mix at parallelism
-# 1/2/NumCPU. Fails when any parallel level's answers diverge from the
-# sequential baseline; the report (p50/p95 per query, speedup vs
-# sequential) is the repo's BENCH_parallel.json.
-go run ./cmd/mixer -parbench BENCH_parallel.json -seedscale 0.15 -runs 3 -warmup 1 | tee "$MIXOUT"
-if grep -q 'identical=false' "$MIXOUT"; then
-    echo "parbench: parallel results diverge from sequential" >&2
-    exit 1
-fi
-
-# Batch-size benchmark: the full 21-query NPD mix at batch sizes
-# 1/256/1024/4096. Fails when any batched level's answers diverge from the
-# row-at-a-time baseline; the report (p50/p95 per query, allocations per
-# execution, speedup vs the row path) is the repo's BENCH_batch.json. The
-# committed batchbench fixture pair plants a regression the differ must
-# flag, and the fresh report must self-diff clean.
-go run ./cmd/mixer -batchbench BENCH_batch.json -seedscale 0.15 -runs 3 -warmup 1 | tee "$MIXOUT"
-if grep -q 'identical=false' "$MIXOUT"; then
-    echo "batchbench: batched results diverge from the row path" >&2
-    exit 1
-fi
-if go run ./cmd/mixer -benchdiff \
-    internal/mixer/testdata/batchbench_old.json \
-    internal/mixer/testdata/batchbench_new.json > /dev/null; then
-    echo "benchdiff: seeded batchbench regression fixture not flagged" >&2
-    exit 1
-fi
-go run ./cmd/mixer -benchdiff BENCH_batch.json BENCH_batch.json > /dev/null
-
-# Serving smoke: a live obdaqd endpoint driven by the open-loop mixer.
-# The mixer exits nonzero when any rate completes zero queries or hits a
-# protocol error, and BENCH_serve.json (the repo's committed serving
-# report) must carry a nonzero QMpH at every rate. Then the endpoint has
-# to survive a SIGHUP mapping reload mid-life and drain cleanly on
-# SIGTERM.
-go build -o "$OBDAQD_BIN" ./cmd/obdaqd
-"$OBDAQD_BIN" -http 127.0.0.1:18685 -seedscale 0.15 -timeout 2s > "$SRVLOG" 2>&1 &
-OBDAQD_PID=$!
-go run ./cmd/mixer -servebench BENCH_serve.json \
-    -endpoint http://127.0.0.1:18685 -rates 5,20 -rateduration 3s -tenants 2
-if grep -q '"qmph": 0,' BENCH_serve.json; then
-    echo "serving smoke: a rate reports zero QMpH" >&2
-    cat BENCH_serve.json >&2
-    exit 1
-fi
-kill -HUP "$OBDAQD_PID"
-sleep 1
-grep -q 'reload complete' "$SRVLOG" || {
-    echo "serving smoke: SIGHUP reload not confirmed" >&2
-    cat "$SRVLOG" >&2
-    exit 1
-}
-# The endpoint must keep answering after the reload.
-go run ./cmd/mixer -servebench "$MIXOUT" \
-    -endpoint http://127.0.0.1:18685 -rates 5 -rateduration 2s -tenants 1 \
-    -queries q2,q3,q7 > /dev/null
-kill -TERM "$OBDAQD_PID"
-wait "$OBDAQD_PID"
-OBDAQD_PID=""
-grep -q 'shutdown complete' "$SRVLOG" || {
-    echo "serving smoke: graceful shutdown not confirmed" >&2
-    cat "$SRVLOG" >&2
-    exit 1
-}

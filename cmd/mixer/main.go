@@ -24,17 +24,16 @@
 //	mixer -breakdown -metrics           # print the metric exposition after the run
 //	mixer -breakdown -slowlog 16        # capture the 16 slowest executions
 //	mixer -breakdown -sample 0.1        # retain ~10% of traces (plus all slow ones)
-//	mixer -benchdiff old.json new.json  # compare two benchmark result files;
-//	                                    # exits 1 on a p50+p95 regression
 //
-// Serving (against a running obdaqd endpoint):
+// Benchmark (the numbers themselves come from `go run ./bench`, see
+// bench/README.md; run the differ from the repository root, it reads
+// ./BENCHMARK.json for each metric's direction and bound):
 //
-//	mixer -servebench BENCH_serve.json -endpoint http://127.0.0.1:8585 \
-//	    -rates 5,20 -rateduration 5s -tenants 2
+//	mixer -benchdiff old/results.json new/results.json
 //
-// fires open-loop Poisson arrivals at each offered rate and reports
-// QMpH plus latency-under-load percentiles; exits 1 when a rate
-// completes nothing or hits protocol errors.
+// prints ok / improved / regressed per workload and end-to-end metric,
+// lists the per-layer metrics that moved, and exits 1 on a regression,
+// a failed answer check or a lower ok_ratio.
 package main
 
 import (
@@ -73,8 +72,6 @@ func main() {
 		planCacheSz = flag.Int("plancachesize", 0, "plan cache capacity in entries (0 = engine default)")
 		parallel    = flag.Int("parallel", 0, "intra-query parallel workers per engine (0 = NumCPU, 1 = sequential)")
 		batchsize   = flag.Int("batchsize", 0, "vectorized executor batch size (0 = default 1024, 1 = row-at-a-time)")
-		parbench    = flag.String("parbench", "", "run the parallel-speedup benchmark and write its JSON report to this file")
-		batchbench  = flag.String("batchbench", "", "run the batch-size benchmark and write its JSON report to this file")
 		jsonl       = flag.String("jsonl", "", "write a JSONL run log (one record per query execution)")
 		validate    = flag.String("validatejsonl", "", "validate a JSONL run log and exit")
 		httpAddr    = flag.String("http", "", "serve /metrics, /debug/slowlog and net/http/pprof on this address while running")
@@ -84,15 +81,7 @@ func main() {
 		sampleRate  = flag.Float64("sample", 0, "probabilistic trace retention rate in [0,1] (0 = trace everything when -jsonl is on)")
 		budgetRows  = flag.Int64("budgetrows", 0, "per-query soft limit on rows scanned (0 = unlimited)")
 		budgetBytes = flag.Int64("budgetbytes", 0, "per-query soft limit on bytes materialized (0 = unlimited)")
-		servebench  = flag.String("servebench", "", "run the open-loop serving benchmark against -endpoint and write its JSON report to this file")
-		endpoint    = flag.String("endpoint", "http://127.0.0.1:8585", "SPARQL endpoint base URL for -servebench")
-		rates       = flag.String("rates", "5,20", "comma-separated offered arrival rates (queries/second) for -servebench")
-		rateDur     = flag.Duration("rateduration", 5*time.Second, "how long each -servebench arrival rate is sustained")
-		tenants     = flag.Int("tenants", 2, "independent open-loop arrival processes for -servebench")
-		benchdiff   = flag.Bool("benchdiff", false, "diff two benchmark result files (parbench/batchbench JSON or JSONL run logs): mixer -benchdiff old new")
-		diffThresh  = flag.Float64("diffthreshold", 0.30, "relative p50+p95 slowdown that counts as a regression")
-		diffMinRuns = flag.Int("diffminruns", 3, "minimum runs per side before a query is judged")
-		diffFloor   = flag.Duration("difffloor", 500*time.Microsecond, "absolute p50 delta a regression must clear")
+		benchdiff   = flag.Bool("benchdiff", false, "diff two bench/out/results.json files under ./BENCHMARK.json's bounds: mixer -benchdiff old new")
 	)
 	flag.Parse()
 
@@ -100,55 +89,13 @@ func main() {
 		if flag.NArg() != 2 {
 			fatal(fmt.Errorf("-benchdiff needs exactly two file arguments, got %d", flag.NArg()))
 		}
-		opt := mixer.DiffOptions{Threshold: *diffThresh, MinRuns: *diffMinRuns, Floor: *diffFloor}
-		rep, err := mixer.BenchDiffFiles(flag.Arg(0), flag.Arg(1), opt)
+		rep, err := mixer.BenchDiffFiles("BENCHMARK.json", flag.Arg(0), flag.Arg(1))
 		if err != nil {
 			fatal(err)
 		}
 		fmt.Print(rep.String())
-		if rep.Regressions > 0 {
+		if rep.Failed() {
 			os.Exit(1)
-		}
-		return
-	}
-
-	if *servebench != "" {
-		rs, err := parseRates(*rates)
-		if err != nil {
-			fatal(err)
-		}
-		slcfg := mixer.ServeLoadConfig{
-			Endpoint: strings.TrimRight(*endpoint, "/"),
-			Rates:    rs,
-			Duration: *rateDur,
-			Tenants:  *tenants,
-			Seed:     *seed,
-		}
-		if *queries != "" {
-			slcfg.QueryIDs = strings.Split(*queries, ",")
-		}
-		rep, err := mixer.RunServeLoad(slcfg)
-		if err != nil {
-			fatal(err)
-		}
-		data, err := rep.JSON()
-		if err != nil {
-			fatal(err)
-		}
-		if err := os.WriteFile(*servebench, append(data, '\n'), 0o644); err != nil {
-			fatal(err)
-		}
-		failed := false
-		for _, r := range rep.Rates {
-			fmt.Printf("rate %g q/s: offered %d, completed %d, throttled %d, timeouts %d, protocol errors %d, QMpH %.1f, p50 %.1fms p95 %.1fms p99 %.1fms\n",
-				r.RatePerSec, r.Offered, r.Completed, r.Throttled, r.Timeouts, r.ProtocolErrors, r.QMPH, r.P50MS, r.P95MS, r.P99MS)
-			if r.Completed == 0 || r.ProtocolErrors > 0 {
-				failed = true
-			}
-		}
-		fmt.Printf("serving benchmark report written to %s (%d tenants, mix of %d)\n", *servebench, rep.Tenants, rep.MixSize)
-		if failed {
-			fatal(fmt.Errorf("serving benchmark unhealthy: a rate completed zero queries or hit protocol errors"))
 		}
 		return
 	}
@@ -275,40 +222,6 @@ func main() {
 	}
 
 	switch {
-	case *batchbench != "":
-		rep, err := mixer.RunBatchBench(cfg)
-		if err != nil {
-			fatal(err)
-		}
-		data, err := rep.JSON()
-		if err != nil {
-			fatal(err)
-		}
-		if err := os.WriteFile(*batchbench, append(data, '\n'), 0o644); err != nil {
-			fatal(err)
-		}
-		for _, lvl := range rep.Levels {
-			fmt.Printf("batch size %d: mix %.1fms, speedup %.2fx, allocs %d, identical=%v\n",
-				lvl.BatchSize, lvl.MixTotalMS, lvl.SpeedupVsRow, lvl.MixAllocs, lvl.IdenticalToRowPath)
-		}
-		fmt.Printf("batch benchmark report written to %s (parallelism=%d)\n", *batchbench, rep.Parallelism)
-	case *parbench != "":
-		rep, err := mixer.RunParallelBench(cfg)
-		if err != nil {
-			fatal(err)
-		}
-		data, err := rep.JSON()
-		if err != nil {
-			fatal(err)
-		}
-		if err := os.WriteFile(*parbench, append(data, '\n'), 0o644); err != nil {
-			fatal(err)
-		}
-		for _, lvl := range rep.Levels {
-			fmt.Printf("parallelism %d: mix %.1fms, speedup %.2fx, identical=%v\n",
-				lvl.Parallelism, lvl.MixTotalMS, lvl.SpeedupVsSeq, lvl.IdenticalToSequential)
-		}
-		fmt.Printf("parallel benchmark report written to %s (NumCPU=%d)\n", *parbench, rep.NumCPU)
 	case *table == 3:
 		emit(mixer.Table3())
 	case *table == 7:
@@ -360,18 +273,6 @@ func parseScales(s string) ([]float64, error) {
 		f, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
 		if err != nil || f < 1 {
 			return nil, fmt.Errorf("bad scale %q (need numbers >= 1)", part)
-		}
-		out = append(out, f)
-	}
-	return out, nil
-}
-
-func parseRates(s string) ([]float64, error) {
-	var out []float64
-	for _, part := range strings.Split(s, ",") {
-		f, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-		if err != nil || f <= 0 {
-			return nil, fmt.Errorf("bad arrival rate %q (need numbers > 0)", part)
 		}
 		out = append(out, f)
 	}

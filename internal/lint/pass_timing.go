@@ -9,12 +9,11 @@ import (
 
 // passTimingFunnel ports repolint's timing-funnel rule onto the typed
 // driver: raw time.Now()/time.Since() calls are reserved to internal/obs
-// (the clock funnel) and internal/mixer (the measurement harness);
-// everything else goes through obs.Now/obs.Since so the observability layer
-// stays the single timing authority. Resolving the callee through the type
-// information kills the old rule's false-positive/negative mode: a package
-// imported as anything other than "time" is still caught, and a local
-// package named time is not.
+// (the clock funnel); everything else goes through obs.Now/obs.Since so the
+// observability layer stays the single timing authority. Resolving the
+// callee through the type information kills the old rule's
+// false-positive/negative mode: a package imported as anything other than
+// "time" is still caught, and a local package named time is not.
 func passTimingFunnel() *Pass {
 	return &Pass{
 		Name: "timingfunnel",
@@ -52,8 +51,7 @@ func passTimingFunnel() *Pass {
 }
 
 // timingExemptPkg reports whether a package may call time.Now/time.Since
-// directly: the obs clock funnel itself and the mixer measurement harness.
+// directly: only the obs clock funnel itself.
 func timingExemptPkg(path string) bool {
-	return strings.HasSuffix(path, "internal/obs") ||
-		strings.HasSuffix(path, "internal/mixer")
+	return strings.HasSuffix(path, "internal/obs")
 }

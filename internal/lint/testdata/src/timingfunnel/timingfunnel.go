@@ -1,5 +1,5 @@
 // Package timingfunnel is the timing-funnel fixture: raw time.Now calls
-// outside internal/obs and internal/mixer are violations; other uses of
+// outside internal/obs (the clock funnel) are violations; other uses of
 // package time are fine.
 package timingfunnel
 

@@ -1,354 +1,273 @@
 package mixer
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
-	"sort"
 	"strings"
-	"time"
-
-	"npdbench/internal/obs"
 )
 
-// Bench-regression differ: compares two benchmark result files — committed
-// parbench reports (BENCH_parallel.json), batchbench reports
-// (BENCH_batch.json), or JSONL run logs — per query, on the p50/p95 of
-// total latency. It is noise-aware: a query
-// only counts as regressed when BOTH percentiles move past the relative
-// threshold, the absolute move clears a floor (sub-floor timings are
-// dominated by scheduler jitter), and both sides have enough runs for
-// the percentiles to mean anything. `mixer -benchdiff old new` exits
-// nonzero on any regression — the ci perf-trajectory gate.
+// Benchmark differ: `mixer -benchdiff OLD NEW` compares two
+// bench/out/results.json files written by `go run ./bench`. The ruler is
+// the repository's BENCHMARK.json: each end-to-end metric is judged in
+// that file's direction against that file's bound, per workload, so the
+// caller has nothing to tune. Per-layer metrics carry no bound; the ones
+// that moved are listed for attribution and never fail the diff.
 
-// DiffOptions tunes the regression judgement.
-type DiffOptions struct {
-	// Threshold is the relative slowdown that counts as a regression
-	// (0.30 = +30%). Both p50 and p95 must exceed it.
-	Threshold float64
-	// MinRuns is the minimum sample count on both sides; below it the
-	// query is reported but never judged (percentiles of one or two
-	// runs are noise).
-	MinRuns int
-	// Floor is the absolute p50 delta a regression must also clear;
-	// queries this fast are judged only on absolute movement past it.
-	Floor time.Duration
+// benchContract is the part of BENCHMARK.json the differ judges by.
+type benchContract struct {
+	EndToEnd []benchMetricDef `json:"end_to_end"`
+	PerLayer []benchMetricDef `json:"per_layer"`
 }
 
-// DefaultDiffOptions returns the ci defaults: +30% on both percentiles,
-// at least 3 runs per side, 500µs absolute floor.
-func DefaultDiffOptions() DiffOptions {
-	return DiffOptions{Threshold: 0.30, MinRuns: 3, Floor: 500 * time.Microsecond}
+type benchMetricDef struct {
+	Name   string  `json:"name"`
+	Unit   string  `json:"unit"`
+	Better string  `json:"better"`
+	Bound  float64 `json:"bound"` // end-to-end only
 }
 
-// benchSeries is one query's latency summary extracted from a result file.
-type benchSeries struct {
-	key      string
-	p50, p95 float64 // microseconds
-	runs     int
+// benchResults is a bench/out/results.json document.
+type benchResults struct {
+	Env       map[string]string `json:"env"`
+	Seed      int64             `json:"seed"`
+	Seconds   float64           `json:"seconds"`
+	Workloads []benchWorkload   `json:"workloads"`
 }
 
-// DiffEntry is the judgement for one query key.
+type benchWorkload struct {
+	Name     string    `json:"name"`
+	EndToEnd benchPass `json:"end_to_end"`
+	PerLayer benchPass `json:"per_layer"`
+}
+
+// benchPass is one pass's result line: the untraced pass carries the
+// end-to-end metrics, the traced pass the per-layer ones.
+type benchPass struct {
+	Correct bool                  `json:"correct"`
+	Metrics map[string]benchValue `json:"metrics"`
+}
+
+type benchValue struct {
+	Value float64 `json:"value"`
+}
+
+// DiffEntry is one workload × metric comparison.
 type DiffEntry struct {
-	Key      string
-	OldP50US float64
-	NewP50US float64
-	OldP95US float64
-	NewP95US float64
-	// DeltaP50/DeltaP95 are fractional changes (0.25 = +25%); zero when
-	// the old side is zero.
-	DeltaP50 float64
-	DeltaP95 float64
-	Runs     int // min(old runs, new runs)
-	// Verdict is one of "ok", "improved", "regressed", "few-runs",
-	// "below-floor", "added", "removed".
+	Workload string
+	Metric   string
+	Unit     string
+	Old, New float64
+	// Delta is the signed fractional change (New-Old)/Old; zero when Old is
+	// zero, where no relative change exists.
+	Delta float64
+	// Bound is the metric's BENCHMARK.json regression bound (end-to-end
+	// entries only).
+	Bound float64
+	// Verdict is "ok", "improved" or "regressed" for an end-to-end entry,
+	// "moved" or "changed" (a count-unit metric that differs at all) for a
+	// per-layer one.
 	Verdict string
 }
 
 // DiffReport is the full comparison.
 type DiffReport struct {
-	Entries     []DiffEntry
+	EndToEnd []DiffEntry
+	// PerLayer lists only the per-layer metrics that moved.
+	PerLayer []DiffEntry
+	// Incorrect names the passes of NEW whose answer check failed
+	// ("correct": false).
+	Incorrect   []string
 	Regressions int
 	Improved    int
-	Skipped     int // few-runs + below-floor
 }
 
-// BenchDiffFiles loads and diffs two benchmark result files. Each file
-// may be a parbench JSON report (queries keyed "qN@pK" per parallelism
-// level), a batchbench JSON report (keyed "qN@bK" per batch size), or a
-// JSONL run log (keyed by query id); the two files must not
-// mix formats in a way that leaves no common keys, but the differ itself
-// only matches on keys.
-func BenchDiffFiles(oldPath, newPath string, opt DiffOptions) (*DiffReport, error) {
-	oldData, err := os.ReadFile(oldPath)
+// Failed reports whether NEW is worse than OLD by the benchmark's own
+// rules: a metric past its bound, any drop in ok_ratio, or a failed answer
+// check.
+func (r *DiffReport) Failed() bool {
+	return r.Regressions > 0 || len(r.Incorrect) > 0
+}
+
+// BenchDiffFiles diffs two results.json files under the bounds and
+// directions of the BENCHMARK.json at contractPath. It refuses pairs that
+// were not measured alike (seed, seconds, nproc) or that do not cover the
+// same workloads.
+func BenchDiffFiles(contractPath, oldPath, newPath string) (*DiffReport, error) {
+	var contract benchContract
+	if err := readJSON(contractPath, &contract); err != nil {
+		return nil, err
+	}
+	if len(contract.EndToEnd) == 0 {
+		return nil, fmt.Errorf("benchdiff: %s: no end_to_end metrics", contractPath)
+	}
+	oldRes, err := readResults(oldPath)
 	if err != nil {
-		return nil, fmt.Errorf("benchdiff: %w", err)
+		return nil, err
 	}
-	newData, err := os.ReadFile(newPath)
+	newRes, err := readResults(newPath)
 	if err != nil {
-		return nil, fmt.Errorf("benchdiff: %w", err)
+		return nil, err
 	}
-	oldSeries, oldOrder, err := extractSeries(oldData)
-	if err != nil {
-		return nil, fmt.Errorf("benchdiff: %s: %w", oldPath, err)
+	if oldRes.Seed != newRes.Seed || oldRes.Seconds != newRes.Seconds || oldRes.Env["nproc"] != newRes.Env["nproc"] {
+		return nil, fmt.Errorf("benchdiff: runs are not comparable: seed %d/%d, seconds %g/%g, nproc %s/%s",
+			oldRes.Seed, newRes.Seed, oldRes.Seconds, newRes.Seconds, oldRes.Env["nproc"], newRes.Env["nproc"])
 	}
-	newSeries, newOrder, err := extractSeries(newData)
-	if err != nil {
-		return nil, fmt.Errorf("benchdiff: %s: %w", newPath, err)
+	newByName := make(map[string]benchWorkload, len(newRes.Workloads))
+	for _, w := range newRes.Workloads {
+		newByName[w.Name] = w
 	}
-	return diffSeries(oldSeries, oldOrder, newSeries, newOrder, opt), nil
-}
+	if len(newByName) != len(oldRes.Workloads) {
+		return nil, fmt.Errorf("benchdiff: %s has %d workload(s), %s has %d",
+			oldPath, len(oldRes.Workloads), newPath, len(newByName))
+	}
 
-// extractSeries parses a result file into per-query latency summaries.
-// A file that decodes as one JSON document with a non-empty "levels"
-// array is a parbench report; anything else is treated as a JSONL run
-// log (whose lines also start with '{', so a leading-brace sniff cannot
-// distinguish the two).
-func extractSeries(data []byte) (map[string]benchSeries, []string, error) {
-	trimmed := strings.TrimSpace(string(data))
-	if trimmed == "" {
-		return nil, nil, fmt.Errorf("empty benchmark file")
-	}
-	if rep, ok := decodeBatchbench([]byte(trimmed)); ok {
-		return batchbenchSeries(rep)
-	}
-	if rep, ok := decodeParbench([]byte(trimmed)); ok {
-		return parbenchSeries(rep)
-	}
-	return runlogSeries(trimmed)
-}
-
-// decodeBatchbench reports whether data is a single batchbench report
-// document. It must be sniffed before parbench: both formats carry a
-// "levels" array, but only batchbench levels have a nonzero batch_size
-// (a parbench level decoded here leaves BatchSize at zero).
-func decodeBatchbench(data []byte) (*BatchBenchReport, bool) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	var rep BatchBenchReport
-	if err := dec.Decode(&rep); err != nil {
-		return nil, false
-	}
-	if dec.More() {
-		return nil, false
-	}
-	return &rep, len(rep.Levels) > 0 && rep.Levels[0].BatchSize > 0
-}
-
-func batchbenchSeries(rep *BatchBenchReport) (map[string]benchSeries, []string, error) {
-	out := make(map[string]benchSeries)
-	var order []string
-	for _, lvl := range rep.Levels {
-		for _, q := range lvl.Queries {
-			key := fmt.Sprintf("%s@b%d", q.QueryID, lvl.BatchSize)
-			out[key] = benchSeries{
-				key:  key,
-				p50:  q.P50MS * 1000,
-				p95:  q.P95MS * 1000,
-				runs: rep.Runs,
-			}
-			order = append(order, key)
-		}
-	}
-	return out, order, nil
-}
-
-// decodeParbench reports whether data is a single parbench report
-// document. A JSONL log fails here: the decoder finds trailing values
-// after the first record.
-func decodeParbench(data []byte) (*ParBenchReport, bool) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	var rep ParBenchReport
-	if err := dec.Decode(&rep); err != nil {
-		return nil, false
-	}
-	if dec.More() {
-		return nil, false
-	}
-	return &rep, len(rep.Levels) > 0
-}
-
-func parbenchSeries(rep *ParBenchReport) (map[string]benchSeries, []string, error) {
-	out := make(map[string]benchSeries)
-	var order []string
-	for _, lvl := range rep.Levels {
-		for _, q := range lvl.Queries {
-			key := fmt.Sprintf("%s@p%d", q.QueryID, lvl.Parallelism)
-			out[key] = benchSeries{
-				key:  key,
-				p50:  q.P50MS * 1000,
-				p95:  q.P95MS * 1000,
-				runs: rep.Runs,
-			}
-			order = append(order, key)
-		}
-	}
-	return out, order, nil
-}
-
-func runlogSeries(text string) (map[string]benchSeries, []string, error) {
-	samples := make(map[string][]float64)
-	var order []string
-	n := 0
-	for _, line := range strings.Split(text, "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" {
-			continue
-		}
-		n++
-		var rec obs.RunRecord
-		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			return nil, nil, fmt.Errorf("line %d: malformed JSON: %w", n, err)
-		}
-		if rec.Query == "" {
-			return nil, nil, fmt.Errorf("line %d: missing query", n)
-		}
-		if rec.Error != "" {
-			continue // failed runs carry partial timings
-		}
-		if _, seen := samples[rec.Query]; !seen {
-			order = append(order, rec.Query)
-		}
-		samples[rec.Query] = append(samples[rec.Query], float64(rec.TotalUS))
-	}
-	if len(samples) == 0 {
-		return nil, nil, fmt.Errorf("no successful records")
-	}
-	out := make(map[string]benchSeries, len(samples))
-	for q, s := range samples {
-		out[q] = benchSeries{
-			key:  q,
-			p50:  obs.Percentile(s, 50),
-			p95:  obs.Percentile(s, 95),
-			runs: len(s),
-		}
-	}
-	return out, order, nil
-}
-
-func diffSeries(oldS map[string]benchSeries, oldOrder []string, newS map[string]benchSeries, newOrder []string, opt DiffOptions) *DiffReport {
-	if opt.Threshold <= 0 {
-		opt.Threshold = DefaultDiffOptions().Threshold
-	}
-	if opt.MinRuns <= 0 {
-		opt.MinRuns = DefaultDiffOptions().MinRuns
-	}
-	if opt.Floor <= 0 {
-		opt.Floor = DefaultDiffOptions().Floor
+	// Per-layer metrics have no bound of their own: a non-count one is
+	// listed once it moves further than the widest end-to-end bound.
+	widest := 0.0
+	for _, def := range contract.EndToEnd {
+		widest = math.Max(widest, def.Bound)
 	}
 	rep := &DiffReport{}
-	seen := make(map[string]bool)
-	for _, key := range oldOrder {
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		o := oldS[key]
-		n, ok := newS[key]
+	for _, ow := range oldRes.Workloads {
+		nw, ok := newByName[ow.Name]
 		if !ok {
-			rep.Entries = append(rep.Entries, DiffEntry{Key: key, OldP50US: o.p50, OldP95US: o.p95, Verdict: "removed"})
-			continue
+			return nil, fmt.Errorf("benchdiff: %s: workload %s is missing", newPath, ow.Name)
 		}
-		rep.Entries = append(rep.Entries, judge(o, n, opt, rep))
-	}
-	added := make([]string, 0)
-	for _, key := range newOrder {
-		if !seen[key] {
-			seen[key] = true
-			added = append(added, key)
+		if !nw.EndToEnd.Correct {
+			rep.Incorrect = append(rep.Incorrect, ow.Name+" end_to_end")
+		}
+		if !nw.PerLayer.Correct {
+			rep.Incorrect = append(rep.Incorrect, ow.Name+" per_layer")
+		}
+		for _, def := range contract.EndToEnd {
+			o, okOld := ow.EndToEnd.Metrics[def.Name]
+			n, okNew := nw.EndToEnd.Metrics[def.Name]
+			if !okOld || !okNew {
+				return nil, fmt.Errorf("benchdiff: workload %s: end-to-end metric %s is missing", ow.Name, def.Name)
+			}
+			e := newDiffEntry(ow.Name, def, o.Value, n.Value)
+			e.Verdict = judgeEndToEnd(def, e)
+			switch e.Verdict {
+			case "regressed":
+				rep.Regressions++
+			case "improved":
+				rep.Improved++
+			}
+			rep.EndToEnd = append(rep.EndToEnd, e)
+		}
+		for _, def := range contract.PerLayer {
+			o, okOld := ow.PerLayer.Metrics[def.Name]
+			n, okNew := nw.PerLayer.Metrics[def.Name]
+			if !okOld || !okNew || o.Value == n.Value {
+				continue
+			}
+			e := newDiffEntry(ow.Name, def, o.Value, n.Value)
+			switch {
+			case def.Unit == "count":
+				e.Verdict = "changed"
+			case o.Value == 0 || math.Abs(e.Delta) > widest:
+				e.Verdict = "moved"
+			default:
+				continue
+			}
+			rep.PerLayer = append(rep.PerLayer, e)
 		}
 	}
-	sort.Strings(added)
-	for _, key := range added {
-		n := newS[key]
-		rep.Entries = append(rep.Entries, DiffEntry{Key: key, NewP50US: n.p50, NewP95US: n.p95, Runs: n.runs, Verdict: "added"})
-	}
-	return rep
+	return rep, nil
 }
 
-// judge applies the noise guards and classifies one shared query key.
-func judge(o, n benchSeries, opt DiffOptions, rep *DiffReport) DiffEntry {
-	e := DiffEntry{
-		Key:      o.key,
-		OldP50US: o.p50, NewP50US: n.p50,
-		OldP95US: o.p95, NewP95US: n.p95,
-		Runs: o.runs,
+func readJSON(path string, into any) error {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return fmt.Errorf("benchdiff: %w", err)
 	}
-	if n.runs < e.Runs {
-		e.Runs = n.runs
+	if err := json.Unmarshal(data, into); err != nil {
+		return fmt.Errorf("benchdiff: %s: %w", path, err)
 	}
-	if o.p50 > 0 {
-		e.DeltaP50 = (n.p50 - o.p50) / o.p50
+	return nil
+}
+
+func readResults(path string) (benchResults, error) {
+	var res benchResults
+	if err := readJSON(path, &res); err != nil {
+		return res, err
 	}
-	if o.p95 > 0 {
-		e.DeltaP95 = (n.p95 - o.p95) / o.p95
+	if len(res.Workloads) == 0 {
+		return res, fmt.Errorf("benchdiff: %s: not a bench results.json (no workloads)", path)
 	}
-	floorUS := float64(opt.Floor.Microseconds())
-	switch {
-	case e.Runs < opt.MinRuns:
-		e.Verdict = "few-runs"
-		rep.Skipped++
-	case o.p50 == 0 || o.p95 == 0:
-		// A zero baseline percentile has no meaningful percent delta —
-		// dividing by it would judge the query on Inf/NaN (or, with the
-		// deltas silently left at zero, mask a real regression as "ok").
-		e.Verdict = "below-floor"
-		rep.Skipped++
-	case e.DeltaP50 > opt.Threshold && e.DeltaP95 > opt.Threshold:
-		if n.p50-o.p50 < floorUS {
-			// Past the relative threshold, but the absolute move is
-			// inside the noise floor — tiny queries swing wildly in
-			// percent without meaning anything.
-			e.Verdict = "below-floor"
-			rep.Skipped++
-			break
-		}
-		e.Verdict = "regressed"
-		rep.Regressions++
-	case e.DeltaP50 < -opt.Threshold && e.DeltaP95 < -opt.Threshold:
-		e.Verdict = "improved"
-		rep.Improved++
-	default:
-		e.Verdict = "ok"
+	return res, nil
+}
+
+func newDiffEntry(workload string, def benchMetricDef, o, n float64) DiffEntry {
+	e := DiffEntry{Workload: workload, Metric: def.Name, Unit: def.Unit, Old: o, New: n, Bound: def.Bound}
+	if o != 0 {
+		e.Delta = (n - o) / o
 	}
 	return e
 }
 
-// String renders the report as an aligned table plus a summary line.
-func (r *DiffReport) String() string {
-	tab := newTextTable("query", "old p50", "new p50", "d-p50", "old p95", "new p95", "d-p95", "runs", "verdict")
-	for _, e := range r.Entries {
-		tab.add(
-			e.Key,
-			fmtUS(e.OldP50US), fmtUS(e.NewP50US), fmtDelta(e.DeltaP50),
-			fmtUS(e.OldP95US), fmtUS(e.NewP95US), fmtDelta(e.DeltaP95),
-			fmt.Sprintf("%d", e.Runs),
-			e.Verdict,
-		)
+// judgeEndToEnd classifies one end-to-end entry. A zero baseline has no
+// relative change to hold against the bound (dividing by it would judge on
+// Inf/NaN), so any move off zero is judged by its direction alone. ok_ratio
+// regresses on any drop, however small: a larger share of failed operations
+// is never inside a noise bound.
+func judgeEndToEnd(def benchMetricDef, e DiffEntry) string {
+	worse, bound := e.Delta, e.Bound
+	if e.Old == 0 {
+		worse, bound = e.New, 0
 	}
+	if def.Better == "higher" {
+		worse = -worse
+	}
+	switch {
+	case worse > bound, def.Name == "ok_ratio" && e.New < e.Old:
+		return "regressed"
+	case worse < -bound:
+		return "improved"
+	default:
+		return "ok"
+	}
+}
+
+// String renders the end-to-end table, the moved per-layer metrics and a
+// summary line.
+func (r *DiffReport) String() string {
 	var sb strings.Builder
+	tab := newTextTable("workload", "metric", "unit", "old", "new", "delta", "bound", "verdict")
+	for _, e := range r.EndToEnd {
+		tab.add(e.Workload, e.Metric, e.Unit, fmtValue(e.Old), fmtValue(e.New), fmtDelta(e),
+			fmt.Sprintf("%.1f%%", e.Bound*100), e.Verdict)
+	}
 	sb.WriteString(tab.String())
-	fmt.Fprintf(&sb, "\nbenchdiff: %d queries, %d regressed, %d improved, %d skipped\n",
-		len(r.Entries), r.Regressions, r.Improved, r.Skipped)
+	if len(r.PerLayer) > 0 {
+		sb.WriteString("\nper-layer metrics that moved:\n")
+		tab = newTextTable("workload", "metric", "unit", "old", "new", "delta", "verdict")
+		for _, e := range r.PerLayer {
+			tab.add(e.Workload, e.Metric, e.Unit, fmtValue(e.Old), fmtValue(e.New), fmtDelta(e), e.Verdict)
+		}
+		sb.WriteString(tab.String())
+	}
+	for _, pass := range r.Incorrect {
+		fmt.Fprintf(&sb, "\nincorrect answers: %s", pass)
+	}
+	fmt.Fprintf(&sb, "\nbenchdiff: %d end-to-end comparisons, %d regressed, %d improved, %d incorrect pass(es), %d per-layer metric(s) moved\n",
+		len(r.EndToEnd), r.Regressions, r.Improved, len(r.Incorrect), len(r.PerLayer))
 	return sb.String()
 }
 
-func fmtUS(us float64) string {
-	switch {
-	case us <= 0:
-		return "-"
-	case us >= 1e6:
-		return fmt.Sprintf("%.2fs", us/1e6)
-	case us >= 1e3:
-		return fmt.Sprintf("%.2fms", us/1e3)
-	default:
-		return fmt.Sprintf("%.0fµs", us)
-	}
+func fmtValue(v float64) string {
+	return fmt.Sprintf("%.6g", v)
 }
 
-func fmtDelta(d float64) string {
-	if d == 0 {
+func fmtDelta(e DiffEntry) string {
+	switch {
+	case e.Old == e.New:
 		return "±0%"
+	case e.Old == 0:
+		return "-" // off a zero baseline: no percentage exists
+	default:
+		return fmt.Sprintf("%+.1f%%", e.Delta*100)
 	}
-	return fmt.Sprintf("%+.1f%%", d*100)
 }

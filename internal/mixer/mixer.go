@@ -141,7 +141,7 @@ type Report struct {
 // BuildInstance creates the NPDk instance: the synthetic seed pumped by
 // VIG with growth factor k−1.
 func BuildInstance(k, seedScale float64, seed int64) (*sqldb.Database, time.Duration, error) {
-	start := time.Now()
+	start := obs.Now()
 	db, err := npd.NewSeededDatabase(npd.SeedConfig{Scale: seedScale, Seed: seed})
 	if err != nil {
 		return nil, 0, err
@@ -155,7 +155,7 @@ func BuildInstance(k, seedScale float64, seed int64) (*sqldb.Database, time.Dura
 			return nil, 0, err
 		}
 	}
-	return db, time.Since(start), nil
+	return db, obs.Since(start), nil
 }
 
 // Run executes the configured mix across all scales.

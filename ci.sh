@@ -26,6 +26,9 @@ go run ./cmd/repolint -strict -allow testdata/repolint_allow.txt \
     -budget 20s
 go test -race ./...
 go run ./cmd/obdalint -strict -quiet
+# Typed template disjointness prunes unfolded joins: "disjoint" must never
+# hold for two templates some values of their classes expand equally.
+go test -run '^$' -fuzz '^FuzzTemplateDisjoint$' -fuzztime 10s ./internal/r2rml
 
 # Instrumented smoke run: one client, one small mix, with the JSONL run log
 # on; the validator fails the gate when the log is empty or malformed (and,

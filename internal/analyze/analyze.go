@@ -383,7 +383,7 @@ func checkJoinability(in Input, rep *Report) {
 			}
 			joinable := false
 			for _, s := range subjects {
-				if r2rml.TermMapsCompatible(po.Object, s) {
+				if r2rml.TermMapsCompatible(po.Object, nil, s, nil) {
 					joinable = true
 					break
 				}

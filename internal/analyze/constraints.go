@@ -22,13 +22,18 @@ import (
 //   - Exact terms are ontology predicates whose direct mapping already
 //     produces everything T-mapping saturation could derive; rewriting
 //     below them is pure redundancy.
+//   - Value classes narrow what an IRI-template placeholder can expand
+//     to: INT and DATE columns only ever render as [0-9-]*, so templates
+//     whose literals a placeholder over such a column cannot absorb are
+//     disjoint, and joins between them are pruned at unfold time.
 //
 // All lookups are case-insensitive on table/column names, matching the
 // sqldb catalog. A nil *Constraints is valid and constrains nothing.
 type Constraints struct {
-	keys    map[string][][]string      // table -> PK/UNIQUE column sets
-	notNull map[string]map[string]bool // table -> column -> true
-	exact   map[string]bool            // ontology term IRI -> exact
+	keys    map[string][][]string          // table -> PK/UNIQUE column sets
+	notNull map[string]map[string]bool     // table -> column -> true
+	classes map[string]r2rml.ColumnClasses // table -> column -> Digits
+	exact   map[string]bool                // ontology term IRI -> exact
 }
 
 // KeyCoveredBy reports whether some PK/UNIQUE key of table is fully
@@ -63,6 +68,20 @@ func (c *Constraints) IsNotNull(table, col string) bool {
 		return false
 	}
 	return c.notNull[strings.ToLower(table)][strings.ToLower(col)]
+}
+
+// ValueClasses returns the value classes of m's source columns: its base
+// table's column classes when the source is a plain projection of one
+// table (r2rml.TriplesMap.BaseTable), nil — every column Any — otherwise.
+func (c *Constraints) ValueClasses(m *r2rml.TriplesMap) r2rml.ColumnClasses {
+	if c == nil {
+		return nil
+	}
+	table, _, ok := m.BaseTable()
+	if !ok {
+		return nil
+	}
+	return c.classes[strings.ToLower(table)]
 }
 
 // IsExact reports whether the ontology term's direct mapping subsumes
@@ -119,6 +138,7 @@ func DeriveConstraints(mp *r2rml.Mapping, onto *owl.Ontology, db *sqldb.Database
 	c := &Constraints{
 		keys:    map[string][][]string{},
 		notNull: map[string]map[string]bool{},
+		classes: map[string]r2rml.ColumnClasses{},
 		exact:   map[string]bool{},
 	}
 	for _, t := range db.Tables() {
@@ -150,6 +170,18 @@ func DeriveConstraints(mp *r2rml.Mapping, onto *owl.Ontology, db *sqldb.Database
 		}
 		if len(nn) > 0 {
 			c.notNull[lt] = nn
+		}
+		// Table.checkTypes enforces the column kind at insert, so INT and
+		// DATE values always render through strconv.FormatInt or
+		// %04d-%02d-%02d.
+		cls := r2rml.ColumnClasses{}
+		for _, col := range def.Columns {
+			if col.Type == sqldb.TInt || col.Type == sqldb.TDate {
+				cls[strings.ToLower(col.Name)] = r2rml.Digits
+			}
+		}
+		if len(cls) > 0 {
+			c.classes[lt] = cls
 		}
 		if len(c.keys[lt]) == 0 {
 			// keep the table present so Stats counts it
@@ -261,9 +293,10 @@ func deriveExact(c *Constraints, mp *r2rml.Mapping, onto *owl.Ontology) {
 	}
 }
 
-// shape is the normalized form of one mapping assertion over a
-// single-base-table source: which table, which subject/object term maps,
-// and the source's WHERE conjuncts rendered without qualifiers.
+// shape is the normalized form of one mapping assertion over a source
+// that is a plain projection of one base table: which table, which
+// subject/object term maps, and the source's WHERE conjuncts rendered
+// without qualifiers.
 type shape struct {
 	ok      bool // single base table, no DISTINCT/GROUP/LIMIT/UNION
 	table   string
@@ -289,25 +322,17 @@ func (a shape) subsumes(b shape) bool {
 }
 
 // sourceShape normalizes a triples map's logical source; ok=false when the
-// source is not a plain single-table SELECT.
+// source is not a plain projection of one base table.
 func sourceShape(m *r2rml.TriplesMap) shape {
-	stmt, err := m.LogicalSQL()
-	if err != nil {
-		return shape{}
-	}
-	if stmt.Union != nil || stmt.Distinct || len(stmt.GroupBy) > 0 ||
-		stmt.Having != nil || stmt.Limit >= 0 || len(stmt.From) != 1 {
-		return shape{}
-	}
-	bt, ok := stmt.From[0].(*sqldb.BaseTable)
+	table, where, ok := m.BaseTable()
 	if !ok {
 		return shape{}
 	}
 	conjs := map[string]bool{}
-	for _, cj := range sqldb.Conjuncts(stmt.Where) {
+	for _, cj := range sqldb.Conjuncts(where) {
 		conjs[sqldb.QualifyColumns(cj, "").String()] = true
 	}
-	return shape{ok: true, table: strings.ToLower(bt.Name), conjs: conjs}
+	return shape{ok: true, table: strings.ToLower(table), conjs: conjs}
 }
 
 // assertionShapes indexes every mapping assertion by asserted term.

@@ -134,15 +134,16 @@ func (tm TermMap) String() string {
 // TermMapsCompatible is the conservative structural unification check
 // shared by the unfolder's candidate walk and the static analyzer: false
 // proves the two term maps can never generate the same RDF term; true
-// means they may (full unification remains the caller's job).
-func TermMapsCompatible(a, b TermMap) bool {
+// means they may (full unification remains the caller's job). ac and bc
+// give the value classes of a's and b's source columns (nil: all Any).
+func TermMapsCompatible(a TermMap, ac ColumnClasses, b TermMap, bc ColumnClasses) bool {
 	aIRI := a.Kind == IRITemplate || (a.Kind == ConstantTerm && a.Constant.IsIRI())
 	bIRI := b.Kind == IRITemplate || (b.Kind == ConstantTerm && b.Constant.IsIRI())
 	if aIRI != bIRI {
 		return false
 	}
 	if a.Kind == IRITemplate && b.Kind == IRITemplate {
-		return a.Template.SameStructure(b.Template)
+		return !a.Template.DisjointUnder(ac, b.Template, bc)
 	}
 	if a.Kind == ConstantTerm && b.Kind == IRITemplate {
 		_, ok := b.Template.Match(a.Constant.Value)
@@ -179,6 +180,7 @@ type TriplesMap struct {
 	parseOnce sync.Once
 	parsedSQL *sqldb.SelectStmt
 	parseErr  error
+	baseTable string // see BaseTable; "" when the source is not one
 }
 
 // LogicalSQL returns the mapping's source query as a parsed SELECT
@@ -199,8 +201,55 @@ func (m *TriplesMap) LogicalSQL() (*sqldb.SelectStmt, error) {
 			return
 		}
 		m.parsedSQL = stmt
+		m.baseTable = plainBaseTable(stmt)
 	})
 	return m.parsedSQL, m.parseErr
+}
+
+// BaseTable reduces the logical source to one base table when the source
+// is a plain projection of it: a single FROM item that is a base table,
+// every select item a star of it or a bare column under its own name, and
+// no UNION, DISTINCT, GROUP BY, HAVING, ORDER BY, LIMIT or OFFSET. Rows of
+// the source are then rows of the table, filtered by where (possibly
+// nil), and each source column has the table column's type and
+// constraints. ok=false when the source does not reduce.
+func (m *TriplesMap) BaseTable() (table string, where sqldb.Expr, ok bool) {
+	if m.SQL == "" {
+		return m.Table, nil, m.Table != "" // SELECT * FROM Table, unparsed
+	}
+	stmt, err := m.LogicalSQL()
+	if err != nil || m.baseTable == "" {
+		return "", nil, false
+	}
+	return m.baseTable, stmt.Where, true
+}
+
+// plainBaseTable implements the reduction behind BaseTable; "" when the
+// statement is not a plain projection of one base table.
+func plainBaseTable(stmt *sqldb.SelectStmt) string {
+	if stmt.Union != nil || stmt.Distinct || len(stmt.GroupBy) > 0 ||
+		stmt.Having != nil || stmt.Limit >= 0 || stmt.Offset > 0 ||
+		len(stmt.OrderBy) > 0 || len(stmt.From) != 1 {
+		return ""
+	}
+	bt, ok := stmt.From[0].(*sqldb.BaseTable)
+	if !ok {
+		return ""
+	}
+	for _, it := range stmt.Items {
+		if it.Star {
+			if it.Table != "" && !strings.EqualFold(it.Table, bt.Name) &&
+				!strings.EqualFold(it.Table, bt.Alias) {
+				return ""
+			}
+			continue
+		}
+		c, okc := it.Expr.(*sqldb.ColRef)
+		if !okc || (it.Alias != "" && !strings.EqualFold(it.Alias, c.Name)) {
+			return ""
+		}
+	}
+	return bt.Name
 }
 
 // SourceDescription returns the textual source query.

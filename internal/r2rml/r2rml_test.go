@@ -93,15 +93,67 @@ func TestTemplateNullSuppression(t *testing.T) {
 	}
 }
 
-func TestSameStructure(t *testing.T) {
-	a := MustParseTemplate("http://x/emp/{id}")
-	b := MustParseTemplate("http://x/emp/{eid}")
-	c := MustParseTemplate("http://x/prod/{id}")
-	if !a.SameStructure(b) {
-		t.Fatal("same-prefix templates are compatible")
+func TestDisjointWith(t *testing.T) {
+	const wb = "http://sws.ifi.uio.no/data/npd-v2/wellbore/"
+	digits := func(cols ...string) ColumnClasses {
+		cc := ColumnClasses{}
+		for _, c := range cols {
+			cc[c] = Digits
+		}
+		return cc
 	}
-	if a.SameStructure(c) || c.SameStructure(a) {
-		t.Fatal("different prefixes can never collide")
+	cases := []struct {
+		name     string
+		t, u     string
+		tc, uc   ColumnClasses
+		disjoint bool
+	}{
+		{"same prefix, renamed column", "http://x/emp/{id}", "http://x/emp/{eid}", nil, nil, false},
+		{"diverging prefixes", "http://x/emp/{id}", "http://x/prod/{id}", nil, nil, true},
+		{"diverging suffixes", "http://t/w/{a}/{b}/tail", "http://t/w/{a}/{b}/liat", nil, nil, true},
+		{"wellbore vs core, INT id", wb + "{id}", wb + "{id}/core/{n}", digits("id"), digits("id", "n"), true},
+		{"wellbore vs core, text id", wb + "{id}", wb + "{id}/core/{n}", nil, digits("id", "n"), false},
+		{"interior separators, Any", "p/{a}-{b}", "p/{a}_{b}", nil, nil, false},
+		{"interior separators, Digits", "p/{a}-{b}", "p/{a}_{b}", digits("a", "b"), digits("a", "b"), true},
+		{"interior separators, one side Digits", "p/{a}-{b}", "p/{a}_{b}", digits("a", "b"), nil, true},
+		{"DATE absorbs its own dashes", "d/{day}", "d/{y}-{m}-{dd}", digits("day"), digits("y", "m", "dd"), false},
+		{"DATE cannot absorb a letter", "d/{day}", "d/{y}T{h}", digits("day"), digits("y", "h"), true},
+		{"negative INT", "v/{a}", "v/-{b}", digits("a"), digits("b"), false},
+		{"INT has no plus sign", "v/{a}", "v/+{b}", digits("a"), digits("b"), true},
+		{"identical skeletons, Any", "w/{id}/c/{n}", "w/{id}/c/{n}", nil, nil, false},
+		{"identical skeletons, Digits", "w/{id}/c/{n}", "w/{id}/c/{n}", digits("id", "n"), digits("id", "n"), false},
+		{"identical skeletons, mixed classes", "w/{id}/c/{n}", "w/{k}/c/{m}", digits("id", "n"), nil, false},
+		{"adjacent placeholders", "x/{a}{b}", "x/{c}", nil, nil, false},
+		{"equal constants", "c", "c", nil, nil, false},
+		{"different constants", "c", "d", nil, nil, true},
+		{"constant inside a Digits template", "w/-12", "w/{id}", nil, digits("id"), false},
+		{"constant outside a Digits template", "w/ab", "w/{id}", nil, digits("id"), true},
+		{"Digits admits the empty string", "w/", "w/{id}", nil, digits("id"), false},
+		{"column lookup ignores case", "w/{ID}", "w/{id}/x", digits("id"), digits("id"), true},
+	}
+	for _, c := range cases {
+		a, b := MustParseTemplate(c.t), MustParseTemplate(c.u)
+		if got := a.DisjointUnder(c.tc, b, c.uc); got != c.disjoint {
+			t.Errorf("%s: %s vs %s disjoint = %v, want %v", c.name, c.t, c.u, got, c.disjoint)
+		}
+		if got := b.DisjointUnder(c.uc, a, c.tc); got != c.disjoint {
+			t.Errorf("%s (swapped): %s vs %s disjoint = %v, want %v", c.name, c.u, c.t, got, c.disjoint)
+		}
+		if c.tc == nil && c.uc == nil && a.DisjointWith(b) != c.disjoint {
+			t.Errorf("%s: DisjointWith disagrees with the all-Any DisjointUnder", c.name)
+		}
+	}
+}
+
+func TestDisjointUnderDoesNotAllocate(t *testing.T) {
+	a := MustParseTemplate("http://sws.ifi.uio.no/data/npd-v2/wellbore/{wlbNpdidWellbore}")
+	b := MustParseTemplate("http://sws.ifi.uio.no/data/npd-v2/wellbore/{wlbNpdidWellbore}/core/{wlbCoreNumber}")
+	cc := ColumnClasses{"wlbnpdidwellbore": Digits, "wlbcorenumber": Digits}
+	if !a.DisjointUnder(cc, b, cc) {
+		t.Fatal("INT wellbore ids never contain /core/")
+	}
+	if n := testing.AllocsPerRun(100, func() { a.DisjointUnder(cc, b, cc) }); n != 0 {
+		t.Fatalf("DisjointUnder allocates %v times per call", n)
 	}
 }
 

@@ -17,21 +17,25 @@ import (
 // constant.
 type Template struct {
 	// Parts alternates literal segments and placeholders: even indexes are
-	// literal text, odd indexes are column names.
+	// literal text, odd indexes are column names. All are substrings of
+	// src.
 	parts []string
 	// Columns caches the placeholder names in order.
 	Columns []string
+	// src is the parsed source, and the token form DisjointUnder walks:
+	// every byte outside braces is a literal token, every "{col}" one
+	// placeholder token. Braces never occur in literal text.
+	src string
 }
 
 // ParseTemplate parses "{col}" placeholder syntax. Braces cannot be nested
 // or escaped (the R2RML subset the benchmark needs).
 func ParseTemplate(s string) (*Template, error) {
-	var t Template
-	var lit strings.Builder
+	t := Template{src: s}
+	lit := 0 // start of the current literal segment
 	i := 0
 	for i < len(s) {
-		c := s[i]
-		switch c {
+		switch s[i] {
 		case '{':
 			j := strings.IndexByte(s[i:], '}')
 			if j < 0 {
@@ -41,18 +45,17 @@ func ParseTemplate(s string) (*Template, error) {
 			if col == "" {
 				return nil, fmt.Errorf("r2rml: empty placeholder in %q", s)
 			}
-			t.parts = append(t.parts, lit.String(), col)
+			t.parts = append(t.parts, s[lit:i], col)
 			t.Columns = append(t.Columns, col)
-			lit.Reset()
 			i += j + 1
+			lit = i
 		case '}':
 			return nil, fmt.Errorf("r2rml: unbalanced '}' in %q", s)
 		default:
-			lit.WriteByte(c)
 			i++
 		}
 	}
-	t.parts = append(t.parts, lit.String())
+	t.parts = append(t.parts, s[lit:])
 	return &t, nil
 }
 
@@ -208,44 +211,156 @@ func (t *Template) CompatiblePrefix(s string) bool {
 	return strings.HasPrefix(s, t.parts[0])
 }
 
-// SameStructure reports whether two templates can ever produce the same
-// string; the unfolder uses it to prune join branches between incompatible
-// templates (a key semantic-query-optimization step of the paper).
-// It is the negation of DisjointWith.
-func (t *Template) SameStructure(u *Template) bool {
-	return !t.DisjointWith(u)
+// ValueClass is the set of strings a template placeholder can expand to.
+type ValueClass uint8
+
+const (
+	// Any admits every string: text, float and bool columns, computed
+	// columns, and any column whose type could not be resolved.
+	Any ValueClass = iota
+	// Digits admits [0-9-]*: every rendering of an INT value
+	// (strconv.FormatInt) or a DATE value (%04d-%02d-%02d).
+	Digits
+)
+
+func (k ValueClass) admits(b byte) bool {
+	return k == Any || b == '-' || (b >= '0' && b <= '9')
 }
 
-// DisjointWith proves that no string can be produced by both templates.
-// It is the shared disjointness test behind the unfolder's branch pruning
-// and the static analyzer's unjoinable-template diagnostics. The proof is
-// conservative (false means "may collide", not "must collide"):
-//
-//   - the leading literal segments must be prefix-compatible (any
-//     expansion of t starts with t.parts[0], and likewise for u);
-//   - the trailing literal segments must be suffix-compatible;
-//   - two constants collide only when equal.
-//
-// Templates differing only in interior separators are NOT disjoint:
-// placeholder values are unconstrained strings, so "p/{a}-{b}" and
-// "p/{a}_{b}" can both produce "p/1_2-3".
+// ColumnClasses maps a lower-cased column name to its value class. A
+// missing column, and a nil ColumnClasses, mean Any.
+type ColumnClasses map[string]ValueClass
+
+func (cc ColumnClasses) of(col string) ValueClass {
+	// Lower-case ASCII into a stack buffer: a map index by string(b) does
+	// not allocate, and NPD column names are camelCase.
+	var buf [64]byte
+	b := buf[:0]
+	for i := 0; i < len(col); i++ {
+		c := col[i]
+		if c >= 'A' && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		b = append(b, c)
+	}
+	return cc[string(b)]
+}
+
+// DisjointWith proves that no string can be produced by both templates
+// when every placeholder is Any. It is the untyped case of DisjointUnder.
 func (t *Template) DisjointWith(u *Template) bool {
-	a, b := t.parts[0], u.parts[0]
-	if len(a) > len(b) {
-		a, b = b, a
+	return t.DisjointUnder(nil, u, nil)
+}
+
+// DisjointUnder proves that no string can be produced by both templates
+// when each placeholder expands to a string of its column's value class
+// (tc for t's columns, uc for u's). It is the shared disjointness test
+// behind the unfolder's branch pruning and the static analyzer's
+// unjoinable-template diagnostics.
+//
+// Each template is read as its literal bytes plus one placeholder per
+// column; a placeholder of class Any matches Σ*, one of class Digits
+// matches [0-9-]*. The check is exact for that model: it walks the
+// product of the two token sequences and reports disjoint when no path
+// consumes both to the end, in O(|t|·|u|) time and, for u shorter than
+// 256 bytes, without allocating. So
+// "p/{a}-{b}" and "p/{a}_{b}" may collide under Any ("p/1_2-3") but are
+// disjoint when a and b are Digits, and "w/{id}" never collides with
+// "w/{id}/core/{n}" when id is Digits, because '/' is not a digit.
+func (t *Template) DisjointUnder(tc ColumnClasses, u *Template, uc ColumnClasses) bool {
+	tk := classCache{t: t, cc: tc}
+	uk := classCache{t: u, cc: uc}
+	ts, us := t.src, u.src
+	n, m := len(ts), len(us)
+	// Positions are token starts in src. row[q] is true when state (p, q)
+	// is reachable: t has consumed ts[:p] and u us[:q] on a common prefix.
+	// Every move advances p or q, so one row suffices, and only the span
+	// from the previous row's first reachable state onward can be reached
+	// again.
+	var rowBuf [256]bool
+	var row []bool
+	if m < len(rowBuf) {
+		row = rowBuf[:m+1]
+	} else {
+		row = make([]bool, m+1)
 	}
-	if !strings.HasPrefix(b, a) {
+	lo, hi := 0, 0 // first and last reachable q of the previous row
+	pPrev := -1    // the previous row's p; -1 before the first row
+	for p := 0; ; p = t.next(p) {
+		newLo, newHi := -1, -1
+		qPrev, left, diag := -1, false, false // state (p, qPrev) and (pPrev, qPrev)
+		for q := lo; q <= m; q = u.next(q) {
+			if qPrev > hi && !left {
+				break // nothing above or to the left: the rest stays false
+			}
+			up := row[q] // state (pPrev, q)
+			reach := pPrev < 0 && q == 0
+			if !reach && up {
+				// t skips a placeholder, or consumes a literal byte while
+				// u sits on a placeholder admitting it.
+				reach = ts[pPrev] == '{' || (q < m && us[q] == '{' && uk.admits(q, ts[pPrev]))
+			}
+			if !reach && left {
+				// the same with the roles swapped
+				reach = us[qPrev] == '{' || (p < n && ts[p] == '{' && tk.admits(p, us[qPrev]))
+			}
+			if !reach && diag {
+				// both consume the same literal byte
+				reach = ts[pPrev] != '{' && ts[pPrev] == us[qPrev]
+			}
+			row[q] = reach
+			qPrev, left, diag = q, reach, up
+			if reach {
+				if newLo < 0 {
+					newLo = q
+				}
+				newHi = q
+			}
+		}
+		if newLo < 0 {
+			return true
+		}
+		if p == n {
+			return !row[m]
+		}
+		lo, hi, pPrev = newLo, newHi, p
+	}
+}
+
+// next returns the start of the token after the one starting at i.
+func (t *Template) next(i int) int {
+	if i < len(t.src) && t.src[i] == '{' {
+		return i + strings.IndexByte(t.src[i:], '}') + 1
+	}
+	return i + 1
+}
+
+// classCache resolves the value classes of a template's placeholders on
+// first use, so a call looks each column up at most once.
+type classCache struct {
+	t   *Template
+	cc  ColumnClasses
+	n   int
+	pos [8]int
+	cls [8]ValueClass
+}
+
+// admits reports whether the placeholder starting at src[hole] can produce
+// literal byte b.
+func (c *classCache) admits(hole int, b byte) bool {
+	if c.cc == nil {
 		return true
 	}
-	at, bt := t.parts[len(t.parts)-1], u.parts[len(u.parts)-1]
-	if len(at) > len(bt) {
-		at, bt = bt, at
+	for k := 0; k < c.n; k++ {
+		if c.pos[k] == hole {
+			return c.cls[k].admits(b)
+		}
 	}
-	if !strings.HasSuffix(bt, at) {
-		return true
+	src := c.t.src[hole+1:]
+	cls := c.cc.of(src[:strings.IndexByte(src, '}')])
+	if c.n < len(c.pos) {
+		c.pos[c.n], c.cls[c.n] = hole, cls
+		c.n++
 	}
-	if t.IsConstant() && u.IsConstant() {
-		return t.parts[0] != u.parts[0]
-	}
-	return false
+	return cls.admits(b)
 }

@@ -93,22 +93,22 @@ func (t Term) String() string {
 	case Blank:
 		return "_:" + t.Value
 	case Literal:
-		s := `"` + escapeLiteral(t.Value) + `"`
+		v := literalEscaper.Replace(t.Value)
 		if t.Lang != "" {
-			return s + "@" + t.Lang
+			return `"` + v + `"@` + t.Lang
 		}
 		if t.Datatype != "" && t.Datatype != XSDString {
-			return s + "^^<" + t.Datatype + ">"
+			return `"` + v + `"^^<` + t.Datatype + ">"
 		}
-		return s
+		return `"` + v + `"`
 	}
 	return "?"
 }
 
-func escapeLiteral(s string) string {
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`, "\r", `\r`, "\t", `\t`)
-	return r.Replace(s)
-}
+// literalEscaper escapes a literal's lexical form for N-Triples. It is
+// built once: Term.String keys DISTINCT, joins and binding dedup, and a
+// strings.Replacer is safe for concurrent use.
+var literalEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`, "\r", `\r`, "\t", `\t`)
 
 // LocalName returns the fragment or last path segment of an IRI.
 func (t Term) LocalName() string {

@@ -25,6 +25,20 @@ func TestTermStringNTriples(t *testing.T) {
 	}
 }
 
+// TestLiteralStringAllocs pins the literal rendering that keys DISTINCT,
+// joins and binding dedup: it must not rebuild its escaper per call.
+func TestLiteralStringAllocs(t *testing.T) {
+	for _, lit := range []Term{
+		NewTypedLiteral("1999-04-02", XSDDate),
+		NewLangLiteral("hei", "no"),
+		NewLiteral("plain"),
+	} {
+		if n := testing.AllocsPerRun(100, func() { _ = lit.String() }); n > 2 {
+			t.Errorf("%v.String() allocates %v times, want <= 2", lit, n)
+		}
+	}
+}
+
 func TestLocalName(t *testing.T) {
 	if NewIRI("http://x/v#Frag").LocalName() != "Frag" {
 		t.Fatal("fragment")

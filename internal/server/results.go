@@ -121,7 +121,7 @@ func tsvTerm(t rdf.Term) string {
 	default:
 		var sb strings.Builder
 		sb.WriteByte('"')
-		sb.WriteString(escapeTSVLiteral(t.Value))
+		sb.WriteString(tsvLiteralEscaper.Replace(t.Value))
 		sb.WriteByte('"')
 		if t.Lang != "" {
 			sb.WriteByte('@')
@@ -135,15 +135,13 @@ func tsvTerm(t rdf.Term) string {
 	}
 }
 
-// escapeTSVLiteral escapes the characters that would break a TSV cell or
-// a quoted Turtle literal.
-func escapeTSVLiteral(s string) string {
-	r := strings.NewReplacer(
-		`\`, `\\`,
-		`"`, `\"`,
-		"\t", `\t`,
-		"\n", `\n`,
-		"\r", `\r`,
-	)
-	return r.Replace(s)
-}
+// tsvLiteralEscaper escapes the characters that would break a TSV cell or
+// a quoted Turtle literal. It is built once; a strings.Replacer is safe
+// for concurrent use.
+var tsvLiteralEscaper = strings.NewReplacer(
+	`\`, `\\`,
+	`"`, `\"`,
+	"\t", `\t`,
+	"\n", `\n`,
+	"\r", `\r`,
+)

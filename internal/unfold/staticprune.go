@@ -3,6 +3,7 @@ package unfold
 import (
 	"strings"
 
+	"npdbench/internal/analyze"
 	"npdbench/internal/r2rml"
 	"npdbench/internal/rewrite"
 	"npdbench/internal/sqldb"
@@ -18,10 +19,11 @@ import (
 //   - arc inconsistency: some other atom shares a variable with this
 //     atom, and *every* candidate of that atom has a term map for the
 //     shared variable that is provably disjoint from this candidate's
-//     (IRI-template skeletons with incompatible literal fixtures, IRI vs
-//     literal positions). Since a viable combination must pick one
-//     candidate per atom, no combination containing this candidate can
-//     unify — exactly the rows the walk would enumerate and discard.
+//     (IRI templates that cannot expand to a common string, given the
+//     value classes of their columns; IRI vs literal positions). Since a
+//     viable combination must pick one candidate per atom, no combination
+//     containing this candidate can unify — exactly the rows the walk
+//     would enumerate and discard.
 //
 // The deletion is sound (the walk's compatibleWithPicks would reject every
 // combination involving a deleted candidate) and shrinks the walk's
@@ -44,11 +46,11 @@ func varMaps(a rewrite.Atom, c candidate, v string) []r2rml.TermMap {
 // candidatesArcCompatible reports whether candidates c (of atom i) and d
 // (of atom j) have structurally unifiable term maps for every variable the
 // two atoms share.
-func candidatesArcCompatible(ai, aj rewrite.Atom, c, d candidate, shared []string) bool {
+func candidatesArcCompatible(ai, aj rewrite.Atom, c, d candidate, shared []string, cons *analyze.Constraints) bool {
 	for _, v := range shared {
 		for _, cm := range varMaps(ai, c, v) {
 			for _, dm := range varMaps(aj, d, v) {
-				if !mapsCompatible(cm, dm) {
+				if !mapsCompatible(cons, c.m, cm, d.m, dm) {
 					return false
 				}
 			}
@@ -74,7 +76,7 @@ func sharedVars(a, b rewrite.Atom) []string {
 // pruneCandidatesStatic runs the static candidate deletion to fixpoint.
 // It returns the number of candidates deleted and whether some atom ended
 // up with no candidate (the CQ is statically empty).
-func pruneCandidatesStatic(cq *rewrite.CQ, cands [][]candidate) (dropped int, empty bool) {
+func pruneCandidatesStatic(cq *rewrite.CQ, cands [][]candidate, cons *analyze.Constraints) (dropped int, empty bool) {
 	n := len(cq.Atoms)
 	// Own-constant check once up front (cheapest proof).
 	for i, atom := range cq.Atoms {
@@ -120,7 +122,7 @@ func pruneCandidatesStatic(cq *rewrite.CQ, cands [][]candidate) (dropped int, em
 					}
 					anyPartner := false
 					for _, d := range cands[j] {
-						if candidatesArcCompatible(cq.Atoms[i], cq.Atoms[j], c, d, shared[i][j]) {
+						if candidatesArcCompatible(cq.Atoms[i], cq.Atoms[j], c, d, shared[i][j], cons) {
 							anyPartner = true
 							break
 						}

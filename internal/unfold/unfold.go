@@ -5,7 +5,8 @@
 //
 //   - IRI-template compatibility pruning: a union arm whose join or
 //     constant unification is impossible at the template level is dropped
-//     before reaching the database;
+//     before reaching the database (with constraints, placeholders over
+//     INT/DATE columns are known to expand to [0-9-]* only);
 //   - self-join elimination: atoms over the same logical table joined on
 //     the same subject template collapse into a single table instance
 //     (essential for OBDA mappings, where each data property of a wide
@@ -172,6 +173,11 @@ type Opts struct {
 //     mapping style of the NPD benchmark otherwise yields one subquery
 //     per data property);
 //   - NOT NULL guard elision for columns the catalog declares NOT NULL;
+//   - typed template disjointness: a placeholder over an INT or DATE
+//     column of a plain single-table source only expands to [0-9-]*, so
+//     the candidate walk, static arc consistency and join unification
+//     prune template pairs that untyped placeholders would let collide
+//     (e.g. wellbore/{id} vs wellbore/{id}/core/{n});
 //   - subsumed-arm elimination: a union arm whose FROM/projection equals
 //     another's and whose conditions are a superset is dropped (sound
 //     under the engine's set semantics).
@@ -260,7 +266,7 @@ func unfoldCQ(cq *rewrite.CQ, mp *r2rml.Mapping, filters []PushFilter, o Opts) (
 		}
 	}
 	if o.StaticPrune {
-		dropped, empty := pruneCandidatesStatic(cq, cands)
+		dropped, empty := pruneCandidatesStatic(cq, cands, cons)
 		st.staticCands += dropped
 		if empty {
 			return nil, st, pushedAll, nil // statically empty CQ
@@ -293,7 +299,7 @@ func unfoldCQ(cq *rewrite.CQ, mp *r2rml.Mapping, filters []PushFilter, o Opts) (
 			// Incremental template-compatibility pruning: reject the
 			// candidate as soon as a shared variable cannot unify with an
 			// earlier pick (cuts the combinatorial walk exponentially).
-			if !compatibleWithPicks(cq, pick[:i], c, i) {
+			if !compatibleWithPicks(cq, pick[:i], c, i, cons) {
 				st.pruned++
 				continue
 			}
@@ -322,7 +328,7 @@ func termMapsOf(a rewrite.Atom, c candidate) [][2]interface{} {
 // compatibleWithPicks performs the cheap half of unification between the
 // new candidate and all previous picks: shared variables must have
 // structurally compatible term maps, and constants must match templates.
-func compatibleWithPicks(cq *rewrite.CQ, picked []candidate, c candidate, idx int) bool {
+func compatibleWithPicks(cq *rewrite.CQ, picked []candidate, c candidate, idx int, cons *analyze.Constraints) bool {
 	newPairs := termMapsOf(cq.Atoms[idx], c)
 	// constants against the new candidate's own maps
 	for _, p := range newPairs {
@@ -346,7 +352,7 @@ func compatibleWithPicks(cq *rewrite.CQ, picked []candidate, c candidate, idx in
 					continue
 				}
 				otm := op[1].(r2rml.TermMap)
-				if !mapsCompatible(ntm, otm) {
+				if !mapsCompatible(cons, c.m, ntm, pc.m, otm) {
 					return false
 				}
 			}
@@ -378,9 +384,11 @@ func constantCompatible(tm r2rml.TermMap, c rdf.Term) bool {
 
 // mapsCompatible is the conservative structural check used during the
 // candidate walk; the full unification in buildArm remains authoritative.
-// The implementation is shared with the static analyzer (r2rml).
-func mapsCompatible(a, b r2rml.TermMap) bool {
-	return r2rml.TermMapsCompatible(a, b)
+// The implementation is shared with the static analyzer (r2rml). a comes
+// from triples map am and b from bm; with constraints, their sources'
+// column types narrow what template placeholders can expand to.
+func mapsCompatible(cons *analyze.Constraints, am *r2rml.TriplesMap, a r2rml.TermMap, bm *r2rml.TriplesMap, b r2rml.TermMap) bool {
+	return r2rml.TermMapsCompatible(a, cons.ValueClasses(am), b, cons.ValueClasses(bm))
 }
 
 func candidatesFor(atom rewrite.Atom, mp *r2rml.Mapping) []candidate {
@@ -403,53 +411,12 @@ func candidatesFor(atom rewrite.Atom, mp *r2rml.Mapping) []candidate {
 	return out
 }
 
-// occurrence locates a term map instance within an arm.
+// occurrence locates a term map instance within an arm; cls holds the
+// value classes of its source's columns (nil without constraints).
 type occurrence struct {
 	alias string
 	tm    r2rml.TermMap
-}
-
-// mergeShape describes a candidate's logical source when it reduces to a
-// single (optionally filtered) base table exposing columns under their own
-// names — the precondition for key-based self-join elimination and
-// catalog-driven NOT NULL guard elision.
-type mergeShape struct {
-	ok    bool
-	table string
-	where sqldb.Expr // the source's WHERE clause, possibly nil
-}
-
-func shapeForMerge(m *r2rml.TriplesMap) mergeShape {
-	if m.SQL == "" {
-		if m.Table == "" {
-			return mergeShape{}
-		}
-		return mergeShape{ok: true, table: m.Table}
-	}
-	stmt, err := m.LogicalSQL()
-	if err != nil || stmt.Union != nil || stmt.Distinct || len(stmt.GroupBy) > 0 ||
-		stmt.Having != nil || stmt.Limit >= 0 || stmt.Offset > 0 ||
-		len(stmt.OrderBy) > 0 || len(stmt.From) != 1 {
-		return mergeShape{}
-	}
-	bt, ok := stmt.From[0].(*sqldb.BaseTable)
-	if !ok {
-		return mergeShape{}
-	}
-	for _, it := range stmt.Items {
-		if it.Star {
-			if it.Table != "" && !strings.EqualFold(it.Table, bt.Name) &&
-				!strings.EqualFold(it.Table, bt.Alias) {
-				return mergeShape{}
-			}
-			continue
-		}
-		c, okc := it.Expr.(*sqldb.ColRef)
-		if !okc || (it.Alias != "" && !strings.EqualFold(it.Alias, c.Name)) {
-			return mergeShape{}
-		}
-	}
-	return mergeShape{ok: true, table: bt.Name, where: stmt.Where}
+	cls   r2rml.ColumnClasses
 }
 
 // buildArm compiles one combination of mapping assertions into an SPJ
@@ -490,19 +457,26 @@ func buildArm(cq *rewrite.CQ, pick []candidate, filters []PushFilter, cons *anal
 		return alias, nil
 	}
 	for i, c := range pick {
-		var sh mergeShape
+		// A source that reduces to a plain projection of one base table is
+		// the precondition for key-based self-join elimination and
+		// catalog-driven NOT NULL guard elision.
+		var (
+			table string
+			where sqldb.Expr
+			plain bool
+		)
 		if cons != nil {
-			sh = shapeForMerge(c.m)
+			table, where, plain = c.m.BaseTable()
 		}
-		keyMerge := sh.ok && len(c.subject.Columns()) > 0 &&
-			cons.KeyCoveredBy(sh.table, c.subject.Columns())
+		keyMerge := plain && len(c.subject.Columns()) > 0 &&
+			cons.KeyCoveredBy(table, c.subject.Columns())
 		key := groupKey{
 			source:  c.m.SourceDescription(),
 			subject: cq.Atoms[i].S.String(),
 			tmpl:    c.subject.String(),
 		}
 		if keyMerge {
-			key.source = "\x00table:" + strings.ToLower(sh.table)
+			key.source = "\x00table:" + strings.ToLower(table)
 		}
 		alias, found := groups[key]
 		if found && (keyMerge || cq.Atoms[i].S.IsVar()) {
@@ -513,18 +487,18 @@ func buildArm(cq *rewrite.CQ, pick []candidate, filters []PushFilter, cons *anal
 				// Flatten to a plain base table; source filters hoist below.
 				aliasSeq++
 				alias = fmt.Sprintf("t%d", aliasSeq)
-				fromItems = append(fromItems, &sqldb.BaseTable{Name: sh.table, Alias: alias})
+				fromItems = append(fromItems, &sqldb.BaseTable{Name: table, Alias: alias})
 			} else if alias, err = newAlias(c); err != nil {
 				return nil, false, 0, pushed, err
 			}
 			groups[key] = alias
 			aliasOf[i] = alias
 		}
-		if sh.ok {
-			aliasTable[alias] = sh.table
+		if plain {
+			aliasTable[alias] = table
 		}
-		if keyMerge && sh.where != nil {
-			for _, cj := range sqldb.Conjuncts(sh.where) {
+		if keyMerge && where != nil {
+			for _, cj := range sqldb.Conjuncts(where) {
 				q := sqldb.QualifyColumns(cj, alias)
 				k := alias + "\x00" + q.String()
 				if !seenHoist[k] {
@@ -537,9 +511,9 @@ func buildArm(cq *rewrite.CQ, pick []candidate, filters []PushFilter, cons *anal
 
 	// Collect per-variable occurrences and constant conditions.
 	varOccs := make(map[string][]occurrence)
-	addOcc := func(t rewrite.Term, alias string, tm r2rml.TermMap) bool {
+	addOcc := func(t rewrite.Term, alias string, tm r2rml.TermMap, cls r2rml.ColumnClasses) bool {
 		if t.IsVar() {
-			varOccs[t.Var] = append(varOccs[t.Var], occurrence{alias, tm})
+			varOccs[t.Var] = append(varOccs[t.Var], occurrence{alias, tm, cls})
 			return true
 		}
 		cs, okc := constantConditions(alias, tm, t.Const)
@@ -550,11 +524,12 @@ func buildArm(cq *rewrite.CQ, pick []candidate, filters []PushFilter, cons *anal
 		return true
 	}
 	for i, c := range pick {
-		if !addOcc(cq.Atoms[i].S, aliasOf[i], c.subject) {
+		cls := cons.ValueClasses(c.m)
+		if !addOcc(cq.Atoms[i].S, aliasOf[i], c.subject, cls) {
 			return nil, false, 0, pushed, nil
 		}
 		if !c.isClass {
-			if !addOcc(cq.Atoms[i].O, aliasOf[i], c.object) {
+			if !addOcc(cq.Atoms[i].O, aliasOf[i], c.object, cls) {
 				return nil, false, 0, pushed, nil
 			}
 		}
@@ -777,7 +752,7 @@ func unifyOccurrences(a, b occurrence) ([]sqldb.Expr, bool) {
 	if (ak == r2rml.IRITemplate || ak == r2rml.LiteralTemplate) &&
 		(bk == r2rml.IRITemplate || bk == r2rml.LiteralTemplate) {
 		ta, tb := a.tm.Template, b.tm.Template
-		if !ta.SameStructure(tb) {
+		if ta.DisjointUnder(a.cls, tb, b.cls) {
 			return nil, false
 		}
 		pa, ca := ta.Skeleton()
@@ -794,7 +769,8 @@ func unifyOccurrences(a, b occurrence) ([]sqldb.Expr, bool) {
 			}
 			return conds, true
 		}
-		// fall back to comparing the generated strings
+		// fall back to comparing the generated strings (reached only
+		// when the value classes admit a collision)
 		return []sqldb.Expr{&sqldb.BinOp{
 			Op: sqldb.OpEq,
 			L:  concatTemplate(a.alias, ta),

@@ -330,18 +330,18 @@ func TestMapsCompatibleSeparatorLiterals(t *testing.T) {
 	// unsound.
 	a := r2rml.IRIMap("http://t/w/{a}/{b}")
 	b := r2rml.IRIMap("http://t/w/{a}-{b}")
-	if !mapsCompatible(a, b) {
+	if !mapsCompatible(nil, nil, a, nil, b) {
 		t.Error("interior separator difference must not prove disjointness")
 	}
 	// Literal prefixes that diverge DO prove disjointness.
 	c := r2rml.IRIMap("http://t/x/{a}/{b}")
-	if mapsCompatible(a, c) {
+	if mapsCompatible(nil, nil, a, nil, c) {
 		t.Error("diverging literal prefixes are disjoint")
 	}
 	// …and so do diverging literal suffixes.
 	d := r2rml.IRIMap("http://t/w/{a}/{b}/tail")
 	e := r2rml.IRIMap("http://t/w/{a}/{b}/liat")
-	if mapsCompatible(d, e) {
+	if mapsCompatible(nil, nil, d, nil, e) {
 		t.Error("diverging literal suffixes are disjoint")
 	}
 }
@@ -518,5 +518,100 @@ func TestUnfoldWithConstraintsExecution(t *testing.T) {
 	}
 	if len(rb.Rows) != 2 || len(ro.Rows) != len(rb.Rows) {
 		t.Fatalf("row counts diverge: base %d, constrained %d", len(rb.Rows), len(ro.Rows))
+	}
+}
+
+// coreMapping pairs the NPD wellbore and wellbore-core IRI templates: the
+// core template extends the wellbore one, so untyped placeholders let
+// wellbore/{id} absorb "7/core/1".
+func coreMapping() *r2rml.Mapping {
+	return r2rml.MustParseMapping(`
+[PrefixDeclaration]
+t: http://t/
+
+[MappingDeclaration]
+mappingId wellbore
+target    t:wellbore/{id} a t:Wellbore .
+source    SELECT id FROM wellbore
+
+mappingId core
+target    t:wellbore/{wid}/core/{n} a t:WellboreCore .
+source    SELECT wid, n FROM core
+`)
+}
+
+// coreDatabase declares wellbore.id and core.wid with the given type.
+func coreDatabase(t *testing.T, idType sqldb.ColType) *sqldb.Database {
+	t.Helper()
+	db := sqldb.NewDatabase("t")
+	for _, def := range []*sqldb.TableDef{
+		{Name: "wellbore", Columns: []sqldb.Column{{Name: "id", Type: idType, NotNull: true}}},
+		{Name: "core", Columns: []sqldb.Column{
+			{Name: "wid", Type: idType, NotNull: true},
+			{Name: "n", Type: sqldb.TInt, NotNull: true},
+		}},
+	} {
+		if _, err := db.CreateTable(def); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return db
+}
+
+func TestUnfoldTypedTemplateDisjointness(t *testing.T) {
+	// Wellbore(x) ∧ WellboreCore(x): the two subject templates have
+	// different skeletons.
+	u := rewrite.UCQ{{
+		Atoms:  []rewrite.Atom{classAtom("Wellbore", vt("x")), classAtom("WellboreCore", vt("x"))},
+		Answer: []string{"x"},
+	}}
+	// Without constraints the placeholders are untyped: the join falls
+	// back to comparing the concatenated strings.
+	off, err := Unfold(u, coreMapping(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if off.Arms != 1 || !strings.Contains(off.Stmt.String(), "||") {
+		t.Fatalf("cons == nil must keep the concat join, got %d arms:\n%v", off.Arms, off.Stmt)
+	}
+	// Over TEXT keys the fallback is needed: "7/core/1" is a wellbore id
+	// whose IRI equals core (7, 1)'s.
+	textDB := coreDatabase(t, sqldb.TText)
+	text, err := UnfoldWith(u, coreMapping(), nil, analyze.DeriveConstraints(nil, nil, textDB))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if text.Arms != 1 || !strings.Contains(text.Stmt.String(), "||") {
+		t.Fatalf("TEXT keys must keep the concat join, got %d arms:\n%v", text.Arms, text.Stmt)
+	}
+	for _, r := range []struct {
+		table string
+		row   sqldb.Row
+	}{
+		{"wellbore", sqldb.Row{sqldb.NewString("7/core/1")}},
+		{"core", sqldb.Row{sqldb.NewString("7"), sqldb.NewInt(1)}},
+	} {
+		if err := textDB.Insert(r.table, r.row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := textDB.ExecSelect(text.Stmt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 1 {
+		t.Fatalf("TEXT keys collide on one IRI, got %d rows", len(res.Rows))
+	}
+	// Over INT keys wellbore/{id} never contains "/core/": the walk prunes
+	// the pair, and so does static arc consistency.
+	intCons := analyze.DeriveConstraints(nil, nil, coreDatabase(t, sqldb.TInt))
+	for _, staticPrune := range []bool{false, true} {
+		on, err := UnfoldOpts(u, coreMapping(), nil, Opts{Cons: intCons, StaticPrune: staticPrune})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if on.Arms != 0 || on.Stmt != nil || on.PrunedArms+on.StaticPrunedCands == 0 {
+			t.Fatalf("static=%v: INT keys must prune the pair, got %d arms:\n%v", staticPrune, on.Arms, on.Stmt)
+		}
 	}
 }

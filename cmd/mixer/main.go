@@ -14,7 +14,8 @@
 //	mixer -breakdown -scales 1,5   # per-query phase measures
 //
 // Common flags: -scales, -seedscale, -runs, -warmup, -seed, -existential,
-// -clients, -plancache, -plancachesize.
+// -clients, -parallel. Every mode measures the engine that ships
+// (core.DefaultOptions).
 //
 // Observability:
 //
@@ -68,10 +69,7 @@ func main() {
 		queries     = flag.String("queries", "", "comma-separated query ids (default: all 21)")
 		triples     = flag.Bool("triples", true, "count virtual triples per scale")
 		clients     = flag.Int("clients", 1, "concurrent query streams")
-		planCache   = flag.Bool("plancache", true, "cache compiled BGP plans across runs and clients")
-		planCacheSz = flag.Int("plancachesize", 0, "plan cache capacity in entries (0 = engine default)")
 		parallel    = flag.Int("parallel", 0, "intra-query parallel workers per engine (0 = NumCPU, 1 = sequential)")
-		batchsize   = flag.Int("batchsize", 0, "vectorized executor batch size (0 = default 1024, 1 = row-at-a-time)")
 		jsonl       = flag.String("jsonl", "", "write a JSONL run log (one record per query execution)")
 		validate    = flag.String("validatejsonl", "", "validate a JSONL run log and exit")
 		httpAddr    = flag.String("http", "", "serve /metrics, /debug/slowlog and net/http/pprof on this address while running")
@@ -122,10 +120,7 @@ func main() {
 	cfg.Existential = *existential
 	cfg.CountTriples = *triples
 	cfg.Clients = *clients
-	cfg.PlanCache = *planCache
-	cfg.PlanCacheSize = *planCacheSz
 	cfg.Parallelism = *parallel
-	cfg.BatchSize = *batchsize
 	if s, err := parseScales(*scales); err == nil {
 		cfg.Scales = s
 	} else {

@@ -33,13 +33,8 @@ func main() {
 		seed        = flag.Int64("seed", 42, "random seed")
 		profile     = flag.String("profile", "hashjoin", "database profile: hashjoin | sortmerge")
 		existential = flag.Bool("existential", true, "enable tree-witness reasoning")
-		constraints = flag.Bool("constraints", true, "enable schema-constraint optimizations (self-join merging, arm subsumption)")
 		verify      = flag.Bool("verify", false, "verify every intermediate plan against the invariant catalog (planck)")
-		staticPrune = flag.Bool("staticprune", true, "statically delete unsatisfiable CQs, candidates, and arms before execution")
-		planCache   = flag.Bool("plancache", true, "cache compiled BGP plans (repeated shapes pay execute-only cost)")
-		planCacheSz = flag.Int("plancachesize", 0, "plan cache capacity in entries (0 = engine default)")
 		parallel    = flag.Int("parallel", 0, "intra-query parallel workers (0 = NumCPU, 1 = sequential; results identical)")
-		batchsize   = flag.Int("batchsize", 0, "vectorized executor batch size (0 = default 1024, 1 = row-at-a-time; results identical)")
 		showSQL     = flag.Bool("sql", false, "print the unfolded SQL")
 		explain     = flag.Bool("explain", false, "print the pipeline span tree and the EXPLAIN ANALYZE operator tree")
 		trace       = flag.Bool("trace", false, "print the pipeline span tree (stage timings and attributes)")
@@ -88,7 +83,7 @@ func main() {
 	var ans *core.Answer
 	var observer *obs.Observer
 	var cacheStats core.PlanCacheStats
-	var cacheOn bool
+	var cacheOn bool // false for the triple store, which has no plan cache
 	if *useStore {
 		store, err := core.NewStoreEngine(spec, core.StoreOptions{Reasoning: *existential})
 		if err != nil {
@@ -123,18 +118,12 @@ func main() {
 				observer.SlowLog = obs.NewSlowLog(*slowlogCap)
 			}
 		}
-		eng, err := core.NewEngine(spec, core.Options{
-			TMappings:     true,
-			Existential:   *existential,
-			Constraints:   *constraints,
-			VerifyPlans:   mode,
-			StaticPrune:   *staticPrune,
-			PlanCache:     *planCache,
-			PlanCacheSize: *planCacheSz,
-			Parallelism:   *parallel,
-			BatchSize:     *batchsize,
-			Obs:           observer,
-		})
+		opts := core.DefaultOptions()
+		opts.Existential = *existential
+		opts.VerifyPlans = mode
+		opts.Parallelism = *parallel
+		opts.Obs = observer
+		eng, err := core.NewEngine(spec, opts)
 		if err != nil {
 			fatal(err)
 		}

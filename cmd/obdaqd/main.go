@@ -9,7 +9,7 @@
 //	obdaqd -http :8585                     # serve NPD1 on port 8585
 //	obdaqd -http :8585 -scale 5 -parallel 4
 //	obdaqd -http :8585 -timeout 5s -maxinflight 8
-//	kill -HUP <pid>                        # quiesced mapping/constraint reload
+//	kill -HUP <pid>                        # quiesced mapping reload
 //	kill -TERM <pid>                       # graceful drain and exit
 package main
 
@@ -39,12 +39,7 @@ func main() {
 		seed        = flag.Int64("seed", 42, "random seed")
 		profile     = flag.String("profile", "hashjoin", "database profile: hashjoin | sortmerge")
 		existential = flag.Bool("existential", true, "enable tree-witness reasoning")
-		constraints = flag.Bool("constraints", true, "enable schema-constraint optimizations")
-		staticPrune = flag.Bool("staticprune", true, "statically prune unsatisfiable CQs, candidates, and arms")
-		planCache   = flag.Bool("plancache", true, "cache compiled BGP plans across requests")
-		planCacheSz = flag.Int("plancachesize", 0, "plan cache capacity in entries (0 = engine default)")
 		parallel    = flag.Int("parallel", 0, "intra-query parallel workers (0 = NumCPU, 1 = sequential)")
-		batchsize   = flag.Int("batchsize", 0, "vectorized executor batch size (0 = default 1024, 1 = row-at-a-time)")
 		budgetRows  = flag.Int64("budgetrows", 0, "per-query soft limit on rows scanned (0 = unlimited)")
 		budgetBytes = flag.Int64("budgetbytes", 0, "per-query soft limit on bytes materialized (0 = unlimited)")
 		slowlogCap  = flag.Int("slowlog", 0, "capture the N slowest executions and serve them on /debug/slowlog")
@@ -89,17 +84,11 @@ func main() {
 	}
 
 	spec := core.Spec{Onto: npd.NewOntology(), Mapping: npd.NewMapping(), DB: db, Prefixes: npd.Prefixes()}
-	eng, err := core.NewEngine(spec, core.Options{
-		TMappings:     true,
-		Existential:   *existential,
-		Constraints:   *constraints,
-		StaticPrune:   *staticPrune,
-		PlanCache:     *planCache,
-		PlanCacheSize: *planCacheSz,
-		Parallelism:   *parallel,
-		BatchSize:     *batchsize,
-		Obs:           observer,
-	})
+	opts := core.DefaultOptions()
+	opts.Existential = *existential
+	opts.Parallelism = *parallel
+	opts.Obs = observer
+	eng, err := core.NewEngine(spec, opts)
 	if err != nil {
 		fatal(err)
 	}
@@ -132,11 +121,7 @@ func main() {
 			// Quiesced reconfiguration: the server's write lock drains
 			// in-flight queries, then the engine re-reads its mapping,
 			// re-derives constraints, and drops cached plans.
-			srv.Reload(func(e *core.Engine) {
-				e.SetMapping(npd.NewMapping())
-				e.SetConstraints(*constraints)
-				e.InvalidatePlans()
-			})
+			srv.ReloadMapping(npd.NewMapping())
 			fmt.Println("obdaqd: reload complete")
 			continue
 		}

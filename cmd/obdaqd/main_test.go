@@ -6,6 +6,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"os/exec"
 	"path/filepath"
@@ -41,8 +42,9 @@ func raceEnabled() bool {
 }
 
 // TestDaemonLifecycle drives the real binary through its whole life: it
-// serves q2 over HTTP, survives a SIGHUP reload and still answers, then
-// drains on SIGTERM and exits 0.
+// serves q2 over HTTP, survives a SIGHUP reload (invalidating the plan
+// cache exactly once) and still answers, then drains on SIGTERM and exits
+// 0.
 func TestDaemonLifecycle(t *testing.T) {
 	bin := filepath.Join(t.TempDir(), "obdaqd")
 	buildArgs := []string{"build", "-o", bin}
@@ -152,6 +154,21 @@ func TestDaemonLifecycle(t *testing.T) {
 	}
 	signal(syscall.SIGHUP)
 	waitFor("reload complete")
+	// One reload re-derives the engine state once and drops the cached
+	// plans once.
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	metrics, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const wantInvalidations = "npdbench_compile_cache_invalidations_total 1\n"
+	if !strings.Contains(string(metrics), wantInvalidations) {
+		t.Fatalf("/metrics after one SIGHUP lacks %q:\n%s", wantInvalidations, metrics)
+	}
 	answerQ2("after reload")
 
 	signal(syscall.SIGTERM)

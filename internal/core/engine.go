@@ -43,7 +43,14 @@ type Spec struct {
 	Prefixes rdf.PrefixMap
 }
 
-// Options configures reasoning behaviour.
+// Options configures reasoning behaviour. DefaultOptions is the one engine
+// that ships: the commands and the mixer start from it and override only
+// Existential (the paper's own toggle), Parallelism, VerifyPlans and Obs.
+// The other fields are reference switches for the identity and soundness
+// tests and the bench oracle, not deployment settings: TMappings,
+// Constraints, StaticPrune and PlanCache off, or BatchSize 1, select the
+// unoptimized paths those checks compare against, and MaxCQs bounds the
+// rewriting of the classic UCQ-expansion path.
 type Options struct {
 	// TMappings compiles the hierarchy into the mapping at load time
 	// (Ontop's approach; the default mode in the paper's experiments).
@@ -73,11 +80,9 @@ type Options struct {
 	// unfolded SQL plan, projection/tag metadata) in a bounded sharded
 	// LRU, so repeated executions of the same BGP+filter shape pay
 	// execute-only cost. Cached plans are immutable and safe to share
-	// across concurrent Answer calls.
+	// across concurrent Answer calls. The cache holds DefaultPlanCacheSize
+	// plans.
 	PlanCache bool
-	// PlanCacheSize bounds the number of cached plans (0 = the
-	// DefaultPlanCacheSize).
-	PlanCacheSize int
 	// Parallelism caps the intra-query parallel workers each SQL
 	// statement may use (union-arm fan-out, partitioned hash joins,
 	// morsel-parallel scans in sqldb). 0 means runtime.NumCPU(); 1 forces
@@ -229,7 +234,7 @@ func NewEngine(spec Spec, opts Options) (*Engine, error) {
 		MaxCQs:          opts.MaxCQs,
 	}
 	if opts.PlanCache {
-		e.cache = newPlanCache(opts.PlanCacheSize, opts.Obs.Registry())
+		e.cache = newPlanCache(DefaultPlanCacheSize, opts.Obs.Registry())
 	}
 	e.par = opts.Parallelism
 	if e.par <= 0 {
@@ -265,26 +270,11 @@ func (e *Engine) InvalidatePlans() {
 	}
 }
 
-// SetConstraints toggles the constraint-driven unfolding optimizations,
-// re-deriving the schema constraints and invalidating the plan cache
-// (cached plans embed constraint-dependent SQL). Reconfiguration is not
-// synchronized with in-flight queries; callers must quiesce query traffic
-// first, exactly as for swapping the engine itself.
-func (e *Engine) SetConstraints(on bool) {
-	e.opts.Constraints = on
-	if on {
-		e.cons = analyze.DeriveConstraints(e.spec.Mapping, e.spec.Onto, e.spec.DB)
-	} else {
-		e.cons = nil
-	}
-	e.verifier = &planck.Verifier{Onto: e.spec.Onto, Cons: e.cons, DB: e.spec.DB}
-	e.InvalidatePlans()
-}
-
 // SetMapping replaces the engine's R2RML mapping, re-running the starting
 // phase work that depends on it (T-mapping saturation, constraint
-// derivation) and invalidating the plan cache. The same quiescence rule as
-// SetConstraints applies.
+// derivation) and invalidating the plan cache once. Reconfiguration is not
+// synchronized with in-flight queries; callers must quiesce query traffic
+// first, exactly as for swapping the engine itself.
 func (e *Engine) SetMapping(mp *r2rml.Mapping) {
 	e.spec.Mapping = mp
 	if e.opts.TMappings {

@@ -19,8 +19,7 @@ import (
 // SelectStmt; binding resolves column slots into locals), which is what
 // makes sharing one cached plan across concurrent clients safe.
 
-// DefaultPlanCacheSize is the entry bound used when Options.PlanCacheSize
-// is zero.
+// DefaultPlanCacheSize is the engine's plan-cache entry bound.
 const DefaultPlanCacheSize = 256
 
 // planShardCount is the number of lock-sharded LRU buckets.
@@ -75,9 +74,6 @@ type planCache struct {
 }
 
 func newPlanCache(size int, reg *obs.Registry) *planCache {
-	if size <= 0 {
-		size = DefaultPlanCacheSize
-	}
 	perShard := (size + planShardCount - 1) / planShardCount
 	c := &planCache{}
 	for i := range c.shards {

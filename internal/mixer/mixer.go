@@ -47,17 +47,9 @@ type Config struct {
 	// paper presents single-client results "due to space constraints";
 	// this knob restores the multi-client dimension). 0 or 1 = one client.
 	Clients int
-	// PlanCache enables the engine's compiled-query cache so steady-state
-	// runs measure execution, not recompilation.
-	PlanCache bool
-	// PlanCacheSize bounds the cache (0 = engine default).
-	PlanCacheSize int
 	// Parallelism is the engine's intra-query worker cap (0 = NumCPU,
 	// 1 = sequential). Results are identical at every setting.
 	Parallelism int
-	// BatchSize is the SQL executor's vectorized batch size (0 = default
-	// 1024, 1 = row-at-a-time). Results are identical at every setting.
-	BatchSize int
 	// RunLog, when non-nil, receives one JSONL record per measured query
 	// execution (trace id, stage timings, row counts). Enabling it turns on
 	// engine tracing so each record carries a real trace id.
@@ -88,8 +80,18 @@ func DefaultConfig() Config {
 		Profile:      sqldb.ProfileHashJoin,
 		Existential:  true,
 		CountTriples: true,
-		PlanCache:    true,
 	}
+}
+
+// engineOptions is the engine the mixer measures: the shipped
+// core.DefaultOptions, with only the paper's existential toggle, the
+// worker cap and the observer taken from cfg.
+func engineOptions(cfg Config, observer *obs.Observer) core.Options {
+	opts := core.DefaultOptions()
+	opts.Existential = cfg.Existential
+	opts.Parallelism = cfg.Parallelism
+	opts.Obs = observer
+	return opts
 }
 
 // QueryMeasure aggregates one query's runs (Table 1 measures). Besides the
@@ -189,15 +191,7 @@ func Run(cfg Config) (*Report, error) {
 				Budget:  cfg.Budget,
 			}
 		}
-		eng, err := core.NewEngine(spec, core.Options{
-			TMappings:     true,
-			Existential:   cfg.Existential,
-			PlanCache:     cfg.PlanCache,
-			PlanCacheSize: cfg.PlanCacheSize,
-			Parallelism:   cfg.Parallelism,
-			BatchSize:     cfg.BatchSize,
-			Obs:           observer,
-		})
+		eng, err := core.NewEngine(spec, engineOptions(cfg, observer))
 		if err != nil {
 			return nil, err
 		}

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 
+	"npdbench/internal/core"
+	"npdbench/internal/npd"
 	"npdbench/internal/obs"
 	"npdbench/internal/sqldb"
 )
@@ -68,6 +70,38 @@ func TestRunProducesMeasures(t *testing.T) {
 	out := rep.Summary()
 	if !strings.Contains(out, "NPD1") || !strings.Contains(out, "q16") {
 		t.Fatalf("summary incomplete:\n%s", out)
+	}
+}
+
+// TestRunMeasuresDefaultEngine pins the mixer to the engine that ships:
+// the union arms it reports are the ones core.DefaultOptions unfolds on
+// the same instance, not those of some other configuration.
+func TestRunMeasuresDefaultEngine(t *testing.T) {
+	cfg := smallConfig()
+	cfg.Scales = []float64{1}
+	cfg.QueryIDs = []string{"q1", "q6"}
+	rep, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, _, err := BuildInstance(1, cfg.SeedScale, cfg.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := core.NewEngine(core.Spec{Onto: npd.NewOntology(), Mapping: npd.NewMapping(), DB: db, Prefixes: npd.Prefixes()},
+		core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, qm := range rep.Scales[0].Queries {
+		ans, err := eng.Query(npd.QueryByID(qm.QueryID).SPARQL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if qm.UnionArms != ans.Stats.UnionArms {
+			t.Errorf("%s: mixer measured %d union arms, the default engine unfolds %d",
+				qm.QueryID, qm.UnionArms, ans.Stats.UnionArms)
+		}
 	}
 }
 

@@ -42,7 +42,7 @@ const DefaultMaxInflight = 16
 
 // Server answers SPARQL-protocol requests against one engine.
 //
-// Engine reconfiguration (SetMapping/SetConstraints) requires quiesced
+// Engine reconfiguration (SetMapping) requires quiesced
 // query traffic; the server enforces that contract with a read-write
 // lock: every query handler holds the read side while inside the engine,
 // and Reload takes the write side, so a reload waits for in-flight

@@ -26,23 +26,6 @@ func (db *Database) Query(sql string) (*Result, error) {
 	return db.ExecSelect(stmt)
 }
 
-// ExplainSelect executes the statement and returns the planner decisions
-// taken (EXPLAIN ANALYZE style): pushed-down predicates with their
-// selectivity, join order, join algorithms and intermediate cardinalities.
-// Explain runs are always sequential: the note log is ordered.
-func (db *Database) ExplainSelect(s *SelectStmt) ([]string, error) {
-	var notes []string
-	ctx := newExecCtx(ExecOptions{}, nil)
-	ctx.explain = &notes
-	rel, err := db.evalSelectChain(ctx, s)
-	if err != nil {
-		return nil, err
-	}
-	notes = append(notes, fmt.Sprintf("result: %d rows, %d columns (%s profile)",
-		rel.numRows(), len(rel.cols), db.Profile))
-	return notes, nil
-}
-
 // ExecOptions configures one statement execution.
 type ExecOptions struct {
 	// Parallelism caps the workers any one operator may fan out to; <= 1
@@ -121,11 +104,8 @@ func newExecCtx(opt ExecOptions, prof *OpProfile) *execCtx {
 // execCtx carries per-statement execution state. The cache is shared by
 // every child context of the statement (union arms evaluating in parallel
 // included); prof and parNote belong to exactly one goroutine at a time.
-// When explain is non-nil, the planner records its decisions (join order,
-// algorithms, pushdowns) into it and execution stays sequential.
 type execCtx struct {
-	cache   *stmtCache
-	explain *[]string
+	cache *stmtCache
 	// prof, when non-nil, is the operator-profile node currently being
 	// built (EXPLAIN ANALYZE collection; see ProfileSelect). Operators
 	// append children via addOp/pushOp, which no-op when prof is nil.
@@ -142,10 +122,10 @@ type execCtx struct {
 	// operators poll it through cancelled() at their boundaries and every
 	// morselRows rows inside long loops.
 	ctx context.Context
-	// scratch is a reusable byte buffer for explain notes and profile
-	// details, so enabled-tracing formatting on the buildFrom hot path
-	// costs one string allocation instead of fmt boxing (goroutine-local:
-	// each parallel union arm owns its child context).
+	// scratch is a reusable byte buffer for profile details, so
+	// enabled-tracing formatting on the buildFrom hot path costs one
+	// string allocation instead of fmt boxing (goroutine-local: each
+	// parallel union arm owns its child context).
 	scratch []byte
 	// batch is the resolved batch size: > 1 runs the vectorized executor,
 	// <= 1 the row-at-a-time one (see ExecOptions.BatchSize).
@@ -228,12 +208,6 @@ func (ctx *execCtx) cancelled() error {
 	return ctx.ctx.Err()
 }
 
-func (ctx *execCtx) note(format string, args ...any) {
-	if ctx.explain != nil {
-		*ctx.explain = append(*ctx.explain, fmt.Sprintf(format, args...))
-	}
-}
-
 // approxValueBytes is the estimated materialized footprint of one Value
 // cell (struct header plus average string payload) used by the bytes
 // accounting; an estimate is enough for budget enforcement.
@@ -255,69 +229,40 @@ func (ctx *execCtx) accountRows(rel *relation) {
 	}
 }
 
-// notePushdown is the pushdown-filter explain/profile recorder of
-// buildFrom — the hottest note site (once per conjunct per relation).
-// The non-variadic signature avoids boxing its operands and the scratch
-// buffer makes each recorded line cost one string allocation.
+// notePushdown is the pushdown-filter profile recorder of buildFrom — the
+// hottest note site (once per conjunct per relation). The non-variadic
+// signature avoids boxing its operands and the scratch buffer makes each
+// recorded line cost one string allocation.
 func (ctx *execCtx) notePushdown(pred Expr, before, after int) {
 	note := ctx.takeParNote() // consume even when nothing records it
 	batches := ctx.takeBatches()
-	if ctx.explain == nil && ctx.prof == nil {
+	if ctx.prof == nil {
 		return
 	}
 	b := append(ctx.scratch[:0], "pushdown "...)
 	b = append(b, pred.String()...)
-	if ctx.explain != nil {
-		n := len(b)
-		b = append(b, ": "...)
-		b = strconv.AppendInt(b, int64(before), 10)
-		b = append(b, " -> "...)
-		b = strconv.AppendInt(b, int64(after), 10)
-		b = append(b, " rows"...)
-		*ctx.explain = append(*ctx.explain, string(b))
-		b = b[:n]
-	}
-	if ctx.prof != nil {
-		b = append(b, note...)
-		node := ctx.addOp("filter", string(b))
-		node.SetInOut(before, after)
-		node.SetBatches(batches)
-	}
+	b = append(b, note...)
+	node := ctx.addOp("filter", string(b))
+	node.SetInOut(before, after)
+	node.SetBatches(batches)
 	ctx.scratch = b[:0]
 }
 
 // noteJoin records one join-planning step (algorithm, equi-key count,
-// input/output cardinalities) into the explain log and the profile,
-// replacing the variadic note/Sprintf pair on the buildFrom join loop.
+// input/output cardinalities) into the profile, replacing a variadic
+// Sprintf on the buildFrom join loop.
 func (ctx *execCtx) noteJoin(algo string, eqKeys, lrows, rrows, out int) {
 	note := ctx.takeParNote()
 	batches := ctx.takeBatches()
-	if ctx.explain == nil && ctx.prof == nil {
+	if ctx.prof == nil {
 		return
 	}
-	b := ctx.scratch[:0]
-	if ctx.explain != nil {
-		b = append(b, algo...)
-		b = append(b, " ("...)
-		b = strconv.AppendInt(b, int64(eqKeys), 10)
-		b = append(b, " equi keys): "...)
-		b = strconv.AppendInt(b, int64(lrows), 10)
-		b = append(b, " x "...)
-		b = strconv.AppendInt(b, int64(rrows), 10)
-		b = append(b, " -> "...)
-		b = strconv.AppendInt(b, int64(out), 10)
-		b = append(b, " rows"...)
-		*ctx.explain = append(*ctx.explain, string(b))
-		b = b[:0]
-	}
-	if ctx.prof != nil {
-		b = strconv.AppendInt(b, int64(eqKeys), 10)
-		b = append(b, " equi keys"...)
-		b = append(b, note...)
-		node := ctx.addOp(algo, string(b))
-		node.SetJoin(lrows, rrows, out, joinBuildRows(algo, lrows, rrows), joinProbes(algo, lrows, rrows))
-		node.SetBatches(batches)
-	}
+	b := strconv.AppendInt(ctx.scratch[:0], int64(eqKeys), 10)
+	b = append(b, " equi keys"...)
+	b = append(b, note...)
+	node := ctx.addOp(algo, string(b))
+	node.SetJoin(lrows, rrows, out, joinBuildRows(algo, lrows, rrows), joinProbes(algo, lrows, rrows))
+	node.SetBatches(batches)
 	ctx.scratch = b[:0]
 }
 
@@ -346,7 +291,7 @@ func (db *Database) evalSelectChain(ctx *execCtx, s *SelectStmt) (*relation, err
 	var head *relation
 	var err error
 	workers := 1
-	if ctx.par != nil && ctx.explain == nil && len(arms) > 1 {
+	if ctx.par != nil && len(arms) > 1 {
 		head, workers, err = db.evalUnionArmsParallel(ctx, arms)
 	} else {
 		head, err = db.evalUnionArmsSequential(ctx, arms)

@@ -562,30 +562,31 @@ func TestThreeValuedLogic(t *testing.T) {
 	}
 }
 
+// TestExplainSelect checks that the EXPLAIN ANALYZE operator tree records
+// the planner's decisions: the pushed-down filter and the join algorithm
+// each database profile picks.
 func TestExplainSelect(t *testing.T) {
-	db := testDB(t, ProfileHashJoin)
 	stmt := MustParse("SELECT e.name FROM TEmployee e, TSellsProduct s WHERE e.id = s.id AND e.branch = 'B1'")
-	notes, err := db.ExplainSelect(stmt)
+	res, prof, err := testDB(t, ProfileHashJoin).ProfileSelect(stmt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	joined := strings.Join(notes, "\n")
-	if !strings.Contains(joined, "pushdown") {
-		t.Fatalf("no pushdown recorded:\n%s", joined)
+	out := prof.Render()
+	if f := prof.Find("filter"); f == nil || !strings.HasPrefix(f.Detail, "pushdown ") || f.Rows > f.RowsIn {
+		t.Fatalf("no pushdown filter recorded:\n%s", out)
 	}
-	if !strings.Contains(joined, "hash join") {
-		t.Fatalf("no join algorithm recorded:\n%s", joined)
+	if prof.Find("hash join") == nil {
+		t.Fatalf("no join algorithm recorded:\n%s", out)
 	}
-	if !strings.Contains(joined, "result:") {
-		t.Fatalf("no result note:\n%s", joined)
+	if prof.Rows != len(res.Rows) {
+		t.Fatalf("root reports %d rows, result has %d:\n%s", prof.Rows, len(res.Rows), out)
 	}
 	// sort-merge profile picks the other algorithm
-	db2 := testDB(t, ProfileSortMerge)
-	notes2, err := db2.ExplainSelect(stmt)
+	_, prof, err = testDB(t, ProfileSortMerge).ProfileSelect(stmt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(strings.Join(notes2, "\n"), "merge join") {
-		t.Fatalf("sort-merge profile did not merge join:\n%v", notes2)
+	if prof.Find("merge join") == nil {
+		t.Fatalf("sort-merge profile did not merge join:\n%s", prof.Render())
 	}
 }

@@ -22,12 +22,10 @@ go vet ./...
 # Typed static analysis in strict mode: any unsuppressed error/warning
 # finding fails; every //lint:ignore must be in the documented allowlist
 # and must match a diagnostic; the canonical report must equal the
-# committed golden; the ranked hot-path allocation work list must equal
-# its golden (the list only changes deliberately); and the typed load +
-# call graph + summaries + passes must stay inside the wall-time budget.
+# committed golden; and the typed load + call graph + summaries + passes
+# must stay inside the wall-time budget.
 "$BIN/repolint" -strict -allow testdata/repolint_allow.txt \
-    -golden testdata/repolint.golden -hotgolden testdata/hotreport.golden \
-    -budget 20s
+    -golden testdata/repolint.golden -budget 20s
 go test -race ./...
 "$BIN/obdalint" -strict -quiet
 # Typed template disjointness prunes unfolded joins: "disjoint" must never

@@ -2,14 +2,12 @@
 // (internal/lint) over the module: the whole tree is loaded through
 // go/parser + go/types + go/importer and an ordered catalog of type-aware
 // passes checks the invariants the engine implementation has to hold —
-// shared-storage aliasing/ownership, guarded-field lock discipline
-// (interprocedural, via call-graph summaries), atomic-access consistency,
-// goroutine hygiene, iterator close, discarded errors, the observability
-// timing funnel, http server hygiene, cooperative-stop flow, and hot-path
-// allocation reporting.
+// shared-storage aliasing/ownership and guarded-field lock discipline
+// (interprocedural, via call-graph summaries), goroutine hygiene, iterator
+// close, discarded errors, the observability timing funnel, http server
+// hygiene, and cooperative-stop flow.
 //
 //	repolint                   # text report over the whole module
-//	repolint internal cmd      # restrict to directories
 //	repolint -json             # machine-readable report (obdalint shape)
 //	repolint -strict           # any finding fails; suppressions must be
 //	                           # allowlisted and used
@@ -17,15 +15,12 @@
 //	repolint -allow FILE       # suppression allowlist ("path pass" lines)
 //	repolint -budget DURATION  # fail when load+passes exceed the budget
 //	repolint -quiet            # summary line only
-//	repolint -hotreport        # ranked per-iteration allocation work list
-//	repolint -hotgolden FILE   # diff the hot report against FILE
 //
-// Exits 0 when clean, 1 on error- or warning-severity findings (or, with
-// -strict, suppression / golden / budget violations), 2 on load errors.
-// Info-severity findings (the hotalloc work list) never affect the exit
-// code. ci.sh gates on `repolint -strict` with the golden repo report,
-// the golden hot report, the documented suppression allowlist, and the
-// timing budget.
+// Run it from the module root; it takes no positional arguments. Exits 0
+// when clean, 1 on error- or warning-severity findings (or, with -strict,
+// suppression / golden / budget violations), 2 on usage or load errors.
+// ci.sh gates on `repolint -strict` with the golden repo report, the
+// documented suppression allowlist, and the timing budget.
 package main
 
 import (
@@ -42,23 +37,25 @@ import (
 
 func main() {
 	var (
-		asJSON    = flag.Bool("json", false, "emit the report as JSON")
-		strict    = flag.Bool("strict", false, "fail on any finding; check suppressions against the allowlist")
-		quiet     = flag.Bool("quiet", false, "print only the summary line")
-		golden    = flag.String("golden", "", "compare the canonical text report against this file")
-		allow     = flag.String("allow", "", "suppression allowlist file")
-		budget    = flag.Duration("budget", 0, "fail when typed load + passes exceed this wall time")
-		hotreport = flag.Bool("hotreport", false, "print the ranked hot-path allocation work list instead of the report")
-		hotgolden = flag.String("hotgolden", "", "compare the hot report against this file")
+		asJSON = flag.Bool("json", false, "emit the report as JSON")
+		strict = flag.Bool("strict", false, "fail on any finding; check suppressions against the allowlist")
+		quiet  = flag.Bool("quiet", false, "print only the summary line")
+		golden = flag.String("golden", "", "compare the canonical text report against this file")
+		allow  = flag.String("allow", "", "suppression allowlist file")
+		budget = flag.Duration("budget", 0, "fail when typed load + passes exceed this wall time")
 	)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintln(os.Stderr, "usage: repolint [-json|-quiet] [-strict] [-allow FILE] [-golden FILE] [-budget DURATION]")
+		os.Exit(2)
+	}
 
 	root, err := os.Getwd()
 	if err != nil {
 		fatal(err)
 	}
 	loadStart := obs.Now()
-	mod, err := lint.LoadModule(root, flag.Args()...)
+	mod, err := lint.LoadModule(root)
 	if err != nil {
 		fatal(err)
 	}
@@ -66,31 +63,9 @@ func main() {
 	rep := lint.Run(mod, lint.Catalog())
 	rep.LoadTime = loadTime
 
-	// Info findings are work items (the hotalloc list), not gate
-	// failures: only error and warning severities affect the exit code.
 	exit := 0
 	if rep.Count(lint.SevError)+rep.Count(lint.SevWarning) > 0 {
 		exit = 1
-	}
-
-	if *hotreport || *hotgolden != "" {
-		hot := lint.RenderHotReport(rep.Hot, 25)
-		if *hotreport {
-			fmt.Print(hot)
-		}
-		if *hotgolden != "" {
-			want, err := os.ReadFile(*hotgolden)
-			if err != nil {
-				fatal(err)
-			}
-			if hot != string(want) {
-				fmt.Fprintf(os.Stderr, "repolint: hot report differs from golden %s\n--- golden\n%s--- got\n%s", *hotgolden, want, hot)
-				os.Exit(1)
-			}
-		}
-		if *hotreport {
-			os.Exit(exit)
-		}
 	}
 
 	switch {

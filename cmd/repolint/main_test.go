@@ -95,11 +95,6 @@ func TestRepoIsStrictClean(t *testing.T) {
 	}
 	rep := lint.Run(mod, lint.Catalog())
 	for _, d := range rep.Diags {
-		// Info findings (the hotalloc work list) are pinned by the hot-report
-		// golden, not treated as gate failures — mirror the exit policy.
-		if d.Sev < lint.SevWarning {
-			continue
-		}
 		t.Errorf("unsuppressed finding: %s", d)
 	}
 	if msgs := checkSuppressions(rep, filepath.Join(root, "testdata", "repolint_allow.txt")); len(msgs) > 0 {

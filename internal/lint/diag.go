@@ -4,9 +4,8 @@
 // every package, and emits severity-ranked diagnostics. The engine exists
 // because PRs 4–5 fixed by hand exactly the bug classes a typed analyzer
 // catches mechanically — shared-storage aliasing, unguarded field access,
-// mixed atomic/plain access, stray goroutines — and ROADMAP item 1 (a
-// long-running server under sustained concurrent load) raises the cost of
-// every such latent bug. cmd/repolint is the CLI driver; ci.sh gates on it
+// stray goroutines — and ROADMAP item 1 (a long-running server under
+// sustained concurrent load) raises the cost of every such latent bug. cmd/repolint is the CLI driver; ci.sh gates on it
 // in -strict mode against a golden repo report, mirroring obdalint's
 // contract for the benchmark artifacts.
 package lint
@@ -19,9 +18,9 @@ import (
 )
 
 // Severity ranks diagnostics. Errors are bug-class findings (aliasing, lock
-// discipline, atomics, goroutine hygiene); warnings are discipline findings
-// (iterator close, discarded errors, timing funnel). -strict mode fails on
-// both.
+// discipline, goroutine hygiene, cooperative stop); warnings are discipline
+// findings (iterator close, discarded errors, timing funnel, server
+// hygiene). -strict mode fails on both.
 type Severity int
 
 const (
@@ -72,17 +71,12 @@ func (s Suppression) String() string {
 }
 
 // Report is the outcome of one engine run: surviving diagnostics, the
-// diagnostics silenced by directives, every directive seen, the ranked
-// hot-path allocation entries, and the per-phase wall times (the ci timing
-// budget gates on their sum).
+// diagnostics silenced by directives, every directive seen, and the
+// per-phase wall times (the ci timing budget gates on their sum).
 type Report struct {
 	Diags        []Diagnostic
 	Suppressed   []Diagnostic
 	Suppressions []Suppression
-
-	// Hot is the ranked hot-path allocation work list behind
-	// `repolint -hotreport` (nil under RunIntra).
-	Hot []HotEntry
 
 	Packages      int
 	Files         int

@@ -24,9 +24,7 @@ type Pass struct {
 // Context is the per-(pass, package) view handed to a pass: the syntax and
 // type information of the package under analysis plus the resolved
 // annotations. Interp carries the module-wide interprocedural facts (call
-// graph, per-function summaries, merged annotations); it is nil under
-// RunIntra, and every pass degrades to its intra-procedural behavior when
-// it is.
+// graph, per-function summaries, merged annotations).
 type Context struct {
 	Fset   *token.FileSet
 	Pkg    *Package
@@ -64,14 +62,12 @@ func Catalog() []*Pass {
 	return []*Pass{
 		passSharedMut(),
 		passLockGuard(),
-		passAtomicMix(),
 		passGoHygiene(),
 		passIterClose(),
 		passDiscardErr(),
 		passTimingFunnel(),
 		passSrvHygiene(),
 		passStopFlow(),
-		passHotAlloc(),
 	}
 }
 
@@ -92,17 +88,6 @@ func PassByName(name string) *Pass {
 // matched by an ignore directive move to the suppressed list and everything
 // is sorted canonically.
 func Run(mod *Module, passes []*Pass) *Report {
-	return run(mod, passes, true)
-}
-
-// RunIntra executes the catalog without the interprocedural layer — the
-// PR 6 engine, verbatim. It exists so regression tests can prove which
-// findings only the interprocedural engine sees.
-func RunIntra(mod *Module, passes []*Pass) *Report {
-	return run(mod, passes, false)
-}
-
-func run(mod *Module, passes []*Pass, interp bool) *Report {
 	rep := &Report{Packages: len(mod.Pkgs)}
 	anns := map[*Package]*annotations{}
 	var annList []*annotations
@@ -111,17 +96,12 @@ func run(mod *Module, passes []*Pass, interp bool) *Report {
 		anns[pkg] = a
 		annList = append(annList, a)
 	}
-	var ip *Interp
-	if interp {
-		cgStart := obs.Now()
-		g := buildCallGraph(mod)
-		rep.CallgraphTime = obs.Since(cgStart)
-		sumStart := obs.Now()
-		ip = buildInterp(mod, annList, g)
-		rep.SummaryTime = obs.Since(sumStart)
-		ip.hot = hotEntries(ip)
-		rep.Hot = ip.hot
-	}
+	cgStart := obs.Now()
+	g := buildCallGraph(mod)
+	rep.CallgraphTime = obs.Since(cgStart)
+	sumStart := obs.Now()
+	ip := buildInterp(mod, annList, g)
+	rep.SummaryTime = obs.Since(sumStart)
 	start := obs.Now()
 	for _, pkg := range mod.Pkgs {
 		rep.Files += len(pkg.Files)

@@ -20,7 +20,6 @@ var fixtureCases = []struct {
 }{
 	{"sharedmut", "sharedmut", "fixture/sharedmut"},
 	{"lockguard", "lockguard", "fixture/lockguard"},
-	{"atomicmix", "atomicmix", "fixture/atomicmix"},
 	// The gohygiene pass only fires inside internal/sqldb and
 	// internal/core, so the fixture borrows a qualifying import path.
 	{"gohygiene", "gohygiene", "fixture/internal/sqldb"},
@@ -29,14 +28,13 @@ var fixtureCases = []struct {
 	{"timingfunnel", "timingfunnel", "fixture/timingfunnel"},
 	{"srvhygiene", "srvhygiene", "fixture/srvhygiene"},
 	{"stopflow", "stopflow", "fixture/stopflow"},
-	// The hotalloc roots live in internal/sqldb, so the fixture borrows a
-	// qualifying import path (as gohygiene does).
-	{"hotalloc", "hotalloc", "fixture/internal/sqldb"},
 	// The interprocedural fixtures: every seeded violation crosses a
-	// function boundary. TestInterpCatchesWhatIntraMisses additionally
-	// asserts the intra-procedural engine reports zero on them.
+	// function boundary. The interp fixture's golden pins that the engine
+	// does not report the fpDemo false positive, which only a callee
+	// summary clears.
 	{"lockguard", "lockguard_interp", "fixture/lockguard_interp"},
 	{"sharedmut", "sharedmut_interp", "fixture/sharedmut_interp"},
+	{"sharedmut", "interp", "fixture/interp"},
 }
 
 // loadFixture type-checks one fixture package and runs the named pass
@@ -137,7 +135,7 @@ func TestReportJSON(t *testing.T) {
 // TestCatalogOrder pins the pass catalog: order is part of the output
 // contract, and every pass must be reachable by name.
 func TestCatalogOrder(t *testing.T) {
-	want := []string{"sharedmut", "lockguard", "atomicmix", "gohygiene", "iterclose", "discarderr", "timingfunnel", "srvhygiene", "stopflow", "hotalloc"}
+	want := []string{"sharedmut", "lockguard", "gohygiene", "iterclose", "discarderr", "timingfunnel", "srvhygiene", "stopflow"}
 	cat := Catalog()
 	if len(cat) != len(want) {
 		t.Fatalf("catalog has %d passes, want %d", len(cat), len(want))

@@ -125,38 +125,22 @@ func TestCallGraphShape(t *testing.T) {
 	}
 }
 
-// TestInterpRemovesFalsePositive: fpDemo appends into a call result the
-// intra engine cannot classify (a false positive); copyOut's returns-fresh
-// summary clears it.
+// TestInterpRemovesFalsePositive: fpDemo appends into a call result whose
+// provenance only copyOut's returns-fresh summary settles; the engine must
+// not report it (the fixture's golden pins the full sharedmut report).
 func TestInterpRemovesFalsePositive(t *testing.T) {
-	mod, err := LoadDir(filepath.Join("testdata", "src", "interp"), "fixture/interp")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := PassByName("sharedmut")
-	intra := RunIntra(mod, []*Pass{p})
-	var fpSeen bool
-	for _, d := range intra.Diags {
+	rep := loadFixture(t, "interp", "fixture/interp", "sharedmut")
+	for _, d := range rep.Diags {
 		if strings.Contains(d.Msg, "append may write into the shared backing array of out") {
-			fpSeen = true
-		}
-	}
-	if !fpSeen {
-		t.Fatalf("intra engine did not produce the fpDemo false positive; diags: %v", intra.Diags)
-	}
-	full := Run(mod, []*Pass{p})
-	for _, d := range full.Diags {
-		if strings.Contains(d.Msg, "append may write into the shared backing array of out") {
-			t.Errorf("interprocedural engine kept the fpDemo false positive: %v", d)
+			t.Errorf("engine reported the fpDemo false positive: %v", d)
 		}
 	}
 }
 
 // TestInterpCatchesWhatIntraMisses is the acceptance check for the
-// interprocedural upgrades: on the *_interp fixtures the intra-procedural
-// engine (RunIntra — the pre-summary engine, verbatim) reports nothing,
-// while the summary-driven engine reports every seeded cross-function
-// violation.
+// interprocedural layer: on the *_interp fixtures every seeded violation
+// crosses a function boundary, and the summary-driven engine reports each
+// one.
 func TestInterpCatchesWhatIntraMisses(t *testing.T) {
 	cases := []struct {
 		pass, dir, importPath string
@@ -173,26 +157,13 @@ func TestInterpCatchesWhatIntraMisses(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.dir, func(t *testing.T) {
-			mod, err := LoadDir(filepath.Join("testdata", "src", tc.dir), tc.importPath)
-			if err != nil {
-				t.Fatal(err)
-			}
-			p := PassByName(tc.pass)
-			if p == nil {
-				t.Fatalf("no pass %q", tc.pass)
-			}
-			intra := RunIntra(mod, []*Pass{p})
-			if len(intra.Diags) != 0 {
-				t.Errorf("intra engine reported %d finding(s) on %s, want 0 (the violations must be invisible without summaries): %v",
-					len(intra.Diags), tc.dir, intra.Diags)
-			}
-			full := Run(mod, []*Pass{p})
-			if len(full.Diags) != len(tc.wantMsgs) {
-				t.Fatalf("interprocedural engine reported %d finding(s), want %d: %v", len(full.Diags), len(tc.wantMsgs), full.Diags)
+			rep := loadFixture(t, tc.dir, tc.importPath, tc.pass)
+			if len(rep.Diags) != len(tc.wantMsgs) {
+				t.Fatalf("engine reported %d finding(s), want %d: %v", len(rep.Diags), len(tc.wantMsgs), rep.Diags)
 			}
 			for i, want := range tc.wantMsgs {
-				if !strings.Contains(full.Diags[i].Msg, want) {
-					t.Errorf("diag %d = %q, want substring %q", i, full.Diags[i].Msg, want)
+				if !strings.Contains(rep.Diags[i].Msg, want) {
+					t.Errorf("diag %d = %q, want substring %q", i, rep.Diags[i].Msg, want)
 				}
 			}
 		})

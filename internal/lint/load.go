@@ -35,106 +35,21 @@ type Module struct {
 	Pkgs []*Package // sorted by import path
 }
 
-// loader resolves intra-module imports by type-checking the imported
-// directory on demand (memoized) and delegates everything else to the
-// stdlib source importer, so the engine needs nothing beyond the standard
-// library — no export data, no external driver.
-type loader struct {
-	root    string
-	modpath string
-	fset    *token.FileSet
-	std     types.Importer
-	cache   map[string]*Package
-	loading map[string]bool
-}
-
-func newLoader(root, modpath string, fset *token.FileSet) *loader {
-	return &loader{
-		root:    root,
-		modpath: modpath,
-		fset:    fset,
-		std:     importer.ForCompiler(fset, "source", nil),
-		cache:   map[string]*Package{},
-		loading: map[string]bool{},
-	}
-}
-
-// Import implements types.Importer over the union of module and stdlib
-// packages.
-func (l *loader) Import(path string) (*types.Package, error) {
-	if path == l.modpath || strings.HasPrefix(path, l.modpath+"/") {
-		p, err := l.load(path)
-		if err != nil {
-			return nil, err
-		}
-		return p.Types, nil
-	}
-	return l.std.Import(path)
-}
-
-// load parses and type-checks one module package by import path.
-func (l *loader) load(path string) (*Package, error) {
-	if p, ok := l.cache[path]; ok {
-		return p, nil
-	}
-	if l.loading[path] {
-		return nil, fmt.Errorf("lint: import cycle through %s", path)
-	}
-	l.loading[path] = true
-	defer delete(l.loading, path)
-
-	dir := l.root
-	if path != l.modpath {
-		dir = filepath.Join(l.root, filepath.FromSlash(strings.TrimPrefix(path, l.modpath+"/")))
-	}
-	p, err := l.check(path, dir)
+// LoadModule loads every package of the module rooted at root; the module
+// path comes from go.mod.
+func LoadModule(root string) (*Module, error) {
+	modpath, err := modulePath(root)
 	if err != nil {
 		return nil, err
 	}
-	l.cache[path] = p
-	return p, nil
+	return LoadDir(root, modpath)
 }
 
-// check type-checks the non-test Go files of one directory as the package
-// with the given import path.
-func (l *loader) check(path, dir string) (*Package, error) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var files []*ast.File
-	for _, e := range ents {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.ParseComments)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
-	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("lint: no Go files in %s", dir)
-	}
-	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-		Scopes:     map[ast.Node]*types.Scope{},
-	}
-	conf := types.Config{Importer: l}
-	tpkg, err := conf.Check(path, l.fset, files, info)
-	if err != nil {
-		return nil, fmt.Errorf("lint: type-checking %s: %w", path, err)
-	}
-	return &Package{Path: path, Dir: dir, Files: files, Types: tpkg, Info: info}, nil
-}
-
-// LoadModule loads every package found under the given directories
-// (relative to the module root; default the whole module). testdata and
-// hidden directories are skipped. The module path comes from go.mod.
+// LoadDir discovers, parses and type-checks every package under root
+// (testdata and hidden directories skipped) as a module with the given
+// path. The per-pass golden tests call it directly
+// on fixture directories, which have no go.mod and import only the
+// standard library.
 //
 // Loading is parallel: all files parse concurrently (token.FileSet is
 // safe for concurrent AddFile), the module-internal import graph is read
@@ -145,16 +60,9 @@ func (l *loader) check(path, dir string) (*Package, error) {
 // through one shared source importer behind a mutex: the importer
 // memoizes, so the first package pays for the stdlib closure and the
 // rest hit its cache.
-func LoadModule(root string, dirs ...string) (*Module, error) {
-	modpath, err := modulePath(root)
-	if err != nil {
-		return nil, err
-	}
-	if len(dirs) == 0 {
-		dirs = []string{"."}
-	}
+func LoadDir(root, modpath string) (*Module, error) {
 	fset := token.NewFileSet()
-	units, err := discoverPackages(root, modpath, dirs)
+	units, err := discoverPackages(root, modpath)
 	if err != nil {
 		return nil, err
 	}
@@ -162,7 +70,6 @@ func LoadModule(root string, dirs ...string) (*Module, error) {
 		return nil, err
 	}
 	pl := &parLoader{
-		root:    root,
 		modpath: modpath,
 		fset:    fset,
 		std:     importer.ForCompiler(fset, "source", nil),
@@ -173,11 +80,8 @@ func LoadModule(root string, dirs ...string) (*Module, error) {
 	}
 	m := &Module{Root: root, Fset: fset}
 	for _, u := range units {
-		if p := pl.pkgs[u.path]; p != nil {
-			m.Pkgs = append(m.Pkgs, p)
-		}
+		m.Pkgs = append(m.Pkgs, pl.pkgs[u.path])
 	}
-	sort.Slice(m.Pkgs, func(i, j int) bool { return m.Pkgs[i].Path < m.Pkgs[j].Path })
 	return m, nil
 }
 
@@ -191,48 +95,45 @@ type loadUnit struct {
 	deps []string // module-internal imports present in the unit set
 }
 
-// discoverPackages walks the requested directories and collects one unit
-// per package directory containing non-test Go files.
-func discoverPackages(root, modpath string, dirs []string) ([]*loadUnit, error) {
+// discoverPackages walks the tree under root and collects one unit per
+// package directory containing non-test Go files.
+func discoverPackages(root, modpath string) ([]*loadUnit, error) {
 	seen := map[string]*loadUnit{}
 	var units []*loadUnit
-	for _, d := range dirs {
-		start := filepath.Join(root, filepath.FromSlash(d))
-		err := filepath.WalkDir(start, func(p string, de fs.DirEntry, err error) error {
+	err := filepath.WalkDir(root, func(p string, de fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if de.IsDir() {
+			name := de.Name()
+			if p != root && (name == "testdata" || strings.HasPrefix(name, ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
+			return nil
+		}
+		dir := filepath.Dir(p)
+		u := seen[dir]
+		if u == nil {
+			rel, err := filepath.Rel(root, dir)
 			if err != nil {
 				return err
 			}
-			if de.IsDir() {
-				name := de.Name()
-				if name == "testdata" || (strings.HasPrefix(name, ".") && p != start) {
-					return filepath.SkipDir
-				}
-				return nil
+			ip := modpath
+			if rel != "." {
+				ip = modpath + "/" + filepath.ToSlash(rel)
 			}
-			if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
-				return nil
-			}
-			dir := filepath.Dir(p)
-			u := seen[dir]
-			if u == nil {
-				rel, err := filepath.Rel(root, dir)
-				if err != nil {
-					return err
-				}
-				ip := modpath
-				if rel != "." {
-					ip = modpath + "/" + filepath.ToSlash(rel)
-				}
-				u = &loadUnit{path: ip, dir: dir}
-				seen[dir] = u
-				units = append(units, u)
-			}
-			u.names = append(u.names, filepath.Base(p))
-			return nil
-		})
-		if err != nil {
-			return nil, err
+			u = &loadUnit{path: ip, dir: dir}
+			seen[dir] = u
+			units = append(units, u)
 		}
+		u.names = append(u.names, filepath.Base(p))
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	for _, u := range units {
 		sort.Strings(u.names)
@@ -299,7 +200,6 @@ func parseUnits(fset *token.FileSet, units []*loadUnit) error {
 // one shared instance sits behind stdMu; completed module packages are
 // read from pkgs under mu.
 type parLoader struct {
-	root    string
 	modpath string
 	fset    *token.FileSet
 
@@ -421,14 +321,6 @@ func (pl *parLoader) checkAll(units []*loadUnit) error {
 
 // checkUnit type-checks one parsed unit.
 func (pl *parLoader) checkUnit(u *loadUnit) (*Package, error) {
-	for _, f := range u.files {
-		if f == nil {
-			return nil, fmt.Errorf("lint: no Go files in %s", u.dir)
-		}
-	}
-	if len(u.files) == 0 {
-		return nil, fmt.Errorf("lint: no Go files in %s", u.dir)
-	}
 	info := &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
 		Defs:       map[*ast.Ident]types.Object{},
@@ -442,29 +334,6 @@ func (pl *parLoader) checkUnit(u *loadUnit) (*Package, error) {
 		return nil, fmt.Errorf("lint: type-checking %s: %w", u.path, err)
 	}
 	return &Package{Path: u.path, Dir: u.dir, Files: u.files, Types: tpkg, Info: info}, nil
-}
-
-// LoadDir type-checks a single directory as a standalone package under the
-// given import path — the fixture loader used by the per-pass golden tests.
-// Fixture packages may import only the standard library.
-func LoadDir(dir, path string) (*Module, error) {
-	fset := token.NewFileSet()
-	l := newLoader(dir, path, fset)
-	p, err := l.check(path, dir)
-	if err != nil {
-		return nil, err
-	}
-	l.cache[path] = p
-	return l.module(dir), nil
-}
-
-func (l *loader) module(root string) *Module {
-	m := &Module{Root: root, Fset: l.fset}
-	for _, p := range l.cache {
-		m.Pkgs = append(m.Pkgs, p)
-	}
-	sort.Slice(m.Pkgs, func(i, j int) bool { return m.Pkgs[i].Path < m.Pkgs[j].Path })
-	return m
 }
 
 // modulePath reads the module declaration out of root's go.mod.

@@ -2,7 +2,6 @@ package lint
 
 import (
 	"go/ast"
-	"go/types"
 	"strings"
 )
 
@@ -12,9 +11,10 @@ import (
 // nested operators cannot deadlock and goroutine counts stay bounded under
 // a long-running server — and the sanctioned spawn sites (files carrying
 // //lint:go-allowed) must thread the cooperative-stop signal: the spawned
-// task has to observe an atomic.Bool stop flag, a channel receive, or a
-// context cancellation, directly or through a local function literal it
-// calls, so an error in any sibling task stops the whole fan-out.
+// task has to observe an atomic.Bool stop flag, a channel receive (select
+// and range-over-channel included), or a context cancellation, directly or
+// through a local function literal it calls, so an error in any sibling
+// task stops the whole fan-out.
 func passGoHygiene() *Pass {
 	return &Pass{
 		Name: "gohygiene",
@@ -85,52 +85,33 @@ func localFuncLits(body *ast.BlockStmt) map[string]*ast.FuncLit {
 	return out
 }
 
-// spawnObservesStop reports whether the spawned call's body (expanding one
-// level of local function-literal calls) observes a cooperative-stop
-// signal.
+// spawnObservesStop reports whether the spawned call's body observes a
+// cooperative-stop signal (observesStopSignal, the definition stopflow
+// uses), directly or through one level of local function-literal calls.
+// `go method()` / `go fn()` of anything but a local literal is outside the
+// horizon: sanctioned spawn sites must use the literal form.
 func spawnObservesStop(c *Context, call *ast.CallExpr, locals map[string]*ast.FuncLit) bool {
-	fl, ok := call.Fun.(*ast.FuncLit)
-	if !ok {
-		// `go method()` / `go fn()`: resolve local literals; anything else
-		// is outside the intra-procedural horizon — require the literal
-		// form at sanctioned spawn sites.
-		if id, isIdent := call.Fun.(*ast.Ident); isIdent {
-			if lit, found := locals[id.Name]; found {
-				return bodyObservesStop(c, lit.Body, locals, 1)
-			}
-		}
-		return false
-	}
-	return bodyObservesStop(c, fl.Body, locals, 1)
-}
-
-func bodyObservesStop(c *Context, body *ast.BlockStmt, locals map[string]*ast.FuncLit, depth int) bool {
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if found {
+	var body *ast.BlockStmt
+	switch fun := call.Fun.(type) {
+	case *ast.FuncLit:
+		body = fun.Body
+	case *ast.Ident:
+		lit := locals[fun.Name]
+		if lit == nil {
 			return false
 		}
-		switch x := n.(type) {
-		case *ast.UnaryExpr:
-			// <-ch: any channel receive counts as observing a signal.
-			if x.Op.String() == "<-" {
-				found = true
-			}
-		case *ast.CallExpr:
-			if sel, ok := x.Fun.(*ast.SelectorExpr); ok {
-				switch sel.Sel.Name {
-				case "Load":
-					if isAtomicBool(c.TypeOf(sel.X)) {
-						found = true
-					}
-				case "Done":
-					if isContext(c.TypeOf(sel.X)) {
-						found = true
-					}
-				}
-			}
-			if id, ok := x.Fun.(*ast.Ident); ok && depth > 0 {
-				if lit, isLocal := locals[id.Name]; isLocal && bodyObservesStop(c, lit.Body, locals, depth-1) {
+		body = lit.Body
+	default:
+		return false
+	}
+	if observesStopSignal(c.Pkg, body) {
+		return true
+	}
+	found := false
+	ast.Inspect(body, func(n ast.Node) bool {
+		if inner, ok := n.(*ast.CallExpr); ok {
+			if id, ok := inner.Fun.(*ast.Ident); ok {
+				if lit := locals[id.Name]; lit != nil && observesStopSignal(c.Pkg, lit.Body) {
 					found = true
 				}
 			}
@@ -138,24 +119,4 @@ func bodyObservesStop(c *Context, body *ast.BlockStmt, locals map[string]*ast.Fu
 		return !found
 	})
 	return found
-}
-
-// isAtomicBool reports whether t is sync/atomic.Bool.
-func isAtomicBool(t types.Type) bool {
-	n := namedType(t)
-	if n == nil {
-		return false
-	}
-	obj := n.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == "sync/atomic" && obj.Name() == "Bool"
-}
-
-// isContext reports whether t is context.Context.
-func isContext(t types.Type) bool {
-	n := namedType(t)
-	if n == nil {
-		return false
-	}
-	obj := n.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == "context" && obj.Name() == "Context"
 }

@@ -26,15 +26,13 @@ import (
 // constructor code before the value is published) carries a documented
 // //lint:ignore.
 //
-// With the interprocedural layer (Context.Interp non-nil) the analysis
-// additionally applies callee summaries at statement-level call sites:
-// a callee with a net lock effect (a helper that unlocks on the caller's
-// behalf, or locks and leaves the mutex held) updates the held set; a
-// callee that may re-acquire a mutex the caller already holds is a
-// self-deadlock; and //lint:holds obligations propagate transitively —
-// an unannotated wrapper around a holds-annotated method carries the
-// obligation to its own callers. Under RunIntra the Interp is nil and
-// the pass behaves exactly as in PR 6.
+// Across calls the analysis applies callee summaries at statement-level
+// call sites: a callee with a net lock effect (a helper that unlocks on
+// the caller's behalf, or locks and leaves the mutex held) updates the
+// held set; a callee that may re-acquire a mutex the caller already holds
+// is a self-deadlock; and //lint:holds obligations propagate transitively
+// — an unannotated wrapper around a holds-annotated method carries the
+// obligation to its own callers.
 func passLockGuard() *Pass {
 	return &Pass{
 		Name: "lockguard",
@@ -93,13 +91,11 @@ func (lg *lockGuard) checkFunc(fd *ast.FuncDecl) {
 	// Inherited obligations: a function whose summary requires a mutex at
 	// entry (because a callee does) analyzes its body with that mutex held
 	// — its own call sites carry the obligation instead.
-	if ip := lg.c.Interp; ip != nil {
-		if obj, ok := lg.c.Pkg.Info.Defs[fd.Name].(*types.Func); ok {
-			if cs := ip.SummaryOf(obj); cs != nil {
-				for _, ref := range sortedLockRefs(cs.Requires) {
-					if name := slotName(fd, ref.Slot); name != "" {
-						held[name+"."+ref.Mu] = true
-					}
+	if obj, ok := lg.c.Pkg.Info.Defs[fd.Name].(*types.Func); ok {
+		if cs := lg.c.Interp.SummaryOf(obj); cs != nil {
+			for _, ref := range sortedLockRefs(cs.Requires) {
+				if name := slotName(fd, ref.Slot); name != "" {
+					held[name+"."+ref.Mu] = true
 				}
 			}
 		}
@@ -308,19 +304,17 @@ func (lg *lockGuard) checkSelector(sel *ast.SelectorExpr, held heldSet) {
 	}
 	if m, ok := s.Obj().(*types.Func); ok {
 		// Receiver-slot obligations: the direct //lint:holds annotation
-		// plus, interprocedurally, whatever the callee's summary inherited
-		// from its own callees. The summary subsumes the annotation, so
-		// the key set deduplicates the two sources.
+		// plus whatever the callee's summary inherited from its own
+		// callees. The summary subsumes the annotation, so the key set
+		// deduplicates the two sources.
 		keys := map[string]bool{}
 		if mu, needs := lg.c.Ann.holds[m]; needs {
 			keys[exprString(sel.X)+"."+mu] = true
 		}
-		if ip := lg.c.Interp; ip != nil {
-			if cs := ip.SummaryOf(m); cs != nil {
-				for ref := range cs.Requires {
-					if ref.Slot == -1 {
-						keys[exprString(sel.X)+"."+ref.Mu] = true
-					}
+		if cs := lg.c.Interp.SummaryOf(m); cs != nil {
+			for ref := range cs.Requires {
+				if ref.Slot == -1 {
+					keys[exprString(sel.X)+"."+ref.Mu] = true
 				}
 			}
 		}
@@ -351,16 +345,12 @@ func sortedStringKeys(m map[string]bool) []string {
 // the expression's other accesses, so it is left alone (false-positive-
 // averse, like every approximation in this pass).
 func (lg *lockGuard) applyCallEffects(e ast.Expr, held heldSet) {
-	ip := lg.c.Interp
-	if ip == nil {
-		return
-	}
 	call, ok := ast.Unparen(e).(*ast.CallExpr)
 	if !ok {
 		return
 	}
 	fn := callee(lg.c.Pkg.Info, call)
-	cs := ip.SummaryOf(fn)
+	cs := lg.c.Interp.SummaryOf(fn)
 	if cs == nil {
 		return
 	}

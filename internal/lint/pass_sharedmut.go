@@ -16,15 +16,15 @@ import (
 // slices that still aliased a base table corrupted the table for every
 // other query and raced with concurrent executions of a shared plan.
 //
-// The analysis is provenance-based and, with the interprocedural layer
-// (Context.Interp non-nil), follows provenance across calls: a call whose
-// callee summary proves returns-fresh classifies as locally owned instead
-// of giving up, a callee that returns a //lint:shared field's backing
-// taints the result, a callee that passes a parameter through to its
-// result propagates the argument's provenance, and a callee that stores a
-// parameter's backing beyond the call (escapes-param) revokes the
-// caller's exclusive ownership of that argument. Under RunIntra every
-// call result is simply unknown provenance, as in PR 6.
+// The analysis is provenance-based and follows provenance across calls:
+// a call whose callee summary proves returns-fresh classifies as locally
+// owned instead of giving up, a callee that returns a //lint:shared
+// field's backing taints the result, a callee that passes a parameter
+// through to its result propagates the argument's provenance, and a
+// callee that stores a parameter's backing beyond the call (escapes-param)
+// revokes the caller's exclusive ownership of that argument. The type
+// domain and the annotations are module-wide: a package mutating another
+// package's shared-annotated values is held to the same rules.
 //
 // Within one function the analysis is flow-sensitive. A value of an
 // "ownership-tracked" type (a struct declaring a shared field, a pointer
@@ -43,10 +43,10 @@ func passSharedMut() *Pass {
 		Doc:  "in-place mutation of values that may alias shared storage",
 		Sev:  SevError,
 		Run: func(c *Context) {
-			if len(c.Ann.shared) == 0 && (c.Interp == nil || len(c.Interp.Ann.shared) == 0) {
+			if len(c.Interp.Ann.shared) == 0 {
 				return
 			}
-			sm := newSharedMut(c)
+			sm := &sharedMut{c: c, ip: c.Interp}
 			for _, file := range c.Pkg.Files {
 				ast.Inspect(file, func(n ast.Node) bool {
 					fd, ok := n.(*ast.FuncDecl)
@@ -61,90 +61,11 @@ func passSharedMut() *Pass {
 }
 
 type sharedMut struct {
-	c *Context
-	// owners is the set of named struct types declaring at least one
-	// shared field.
-	owners map[*types.Named]bool
-	// fieldTypes holds the shared fields' own (slice) types; a variable of
-	// one of these types is ownership-tracked too.
-	fieldTypes []types.Type
+	c  *Context
+	ip *Interp
 	// state maps "v" / "v.field" to freshness (true = locally owned
 	// backing, false = possibly shared). Reset per function.
 	state map[string]bool
-}
-
-func newSharedMut(c *Context) *sharedMut {
-	// With the interprocedural layer the type domain is module-wide: a
-	// package mutating another package's shared-annotated values is held
-	// to the same rules.
-	if ip := c.Interp; ip != nil {
-		return &sharedMut{c: c, owners: ip.owners, fieldTypes: ip.fieldTypes}
-	}
-	sm := &sharedMut{c: c, owners: map[*types.Named]bool{}}
-	for f := range c.Ann.shared {
-		sm.fieldTypes = append(sm.fieldTypes, f.Type())
-		// The owning struct: walk the package's named types for one whose
-		// underlying struct contains this field object.
-		scope := c.Pkg.Types.Scope()
-		for _, name := range scope.Names() {
-			tn, ok := scope.Lookup(name).(*types.TypeName)
-			if !ok {
-				continue
-			}
-			named, ok := tn.Type().(*types.Named)
-			if !ok {
-				continue
-			}
-			st, ok := named.Underlying().(*types.Struct)
-			if !ok {
-				continue
-			}
-			for i := 0; i < st.NumFields(); i++ {
-				if st.Field(i) == f {
-					sm.owners[named] = true
-				}
-			}
-		}
-	}
-	return sm
-}
-
-// tracked reports whether t is an ownership-tracked type.
-func (sm *sharedMut) tracked(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	if n := namedType(t); n != nil && sm.owners[n] {
-		return true
-	}
-	for _, ft := range sm.fieldTypes {
-		if types.Identical(t, ft) {
-			return true
-		}
-	}
-	return false
-}
-
-// isShared reports whether f carries a //lint:shared annotation, in this
-// package or (interprocedurally) anywhere in the module.
-func (sm *sharedMut) isShared(f *types.Var) bool {
-	if sm.c.Ann.shared[f] {
-		return true
-	}
-	return sm.c.Interp != nil && sm.c.Interp.Ann.shared[f]
-}
-
-// sharedField resolves a selector to a shared field object, nil otherwise.
-func (sm *sharedMut) sharedField(sel *ast.SelectorExpr) *types.Var {
-	s, ok := sm.c.Pkg.Info.Selections[sel]
-	if !ok {
-		return nil
-	}
-	f, ok := s.Obj().(*types.Var)
-	if !ok || !sm.isShared(f) {
-		return nil
-	}
-	return f
 }
 
 // checkFunc runs the state machine over one function body.
@@ -162,7 +83,7 @@ func (sm *sharedMut) checkFunc(fd *ast.FuncDecl) {
 		}
 		for _, f := range fields.List {
 			for _, name := range f.Names {
-				if sm.tracked(sm.c.TypeOf(name)) {
+				if sm.ip.trackedType(sm.c.TypeOf(name)) {
 					sm.state[name.Name] = owned[name.Name]
 				}
 			}
@@ -332,11 +253,11 @@ func (sm *sharedMut) assign(as *ast.AssignStmt) {
 		}
 		switch lhs := l.(type) {
 		case *ast.Ident:
-			if lhs.Name != "_" && sm.tracked(sm.c.TypeOf(lhs)) {
+			if lhs.Name != "_" && sm.ip.trackedType(sm.c.TypeOf(lhs)) {
 				sm.state[lhs.Name] = fresh
 			}
 		case *ast.SelectorExpr:
-			if sm.sharedField(lhs) != nil {
+			if sm.ip.sharedFieldVar(sm.c.Pkg, lhs) != nil {
 				sm.state[exprString(lhs)] = fresh
 			}
 		}
@@ -352,7 +273,7 @@ func (sm *sharedMut) decl(gd *ast.GenDecl) {
 			continue
 		}
 		for i, name := range vs.Names {
-			if name.Name == "_" || !sm.tracked(sm.c.TypeOf(name)) {
+			if name.Name == "_" || !sm.ip.trackedType(sm.c.TypeOf(name)) {
 				continue
 			}
 			fresh := true
@@ -368,7 +289,7 @@ func (sm *sharedMut) decl(gd *ast.GenDecl) {
 // collection share whatever backing the collection's producer gave them.
 func (sm *sharedMut) rangeVars(rs *ast.RangeStmt) {
 	for _, e := range []ast.Expr{rs.Key, rs.Value} {
-		if id, ok := e.(*ast.Ident); ok && id.Name != "_" && sm.tracked(sm.c.TypeOf(id)) {
+		if id, ok := e.(*ast.Ident); ok && id.Name != "_" && sm.ip.trackedType(sm.c.TypeOf(id)) {
 			sm.state[id.Name] = false
 		}
 	}
@@ -429,10 +350,7 @@ func (sm *sharedMut) checkMutatesCall(call *ast.CallExpr) {
 	if fn == nil {
 		return
 	}
-	params := sm.c.Ann.mutates[fn]
-	if len(params) == 0 && sm.c.Interp != nil {
-		params = sm.c.Interp.Ann.mutates[fn]
-	}
+	params := sm.ip.Ann.mutates[fn]
 	if len(params) == 0 {
 		return
 	}
@@ -467,7 +385,7 @@ func (sm *sharedMut) ownedArg(arg ast.Expr) bool {
 		return true
 	}
 	n := namedType(sm.c.TypeOf(arg))
-	if n == nil || !sm.owners[n] {
+	if n == nil || !sm.ip.owners[n] {
 		return false
 	}
 	st, ok := n.Underlying().(*types.Struct)
@@ -479,7 +397,7 @@ func (sm *sharedMut) ownedArg(arg ast.Expr) bool {
 	anyShared := false
 	for i := 0; i < st.NumFields(); i++ {
 		f := st.Field(i)
-		if !sm.isShared(f) {
+		if !sm.ip.shared(f) {
 			continue
 		}
 		anyShared = true
@@ -500,7 +418,7 @@ func (sm *sharedMut) taintedExpr(e ast.Expr) bool {
 		fresh, ok := sm.state[x.Name]
 		return ok && !fresh
 	case *ast.SelectorExpr:
-		if sm.sharedField(x) == nil {
+		if sm.ip.sharedFieldVar(sm.c.Pkg, x) == nil {
 			return false
 		}
 		if fresh, ok := sm.state[exprString(x)]; ok {
@@ -530,13 +448,10 @@ func (sm *sharedMut) taintedExpr(e ast.Expr) bool {
 	return false
 }
 
-// calleeSummary resolves a call's static callee summary (nil without the
-// interprocedural layer).
+// calleeSummary resolves a call's static callee summary (nil when the
+// callee has no body in the module).
 func (sm *sharedMut) calleeSummary(call *ast.CallExpr) *Summary {
-	if sm.c.Interp == nil {
-		return nil
-	}
-	return sm.c.Interp.SummaryOf(callee(sm.c.Pkg.Info, call))
+	return sm.ip.SummaryOf(callee(sm.c.Pkg.Info, call))
 }
 
 // classify computes the freshness of an expression: true means the backing
@@ -589,7 +504,7 @@ func (sm *sharedMut) classify(e ast.Expr) bool {
 	case *ast.CompositeLit:
 		t := sm.c.TypeOf(x)
 		n := namedType(t)
-		if n == nil || !sm.owners[n] {
+		if n == nil || !sm.ip.owners[n] {
 			// Slice/map/plain literals own their backing.
 			return true
 		}
@@ -613,14 +528,14 @@ func (sm *sharedMut) classify(e ast.Expr) bool {
 			}
 			for i := 0; i < st.NumFields(); i++ {
 				f := st.Field(i)
-				if sm.isShared(f) && f.Name() == key.Name && !sm.classify(kv.Value) {
+				if sm.ip.shared(f) && f.Name() == key.Name && !sm.classify(kv.Value) {
 					return false
 				}
 			}
 		}
 		return true
 	case *ast.SelectorExpr:
-		if sm.sharedField(x) != nil {
+		if sm.ip.sharedFieldVar(sm.c.Pkg, x) != nil {
 			if fresh, ok := sm.state[exprString(x)]; ok {
 				return fresh
 			}

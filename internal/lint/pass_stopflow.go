@@ -14,9 +14,8 @@ import (
 // (atomic.Bool Load, channel receive, context.Done) can pin a worker after
 // the query is abandoned. The pass resolves the task argument of every
 // pool submission, follows the call graph from it, and reports the spin
-// loops the summaries recorded along the way. Interprocedural by nature:
-// without summaries (RunIntra) it checks only loops written directly in
-// the task literal.
+// loops the summaries recorded along the way, plus the loops written
+// directly in a task literal.
 func passStopFlow() *Pass {
 	p := &Pass{
 		Name: "stopflow",
@@ -25,7 +24,7 @@ func passStopFlow() *Pass {
 	}
 	p.Run = func(c *Context) {
 		seen := map[string]bool{}
-		reportSpin := func(pkg *Package, pos ast.Node, via string) {
+		reportSpin := func(pos ast.Node, via string) {
 			key := c.Fset.Position(pos.Pos()).String()
 			if seen[key] {
 				return
@@ -51,14 +50,14 @@ func passStopFlow() *Pass {
 				case *ast.FuncLit:
 					// Loops written in the literal itself.
 					for _, loop := range spinLoopsIn(c.Pkg, t.Body) {
-						reportSpin(c.Pkg, loop, "")
+						reportSpin(loop, "")
 					}
 					// Loops in module functions the literal references.
 					for _, root := range referencedFuncs(c, t.Body) {
 						reportReachableSpins(c, root, reportSpin)
 					}
 				default:
-					if fn, _ := taskExprFunc(c, t); fn != nil {
+					if fn := taskExprFunc(c, t); fn != nil {
 						reportReachableSpins(c, fn, reportSpin)
 					}
 				}
@@ -93,10 +92,7 @@ func poolTaskArg(c *Context, call *ast.CallExpr) ast.Expr {
 
 // taskExprFunc resolves a task expression (identifier, selector, or method
 // value) to a declared module function.
-func taskExprFunc(c *Context, e ast.Expr) (*FuncNode, string) {
-	if c.Interp == nil {
-		return nil, ""
-	}
+func taskExprFunc(c *Context, e ast.Expr) *FuncNode {
 	var obj types.Object
 	switch x := ast.Unparen(e).(type) {
 	case *ast.Ident:
@@ -104,22 +100,13 @@ func taskExprFunc(c *Context, e ast.Expr) (*FuncNode, string) {
 	case *ast.SelectorExpr:
 		obj = c.Pkg.Info.Uses[x.Sel]
 	}
-	fn, ok := obj.(*types.Func)
-	if !ok {
-		return nil, ""
-	}
-	if n := c.Interp.Graph.Lookup(fn); n != nil {
-		return n, fn.Name()
-	}
-	return nil, ""
+	fn, _ := obj.(*types.Func)
+	return c.Interp.Graph.Lookup(fn)
 }
 
 // referencedFuncs lists the module functions a task body references, in
 // first-use order.
 func referencedFuncs(c *Context, body ast.Node) []*FuncNode {
-	if c.Interp == nil {
-		return nil
-	}
 	var out []*FuncNode
 	dup := map[*FuncNode]bool{}
 	ast.Inspect(body, func(node ast.Node) bool {
@@ -142,10 +129,7 @@ func referencedFuncs(c *Context, body ast.Node) []*FuncNode {
 
 // reportReachableSpins reports every spin loop recorded in the summaries
 // of the closure reachable from root.
-func reportReachableSpins(c *Context, root *FuncNode, report func(*Package, ast.Node, string)) {
-	if c.Interp == nil {
-		return
-	}
+func reportReachableSpins(c *Context, root *FuncNode, report func(ast.Node, string)) {
 	reach := c.Interp.Graph.Reachable([]*FuncNode{root})
 	var nodes []*FuncNode
 	for n := range reach {
@@ -164,7 +148,7 @@ func reportReachableSpins(c *Context, root *FuncNode, report func(*Package, ast.
 			} else if root.Fn != nil {
 				via = root.Fn.Name()
 			}
-			report(n.Pkg, posSpan{pos}, via)
+			report(posSpan{pos}, via)
 		}
 	}
 }
@@ -174,28 +158,3 @@ type posSpan struct{ pos token.Pos }
 
 func (s posSpan) Pos() token.Pos { return s.pos }
 func (s posSpan) End() token.Pos { return s.pos }
-
-// spinLoopsIn collects the spin-suspect loops of one body, for the
-// intra-procedural (literal-only) part of the check.
-func spinLoopsIn(pkg *Package, body *ast.BlockStmt) []*ast.ForStmt {
-	var out []*ast.ForStmt
-	ast.Inspect(body, func(node ast.Node) bool {
-		loop, ok := node.(*ast.ForStmt)
-		if !ok {
-			return true
-		}
-		if loop.Cond == nil && loop.Init == nil && loop.Post == nil {
-			if !observesStopSignal(pkg, loop.Body) {
-				out = append(out, loop)
-			}
-			return true
-		}
-		if loop.Cond != nil && loop.Init == nil && loop.Post == nil {
-			if !condCanProgress(pkg, loop) && !observesStopSignal(pkg, loop.Body) {
-				out = append(out, loop)
-			}
-		}
-		return true
-	})
-	return out
-}

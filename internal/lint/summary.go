@@ -10,13 +10,13 @@ import (
 // each function is analyzed once, bottom-up over the call graph's SCC
 // condensation, and the facts a caller needs about a callee — what locks it
 // takes or drops, whether its results carry owned or shared backing,
-// whether it allocates on every call, whether its loops observe the
-// cooperative-stop signal — are available at every call site without
-// re-walking the callee. The lattice is deliberately shallow: every fact
-// defaults to "unknown", unknown facts never produce diagnostics, and a
-// fact is only asserted when the body proves it. Recursive cycles are
-// summarized with their members' defaults (a cycle member sees its peers as
-// unknown), which loses precision inside the cycle but stays sound for the
+// which of its loops may spin without observing the cooperative-stop
+// signal — are available at every call site without re-walking the
+// callee. The lattice is deliberately shallow: every fact defaults to
+// "unknown", unknown facts never produce diagnostics, and a fact is only
+// asserted when the body proves it. Recursive cycles are summarized with
+// their members' defaults (a cycle member sees its peers as unknown),
+// which loses precision inside the cycle but stays sound for the
 // false-positive-averse passes consuming the facts.
 
 // lockRef names a mutex relative to a function's signature: Slot -1 is the
@@ -61,15 +61,6 @@ type Summary struct {
 	// callee that does the same.
 	EscapesParam []bool
 
-	// Allocates reports a direct per-call heap allocation in the body
-	// (make, new, composite literal, closure, fmt formatting); AllocKind
-	// is the dominant kind for reporting.
-	Allocates bool
-	AllocKind string
-
-	// ObservesStop reports that the body observes a cooperative-stop
-	// signal: an atomic.Bool Load, a channel receive, or context.Done.
-	ObservesStop bool
 	// SpinLoops are loops that may iterate unboundedly without observing a
 	// stop signal: condition-less for-loops, and condition-only loops
 	// whose condition no body statement can change.
@@ -111,9 +102,7 @@ func mergeAnnotations(anns []*annotations) *interpAnn {
 
 // Interp is the module-wide interprocedural context handed to every pass:
 // call graph, summaries, merged annotations, and the shared-ownership type
-// domain. A nil Interp on the pass context reverts each pass to its
-// intra-procedural behavior (the PR 6 engine), which the regression tests
-// use to prove what the old engine missed.
+// domain.
 type Interp struct {
 	Mod       *Module
 	Graph     *CallGraph
@@ -122,16 +111,11 @@ type Interp struct {
 
 	owners     map[*types.Named]bool
 	fieldTypes []types.Type
-	declIx     *declIndex
-	hot        []HotEntry
 }
 
 // SummaryOf returns the callee's summary (nil for functions without a body
 // in the module).
 func (ip *Interp) SummaryOf(fn *types.Func) *Summary {
-	if ip == nil || fn == nil {
-		return nil
-	}
 	return ip.Summaries[fn]
 }
 
@@ -178,7 +162,6 @@ func buildInterp(mod *Module, anns []*annotations, g *CallGraph) *Interp {
 		Summaries: map[*types.Func]*Summary{},
 	}
 	ip.owners, ip.fieldTypes = buildOwnership(ip.Ann.shared, mod.Pkgs)
-	ip.declIx = newDeclIndex(g)
 	for _, n := range g.BottomUp {
 		ip.Summaries[n.Fn] = ip.summarize(n)
 	}
@@ -234,7 +217,6 @@ func (ip *Interp) summarize(n *FuncNode) *Summary {
 
 	ip.lockFacts(n, s, slots)
 	ip.ownershipFacts(n, s, sig, slots)
-	ip.allocFacts(n, s)
 	ip.stopFacts(n, s)
 	return s
 }
@@ -738,94 +720,39 @@ func forEachAssign(n *FuncNode, obj *types.Var, fn func(rhs ast.Expr)) {
 	})
 }
 
-// allocFacts records whether the body allocates directly on a call.
-func (ip *Interp) allocFacts(n *FuncNode, s *Summary) {
-	ast.Inspect(n.Decl.Body, func(node ast.Node) bool {
-		if s.Allocates {
-			return false
-		}
-		// append is excluded here: appending into preallocated storage is
-		// the standard non-allocating pattern, and the hot-path walker
-		// judges appends in place with capacity evidence.
-		if kind, ok := allocSiteKind(n.Pkg, node); ok && kind != "append" {
-			s.Allocates, s.AllocKind = true, kind
-		}
-		return true
-	})
-}
-
-// allocSiteKind classifies one AST node as a direct heap-allocation site.
-func allocSiteKind(pkg *Package, node ast.Node) (string, bool) {
-	switch x := node.(type) {
-	case *ast.CompositeLit:
-		return "composite", true
-	case *ast.FuncLit:
-		return "closure", true
-	case *ast.CallExpr:
-		if id, ok := x.Fun.(*ast.Ident); ok {
-			switch id.Name {
-			case "make", "new":
-				return "make", true
-			case "append":
-				return "append", true
-			}
-		}
-		if name, ok := isPkgFunc2(pkg, x, "fmt", "Sprintf", "Sprint", "Sprintln", "Errorf", "Appendf"); ok {
-			return "fmt." + name, true
-		}
-	}
-	return "", false
-}
-
-// isPkgFunc2 is isPkgFunc over a package instead of a pass context.
-func isPkgFunc2(pkg *Package, call *ast.CallExpr, pkgPath string, names ...string) (string, bool) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return "", false
-	}
-	fn, ok := pkg.Info.Uses[sel.Sel].(*types.Func)
-	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != pkgPath {
-		return "", false
-	}
-	for _, n := range names {
-		if fn.Name() == n {
-			return n, true
-		}
-	}
-	return "", false
-}
-
-// stopFacts records stop-signal observation and spin-suspect loops.
+// stopFacts records the spin-suspect loops of the body.
 func (ip *Interp) stopFacts(n *FuncNode, s *Summary) {
-	pkg := n.Pkg
-	s.ObservesStop = observesStopSignal(pkg, n.Decl.Body)
-	ast.Inspect(n.Decl.Body, func(node ast.Node) bool {
+	for _, loop := range spinLoopsIn(n.Pkg, n.Decl.Body) {
+		s.SpinLoops = append(s.SpinLoops, loop.Pos())
+	}
+}
+
+// spinLoopsIn collects the loops of a body that may iterate unboundedly
+// without observing a stop signal.
+func spinLoopsIn(pkg *Package, body *ast.BlockStmt) []*ast.ForStmt {
+	var out []*ast.ForStmt
+	ast.Inspect(body, func(node ast.Node) bool {
 		loop, ok := node.(*ast.ForStmt)
-		if !ok {
+		if !ok || loop.Init != nil || loop.Post != nil {
 			return true
 		}
-		if loop.Cond == nil && loop.Init == nil && loop.Post == nil {
-			// `for { ... }`: unbounded by construction.
-			if !observesStopSignal(pkg, loop.Body) {
-				s.SpinLoops = append(s.SpinLoops, loop.Pos())
-			}
+		// `for { ... }` is unbounded by construction; `for cond { ... }`
+		// spins when nothing in the body can change the condition.
+		if loop.Cond != nil && condCanProgress(pkg, loop) {
 			return true
 		}
-		if loop.Cond != nil && loop.Init == nil && loop.Post == nil {
-			// `for cond { ... }`: a spin when nothing in the body can
-			// change the condition and the body observes no signal.
-			if condCanProgress(pkg, loop) || observesStopSignal(pkg, loop.Body) {
-				return true
-			}
-			s.SpinLoops = append(s.SpinLoops, loop.Pos())
+		if !observesStopSignal(pkg, loop.Body) {
+			out = append(out, loop)
 		}
 		return true
 	})
+	return out
 }
 
 // observesStopSignal reports whether the node observes a cooperative-stop
 // signal: atomic.Bool Load, channel receive (including select and
-// range-over-channel), or context.Done.
+// range-over-channel), or context.Done / context.Err. stopflow's spin
+// loops and gohygiene's spawn check share this one definition.
 func observesStopSignal(pkg *Package, root ast.Node) bool {
 	found := false
 	ast.Inspect(root, func(node ast.Node) bool {
@@ -862,6 +789,26 @@ func observesStopSignal(pkg *Package, root ast.Node) bool {
 		return !found
 	})
 	return found
+}
+
+// isAtomicBool reports whether t is sync/atomic.Bool.
+func isAtomicBool(t types.Type) bool {
+	n := namedType(t)
+	if n == nil {
+		return false
+	}
+	obj := n.Obj()
+	return obj.Pkg() != nil && obj.Pkg().Path() == "sync/atomic" && obj.Name() == "Bool"
+}
+
+// isContext reports whether t is context.Context.
+func isContext(t types.Type) bool {
+	n := namedType(t)
+	if n == nil {
+		return false
+	}
+	obj := n.Obj()
+	return obj.Pkg() != nil && obj.Pkg().Path() == "context" && obj.Name() == "Context"
 }
 
 // condCanProgress reports whether a condition-only for loop's condition

@@ -27,3 +27,13 @@ func fanOutDeaf(task func()) {
 		task()
 	}()
 }
+
+// fanOutRange is the range-over-channel near-miss: the task runs once per
+// value received on done and stops when its owner closes the channel.
+func fanOutRange(done <-chan struct{}, task func()) {
+	go func() {
+		for range done {
+			task()
+		}
+	}()
+}

@@ -1,7 +1,8 @@
 // Package interp is the summary-layer unit fixture: each function
 // isolates one interprocedural fact the bottom-up summaries must derive.
-// It is consumed by the callgraph and summary unit tests, not by a golden
-// fixture run.
+// It is consumed by the callgraph and summary unit tests and by a sharedmut
+// golden run: tpDemo is the seeded violation, fpDemo the near-miss that
+// only a callee summary clears.
 package interp
 
 import "sync"
@@ -55,9 +56,9 @@ var published []int
 // publish stores its parameter beyond the call.
 func publish(xs []int) { published = xs }
 
-// fpDemo looks like a violation to the intra-procedural engine (a call
-// result has unknown provenance) but copyOut's summary proves the
-// backing locally owned.
+// fpDemo looks like a violation to a per-function analysis (a call result
+// has unknown provenance) but copyOut's summary proves the backing locally
+// owned.
 func fpDemo(r *rel) []int {
 	out := r.copyOut()
 	out = append(out, 1)
@@ -77,4 +78,12 @@ func odd(n int) bool {
 		return false
 	}
 	return even(n - 1)
+}
+
+// tpDemo is fpDemo with handOut in place of copyOut: the summary proves the
+// result aliases the shared rows, so the append may write into them.
+func tpDemo(r *rel) []int {
+	aliased := r.handOut()
+	aliased = append(aliased, 1)
+	return aliased
 }

@@ -1,7 +1,7 @@
 // Package lockguardinterp is the interprocedural lock-discipline fixture:
-// every seeded violation here crosses a function boundary, so the
-// intra-procedural engine (RunIntra) provably reports nothing on this
-// package while the summary-driven engine catches both.
+// every seeded violation here crosses a function boundary, so a
+// per-function analysis sees nothing wrong in this package while the
+// summary-driven engine catches both.
 package lockguardinterp
 
 import "sync"

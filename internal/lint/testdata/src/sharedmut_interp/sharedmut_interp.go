@@ -1,7 +1,7 @@
 // Package sharedmutinterp is the interprocedural ownership fixture: the
 // shared backing leaks through a call (snapshot's returns-shared summary),
-// so the intra-procedural engine — which treats every call result used
-// in place as unknown provenance — reports nothing on this package.
+// so a per-function analysis — which treats every call result used in
+// place as unknown provenance — sees nothing wrong in this package.
 package sharedmutinterp
 
 import "sort"

@@ -56,8 +56,8 @@ func main() {
 	default:
 		fmt.Print(res.Report.String())
 		cs := res.Constraints.Stats()
-		fmt.Printf("constraints: %d tables, %d keys, %d not-null columns, %d exact terms\n",
-			cs.Tables, cs.Keys, cs.NotNullColumns, cs.ExactTerms)
+		fmt.Printf("constraints: %d tables, %d keys, %d not-null columns\n",
+			cs.Tables, cs.Keys, cs.NotNullColumns)
 	}
 
 	if res.Report.HasErrors() || (*strict && res.Report.Count(analyze.SevWarning) > 0) {

@@ -40,7 +40,7 @@ func Run(in Input) *Analysis {
 	rep.sortDiagnostics()
 	return &Analysis{
 		Report:      rep,
-		Constraints: DeriveConstraints(in.Mapping, in.Ontology, in.DB),
+		Constraints: DeriveConstraints(in.DB),
 	}
 }
 
@@ -414,7 +414,7 @@ func checkRedundancy(in Input, rep *Report) {
 				continue
 			}
 			for _, b := range sub {
-				if b.subsumes(a) && !(b.mapName == a.mapName && subTerm == term) {
+				if b.subsumes(a) {
 					seen[k] = true
 					rep.add(Diagnostic{Code: CodeRedundantAssertion, Severity: SevInfo,
 						Mapping: a.mapName, Term: term,
@@ -460,4 +460,42 @@ func checkRedundancy(in Input, rep *Report) {
 			flag(prop, sub, direct, shapes[sub])
 		}
 	}
+}
+
+// shape is one mapping assertion as checkRedundancy compares it: its
+// source's conjunct set (r2rml.TriplesMap.SourceShape), grouped by base
+// table and subject/object term maps.
+type shape struct {
+	set     sqldb.ConjunctSet
+	mapName string
+}
+
+// subsumes reports that a's rows are a superset of b's, so the assertion b
+// derives is contained in a's.
+func (a shape) subsumes(b shape) bool {
+	return !sqldb.Subsume([]sqldb.ConjunctSet{a.set, b.set})[1]
+}
+
+// assertionShapes indexes every mapping assertion whose source reduces to
+// one base table by asserted term.
+func assertionShapes(mp *r2rml.Mapping) map[string][]shape {
+	out := map[string][]shape{}
+	for _, m := range mp.Maps {
+		table, conjs, ok := m.SourceShape()
+		if !ok {
+			continue
+		}
+		subj := m.Subject.String()
+		add := func(term, obj string) {
+			out[term] = append(out[term], shape{mapName: m.Name, set: sqldb.ConjunctSet{
+				Group: strings.Join([]string{table, subj, obj}, "\x00"), Conjs: conjs}})
+		}
+		for _, cls := range m.Classes {
+			add(cls, "")
+		}
+		for _, po := range m.POs {
+			add(po.Predicate, po.Object.String())
+		}
+	}
+	return out
 }

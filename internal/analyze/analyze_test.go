@@ -195,7 +195,7 @@ func TestUnsupportedJoinDetection(t *testing.T) {
 
 func TestConstraints(t *testing.T) {
 	db := fixtureDB(t)
-	cons := DeriveConstraints(fixtureMapping(), fixtureOnto(), db)
+	cons := DeriveConstraints(db)
 
 	if !cons.KeyCoveredBy("person", []string{"id", "name"}) {
 		t.Error("PK {id} should be covered by {id,name}")
@@ -216,15 +216,6 @@ func TestConstraints(t *testing.T) {
 		t.Error("name is nullable")
 	}
 
-	// Person's direct assertion covers Employee's (same shape), so Person
-	// is exact; Ghost has no mapping at all.
-	if !cons.IsExact(ex + "Person") {
-		t.Errorf("Person should be exact; exact terms: %v", cons.ExactTerms())
-	}
-	if cons.IsExact(ex + "Ghost") {
-		t.Error("Ghost has no direct mapping, cannot be exact")
-	}
-
 	st := cons.Stats()
 	if st.Tables != 2 || st.Keys != 3 || st.NotNullColumns == 0 {
 		t.Errorf("unexpected stats: %+v", st)
@@ -232,7 +223,7 @@ func TestConstraints(t *testing.T) {
 
 	// nil constraints constrain nothing.
 	var nilCons *Constraints
-	if nilCons.KeyCoveredBy("person", []string{"id"}) || nilCons.IsNotNull("person", "id") || nilCons.IsExact(ex+"Person") {
+	if nilCons.KeyCoveredBy("person", []string{"id"}) || nilCons.IsNotNull("person", "id") {
 		t.Error("nil Constraints must be inert")
 	}
 }

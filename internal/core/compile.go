@@ -204,7 +204,7 @@ func (e *Engine) compileBGP(bgp *sparql.BGP, push []unfold.PushFilter, st *Phase
 
 	unSpan := spawn("unfold")
 	unStart := obs.Now()
-	un, err := unfold.UnfoldOpts(ucq, e.mapping, push, unfold.Opts{Cons: e.cons, StaticPrune: e.opts.StaticPrune})
+	un, err := unfold.Unfold(ucq, e.mapping, push, unfold.Opts{Cons: e.cons, StaticPrune: e.opts.StaticPrune})
 	if err != nil {
 		unSpan.End()
 		return nil, err

@@ -71,7 +71,7 @@ func (e *Engine) CheckConsistency(maxWitnesses int) (*ConsistencyReport, error) 
 		if err != nil {
 			return nil, err
 		}
-		un, err := unfold.UnfoldWith(res.UCQ, e.mapping, nil, e.cons)
+		un, err := unfold.Unfold(res.UCQ, e.mapping, nil, unfold.Opts{Cons: e.cons})
 		if err != nil {
 			return nil, err
 		}
@@ -117,7 +117,7 @@ func (e *Engine) CheckConsistency(maxWitnesses int) (*ConsistencyReport, error) 
 		if err != nil {
 			return nil, err
 		}
-		un, err := unfold.UnfoldWith(res.UCQ, e.mapping, nil, e.cons)
+		un, err := unfold.Unfold(res.UCQ, e.mapping, nil, unfold.Opts{Cons: e.cons})
 		if err != nil {
 			return nil, err
 		}

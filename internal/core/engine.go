@@ -60,8 +60,8 @@ type Options struct {
 	Existential bool
 	// MaxCQs bounds the rewriting size (0 = default).
 	MaxCQs int
-	// Constraints derives database constraints (keys, NOT NULL, exact
-	// predicates) via the static analyzer at load time and applies the
+	// Constraints derives database constraints (keys, NOT NULL, value
+	// classes) via the static analyzer at load time and applies the
 	// constraint-driven unfolding optimizations: key-based self-join
 	// elimination, NULL-guard elision, subsumed-arm elimination.
 	Constraints bool
@@ -222,7 +222,7 @@ func NewEngine(spec Spec, opts Options) (*Engine, error) {
 		e.mapping = spec.Mapping
 	}
 	if opts.Constraints {
-		e.cons = analyze.DeriveConstraints(spec.Mapping, spec.Onto, spec.DB)
+		e.cons = analyze.DeriveConstraints(spec.DB)
 	}
 	e.load.SaturatedAssertions = e.mapping.AssertionCount()
 	e.verifier = &planck.Verifier{Onto: spec.Onto, Cons: e.cons, DB: spec.DB}
@@ -271,8 +271,7 @@ func (e *Engine) InvalidatePlans() {
 }
 
 // SetMapping replaces the engine's R2RML mapping, re-running the starting
-// phase work that depends on it (T-mapping saturation, constraint
-// derivation) and invalidating the plan cache once. Reconfiguration is not
+// phase work that depends on it (T-mapping saturation) and invalidating the plan cache once. Reconfiguration is not
 // synchronized with in-flight queries; callers must quiesce query traffic
 // first, exactly as for swapping the engine itself.
 func (e *Engine) SetMapping(mp *r2rml.Mapping) {
@@ -282,10 +281,6 @@ func (e *Engine) SetMapping(mp *r2rml.Mapping) {
 	} else {
 		e.mapping = mp
 	}
-	if e.opts.Constraints {
-		e.cons = analyze.DeriveConstraints(mp, e.spec.Onto, e.spec.DB)
-	}
-	e.verifier = &planck.Verifier{Onto: e.spec.Onto, Cons: e.cons, DB: e.spec.DB}
 	e.InvalidatePlans()
 }
 

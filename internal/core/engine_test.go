@@ -190,6 +190,63 @@ func TestEngineHierarchyViaUCQExpansion(t *testing.T) {
 	}
 }
 
+func TestTMappingsKeepRenamedColumns(t *testing.T) {
+	// Two assertions of :label over table T: the second's WHERE is a
+	// superset of the first's, but {v} reads column a in one and column b
+	// in the other, so T-mapping optimization must keep both.
+	db := sqldb.NewDatabase("alias")
+	if _, err := db.CreateTable(&sqldb.TableDef{Name: "T", Columns: []sqldb.Column{
+		{Name: "id", Type: sqldb.TInt, NotNull: true},
+		{Name: "a", Type: sqldb.TText},
+		{Name: "b", Type: sqldb.TText},
+		{Name: "kind", Type: sqldb.TText},
+	}, PrimaryKey: []int{0}}); err != nil {
+		t.Fatal(err)
+	}
+	row := sqldb.Row{sqldb.NewInt(1), sqldb.NewString("x"), sqldb.NewString("y"), sqldb.NewString("K")}
+	if err := db.Insert("T", row); err != nil {
+		t.Fatal(err)
+	}
+	onto := owl.New(exNS + "onto")
+	onto.DeclareDataProperty(exNS + "label")
+	mapping := r2rml.MustParseMapping(`
+[PrefixDeclaration]
+:  http://example.org/
+
+[MappingDeclaration]
+mappingId plain
+target    :t/{id} :label {v} .
+source    SELECT id, a AS v FROM T
+
+mappingId kinded
+target    :t/{id} :label {v} .
+source    SELECT id, b AS v FROM T WHERE kind = 'K'
+`)
+	prefixes := rdf.StandardPrefixes()
+	prefixes[""] = exNS
+	spec := Spec{Onto: onto, Mapping: mapping, DB: db, Prefixes: prefixes}
+	answers := map[bool]string{}
+	for _, tm := range []bool{true, false} {
+		opts := DefaultOptions()
+		opts.TMappings = tm
+		e, err := NewEngine(spec, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ans, err := e.Query(`SELECT ?x ?v WHERE { ?x :label ?v }`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ans.Len() != 2 {
+			t.Errorf("TMappings=%v: got %d rows, want 2\n%s", tm, ans.Len(), ans.ResultSet)
+		}
+		answers[tm] = canonical(ans)
+	}
+	if answers[true] != answers[false] {
+		t.Fatalf("T-mappings change the answer:\non:\n%s\noff:\n%s", answers[true], answers[false])
+	}
+}
+
 func TestEngineJoinQuery(t *testing.T) {
 	e, err := NewEngine(exampleSpec(t), DefaultOptions())
 	if err != nil {

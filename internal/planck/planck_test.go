@@ -6,7 +6,6 @@ import (
 
 	"npdbench/internal/analyze"
 	"npdbench/internal/owl"
-	"npdbench/internal/r2rml"
 	"npdbench/internal/rdf"
 	"npdbench/internal/rewrite"
 	"npdbench/internal/sqldb"
@@ -347,7 +346,7 @@ func TestCheckSQLGuardElisionNeedsConstraints(t *testing.T) {
 	if err := noCons.CheckSQL("test", stmt, []string{"x"}); err == nil {
 		t.Fatal("guard elision accepted without a constraints artifact")
 	}
-	withCons := &Verifier{DB: db, Cons: analyze.DeriveConstraints(&r2rml.Mapping{}, owl.New(ns+"o2"), db)}
+	withCons := &Verifier{DB: db, Cons: analyze.DeriveConstraints(db)}
 	if err := withCons.CheckSQL("test", stmt, []string{"x"}); err != nil {
 		t.Fatalf("catalog-proven elision rejected: %v", err)
 	}
@@ -355,7 +354,7 @@ func TestCheckSQLGuardElisionNeedsConstraints(t *testing.T) {
 
 func TestCheckSQLSeesThroughDerivedTables(t *testing.T) {
 	db, _, _ := sqlFixture(t)
-	v := &Verifier{DB: db, Cons: analyze.DeriveConstraints(&r2rml.Mapping{}, owl.New(ns+"o2"), db)}
+	v := &Verifier{DB: db, Cons: analyze.DeriveConstraints(db)}
 	// The derived table projects plain columns of a single base table, so
 	// the catalog NOT NULL proof for id flows through the view.
 	stmt, err := sqldb.Parse(`SELECT t1.id AS v_x, 0 AS v_x_t, '' AS v_x_dt

@@ -224,6 +224,22 @@ func (m *TriplesMap) BaseTable() (table string, where sqldb.Expr, ok bool) {
 	return m.baseTable, stmt.Where, true
 }
 
+// SourceShape is the form in which sources are compared for containment
+// (sqldb.Subsume): the lower-cased base table and the set of the WHERE
+// conjuncts rendered without qualifiers. ok=false when BaseTable does not
+// reduce the source.
+func (m *TriplesMap) SourceShape() (table string, conjs map[string]bool, ok bool) {
+	table, where, ok := m.BaseTable()
+	if !ok {
+		return "", nil, false
+	}
+	conjs = map[string]bool{}
+	for _, cj := range sqldb.Conjuncts(where) {
+		conjs[sqldb.QualifyColumns(cj, "").String()] = true
+	}
+	return strings.ToLower(table), conjs, true
+}
+
 // plainBaseTable implements the reduction behind BaseTable; "" when the
 // statement is not a plain projection of one base table.
 func plainBaseTable(stmt *sqldb.SelectStmt) string {

@@ -201,16 +201,6 @@ func (t *Template) Match(s string) (map[string]string, bool) {
 	return vals, true
 }
 
-// CompatiblePrefix reports whether a string could possibly be produced by
-// the template (used by the unfolder to prune mapping branches cheaply
-// before full unification).
-func (t *Template) CompatiblePrefix(s string) bool {
-	if len(t.parts) == 0 {
-		return s == ""
-	}
-	return strings.HasPrefix(s, t.parts[0])
-}
-
 // ValueClass is the set of strings a template placeholder can expand to.
 type ValueClass uint8
 

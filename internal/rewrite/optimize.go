@@ -1,7 +1,6 @@
 package rewrite
 
 import (
-	"sort"
 	"strings"
 
 	"npdbench/internal/r2rml"
@@ -19,123 +18,47 @@ import (
 // and every class atom in a query multiplies into dozens of redundant
 // union arms.
 //
-// The containment test is deliberately conservative: only single-table
-// sources are compared, and containment is syntactic conjunct-set
-// inclusion (the unrestricted source is the empty-set special case;
-// equal conjunct sets collapse to one assertion).
+// The containment test is deliberately conservative: only sources that
+// are plain projections of one base table compare
+// (r2rml.TriplesMap.SourceShape), and containment is syntactic
+// conjunct-set inclusion (sqldb.Subsume; the unrestricted source is the
+// empty-set special case, equal conjunct sets collapse to one assertion).
+// A source that renames or computes a column is never compared: the same
+// term map over it reads different values than over its base table.
 func OptimizeMapping(mp *r2rml.Mapping) *r2rml.Mapping {
-	type srcShape struct {
-		simple bool
-		table  string
-		conjs  map[string]bool
-	}
-	shapeOf := func(m *r2rml.TriplesMap) srcShape {
-		if m.Table != "" {
-			return srcShape{simple: true, table: strings.ToLower(m.Table), conjs: map[string]bool{}}
-		}
-		stmt, err := m.LogicalSQL()
-		if err != nil || stmt.Union != nil || len(stmt.GroupBy) > 0 ||
-			stmt.Limit >= 0 || stmt.Distinct || len(stmt.From) != 1 {
-			return srcShape{}
-		}
-		bt, ok := stmt.From[0].(*sqldb.BaseTable)
-		if !ok {
-			return srcShape{}
-		}
-		conjs := map[string]bool{}
-		for _, cj := range sqldb.Conjuncts(stmt.Where) {
-			conjs[sqldb.QualifyColumns(cj, "").String()] = true
-		}
-		return srcShape{simple: true, table: strings.ToLower(bt.Name), conjs: conjs}
-	}
-	subset := func(a, b map[string]bool) bool {
-		for k := range a {
-			if !b[k] {
-				return false
-			}
-		}
-		return true
-	}
-
 	// assertion identifies one class or PO assertion inside the mapping.
 	type assertion struct {
 		mapIdx int
 		isPO   bool
 		idx    int // index into Classes or POs
-		shape  srcShape
-		subj   string
-		obj    string
 	}
-	byTerm := make(map[string][]assertion)
+	var asserts []assertion
+	var sets []sqldb.ConjunctSet
 	for mi, m := range mp.Maps {
-		sh := shapeOf(m)
+		table, conjs, ok := m.SourceShape()
+		if !ok {
+			continue
+		}
+		subj := m.Subject.String()
+		add := func(a assertion, term, obj string) {
+			asserts = append(asserts, a)
+			sets = append(sets, sqldb.ConjunctSet{
+				Group: strings.Join([]string{term, table, subj, obj}, "\x00"), Conjs: conjs})
+		}
 		for ci, c := range m.Classes {
-			byTerm[c] = append(byTerm[c], assertion{mapIdx: mi, idx: ci, shape: sh, subj: m.Subject.String()})
+			add(assertion{mapIdx: mi, idx: ci}, c, "")
 		}
 		for pi, po := range m.POs {
-			byTerm[po.Predicate] = append(byTerm[po.Predicate], assertion{
-				mapIdx: mi, isPO: true, idx: pi, shape: sh,
-				subj: m.Subject.String(), obj: po.Object.String(),
-			})
+			add(assertion{mapIdx: mi, isPO: true, idx: pi}, po.Predicate, po.Object.String())
 		}
 	}
-
-	dropClass := make(map[[2]int]bool) // (mapIdx, classIdx)
-	dropPO := make(map[[2]int]bool)
-	terms := make([]string, 0, len(byTerm))
-	for t := range byTerm {
-		terms = append(terms, t)
-	}
-	sort.Strings(terms)
-	for _, term := range terms {
-		asserts := byTerm[term]
-		// group by (table, subj, obj); within a group a no-WHERE assertion
-		// subsumes everything else, and equal-WHERE duplicates collapse.
-		type gkey struct{ table, subj, obj string }
-		groups := make(map[gkey][]assertion)
-		for _, a := range asserts {
-			if !a.shape.simple {
-				continue
-			}
-			k := gkey{a.shape.table, a.subj, a.obj}
-			groups[k] = append(groups[k], a)
-		}
-		for _, g := range groups {
-			if len(g) < 2 {
-				continue
-			}
-			keep := make([]bool, len(g))
-			for i := range keep {
-				keep[i] = true
-			}
-			for i := range g {
-				for j := range g {
-					if i == j || !keep[j] {
-						continue
-					}
-					if !subset(g[j].shape.conjs, g[i].shape.conjs) {
-						continue
-					}
-					if len(g[j].shape.conjs) == len(g[i].shape.conjs) && j > i {
-						continue // equal conjunct sets: keep the earlier one
-					}
-					keep[i] = false
-					break
-				}
-			}
-			for i, a := range g {
-				if keep[i] {
-					continue
-				}
-				if a.isPO {
-					dropPO[[2]int{a.mapIdx, a.idx}] = true
-				} else {
-					dropClass[[2]int{a.mapIdx, a.idx}] = true
-				}
-			}
+	drop := make(map[assertion]bool)
+	for i, keep := range sqldb.Subsume(sets) {
+		if !keep {
+			drop[asserts[i]] = true
 		}
 	}
-	if len(dropClass) == 0 && len(dropPO) == 0 {
+	if len(drop) == 0 {
 		return mp
 	}
 
@@ -146,12 +69,12 @@ func OptimizeMapping(mp *r2rml.Mapping) *r2rml.Mapping {
 	for mi, m := range mp.Maps {
 		nm := &r2rml.TriplesMap{Name: m.Name, Table: m.Table, SQL: m.SQL, Subject: m.Subject}
 		for ci, c := range m.Classes {
-			if !dropClass[[2]int{mi, ci}] {
+			if !drop[assertion{mapIdx: mi, idx: ci}] {
 				nm.Classes = append(nm.Classes, c)
 			}
 		}
 		for pi, po := range m.POs {
-			if !dropPO[[2]int{mi, pi}] {
+			if !drop[assertion{mapIdx: mi, isPO: true, idx: pi}] {
 				nm.POs = append(nm.POs, po)
 			}
 		}

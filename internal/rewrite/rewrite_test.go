@@ -266,6 +266,29 @@ func TestOptimizeMappingDropsRedundant(t *testing.T) {
 	}
 }
 
+func TestOptimizeMappingKeepsRenamedColumns(t *testing.T) {
+	// Both sources read table T, and the second's WHERE is a superset of
+	// the first's, but {v} is column a in one and column b in the other:
+	// neither assertion's triples contain the other's.
+	mp := r2rml.MustParseMapping(`
+[PrefixDeclaration]
+t: http://test/
+
+[MappingDeclaration]
+mappingId plain
+target    t:t/{id} t:label {v} .
+source    SELECT id, a AS v FROM T
+
+mappingId kinded
+target    t:t/{id} t:label {v} .
+source    SELECT id, b AS v FROM T WHERE kind = 'K'
+`)
+	out := OptimizeMapping(mp)
+	if got := out.AssertionCount(); got != 2 {
+		t.Fatalf("assertions = %d, want 2 (renamed columns are not comparable)", got)
+	}
+}
+
 func TestFromBGPRejectsVariablePredicate(t *testing.T) {
 	onto := testOntology()
 	pm := rdf.StandardPrefixes()

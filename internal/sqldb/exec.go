@@ -139,30 +139,6 @@ func extractEquiKeys(conjuncts []Expr, l, r *relation) (keys []equiKey, residual
 	return keys, residual
 }
 
-// splitConjuncts flattens nested ANDs.
-func splitConjuncts(e Expr) []Expr {
-	if e == nil {
-		return nil
-	}
-	if b, ok := e.(*BinOp); ok && b.Op == OpAnd {
-		return append(splitConjuncts(b.L), splitConjuncts(b.R)...)
-	}
-	return []Expr{e}
-}
-
-// andAll rebuilds a conjunction (nil for empty input).
-func andAll(conjuncts []Expr) Expr {
-	var out Expr
-	for _, c := range conjuncts {
-		if out == nil {
-			out = c
-		} else {
-			out = &BinOp{Op: OpAnd, L: out, R: c}
-		}
-	}
-	return out
-}
-
 // hashJoin performs an inner equi-join; residual conjuncts are checked on
 // each candidate pair. Joins past the parallel threshold run partitioned:
 // the build side is hashed into P disjoint partition tables by parallel
@@ -387,7 +363,7 @@ func mergeJoin(ctx *execCtx, l, r *relation, keys []equiKey, residual Expr) (*re
 		_ = checks
 		var err error
 		if len(conj) > 0 {
-			resFn, err = bindExpr(andAll(conj), out.cols)
+			resFn, err = bindExpr(AndAll(conj), out.cols)
 			if err != nil {
 				return nil, err
 			}
@@ -531,10 +507,10 @@ func leftJoin(ctx *execCtx, l, r *relation, on Expr) (*relation, error) {
 	l.matRows()
 	r.matRows()
 	out := &relation{cols: append(append([]colMeta{}, l.cols...), r.cols...)}
-	conjuncts := splitConjuncts(on)
+	conjuncts := Conjuncts(on)
 	keys, residual := extractEquiKeys(conjuncts, l, r)
 	var resFn evalFn
-	if res := andAll(residual); res != nil {
+	if res := AndAll(residual); res != nil {
 		var err error
 		resFn, err = bindExpr(res, out.cols)
 		if err != nil {

@@ -1,9 +1,10 @@
 package sqldb
 
-// Expression utilities shared by the unfolder's semantic query
-// optimizations and the static analyzer (internal/analyze): splitting
-// WHERE clauses into conjuncts, re-qualifying column references when a
-// subquery is flattened into its enclosing arm, and generic traversal.
+// Expression utilities shared by the executor, the unfolder's semantic
+// query optimizations, the mapping optimizer and the static analyzer:
+// splitting WHERE clauses into conjuncts, conjunct-set containment,
+// re-qualifying column references when a subquery is flattened into its
+// enclosing arm, and generic traversal.
 
 // Conjuncts splits an expression at top-level ANDs. A nil expression
 // yields nil; anything that is not an AND is returned as a single
@@ -29,6 +30,52 @@ func AndAll(conds []Expr) Expr {
 		}
 	}
 	return out
+}
+
+// ConjunctSet is one candidate of Subsume: a source's condition as the set
+// of its rendered conjuncts, compared only against candidates of the same
+// Group (the rest of the source — table, projection, term maps — rendered
+// into one key).
+type ConjunctSet struct {
+	Group string
+	Conjs map[string]bool
+}
+
+// Subsume is the one syntactic containment test behind T-mapping
+// optimization, the redundant-assertion lint and union-arm subsumption.
+// It reports which candidates survive: a candidate is dropped when a
+// surviving candidate of its group has a subset of its conjuncts, because
+// that one admits every row this one does. Of equal sets the earlier
+// survives.
+func Subsume(sets []ConjunctSet) (keep []bool) {
+	keep = make([]bool, len(sets))
+	groups := make(map[string][]int)
+	for i, s := range sets {
+		keep[i] = true
+		groups[s.Group] = append(groups[s.Group], i)
+	}
+	for _, g := range groups {
+		for _, i := range g {
+			for _, j := range g {
+				if i == j || !keep[j] || !subset(sets[j].Conjs, sets[i].Conjs) ||
+					(j > i && len(sets[j].Conjs) == len(sets[i].Conjs)) {
+					continue
+				}
+				keep[i] = false
+				break
+			}
+		}
+	}
+	return keep
+}
+
+func subset(a, b map[string]bool) bool {
+	for k := range a {
+		if !b[k] {
+			return false
+		}
+	}
+	return true
 }
 
 // QualifyColumns returns a deep copy of e with every column reference

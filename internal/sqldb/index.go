@@ -1,7 +1,5 @@
 package sqldb
 
-import "sort"
-
 // HashIndex maps a composite key over fixed column positions to the row
 // positions carrying that key.
 type HashIndex struct {
@@ -36,72 +34,3 @@ func (ix *HashIndex) LookupValues(vals []Value) []int {
 
 // Len returns the number of distinct keys.
 func (ix *HashIndex) Len() int { return len(ix.m) }
-
-// OrderedIndex supports range scans over a single column. It is built
-// lazily by the executor for merge joins and range predicates.
-type OrderedIndex struct {
-	Col  int
-	pos  []int // row positions sorted by column value
-	vals []Value
-}
-
-// BuildOrderedIndex sorts the table's rows by the given column. NULLs sort
-// first and are retained so that the caller can skip them.
-func BuildOrderedIndex(t *Table, col int) *OrderedIndex {
-	ix := &OrderedIndex{Col: col}
-	ix.pos = make([]int, len(t.Rows))
-	for i := range ix.pos {
-		ix.pos[i] = i
-	}
-	sort.SliceStable(ix.pos, func(a, b int) bool {
-		c, err := Compare(t.Rows[ix.pos[a]][col], t.Rows[ix.pos[b]][col])
-		return err == nil && c < 0
-	})
-	ix.vals = make([]Value, len(ix.pos))
-	for i, p := range ix.pos {
-		ix.vals[i] = t.Rows[p][col]
-	}
-	return ix
-}
-
-// Range returns row positions whose column value v satisfies
-// lo <= v (<=|<) hi, honouring open bounds when lo/hi are NULL.
-// NULL column values never match.
-func (ix *OrderedIndex) Range(lo Value, loInclusive bool, hi Value, hiInclusive bool) []int {
-	n := len(ix.pos)
-	start := 0
-	if !lo.IsNull() {
-		start = sort.Search(n, func(i int) bool {
-			c, err := Compare(ix.vals[i], lo)
-			if err != nil {
-				return true
-			}
-			if loInclusive {
-				return c >= 0
-			}
-			return c > 0
-		})
-	} else {
-		// skip NULLs at the front
-		start = sort.Search(n, func(i int) bool { return !ix.vals[i].IsNull() })
-	}
-	end := n
-	if !hi.IsNull() {
-		end = sort.Search(n, func(i int) bool {
-			c, err := Compare(ix.vals[i], hi)
-			if err != nil {
-				return true
-			}
-			if hiInclusive {
-				return c > 0
-			}
-			return c >= 0
-		})
-	}
-	if start >= end {
-		return nil
-	}
-	out := make([]int, end-start)
-	copy(out, ix.pos[start:end])
-	return out
-}

@@ -413,11 +413,11 @@ func (db *Database) evalSelect(ctx *execCtx, s *SelectStmt) (*relation, error) {
 }
 
 func (db *Database) evalSelectBody(ctx *execCtx, s *SelectStmt) (*relation, error) {
-	input, remaining, err := db.buildFrom(ctx, s.From, splitConjuncts(s.Where))
+	input, remaining, err := db.buildFrom(ctx, s.From, Conjuncts(s.Where))
 	if err != nil {
 		return nil, err
 	}
-	if rest := andAll(remaining); rest != nil {
+	if rest := AndAll(remaining); rest != nil {
 		before := input.numRows()
 		input, err = filterRelation(ctx, input, rest)
 		if err != nil {
@@ -612,13 +612,13 @@ func (db *Database) buildFrom(ctx *execCtx, from []TableRef, conjuncts []Expr) (
 		switch {
 		case len(eq) > 0 && db.Profile == ProfileSortMerge:
 			algo = "merge join"
-			cur, err = mergeJoin(ctx, cur, next, eq, andAll(residual))
+			cur, err = mergeJoin(ctx, cur, next, eq, AndAll(residual))
 		case len(eq) > 0:
 			algo = "hash join"
-			cur, err = hashJoin(ctx, cur, next, eq, andAll(residual))
+			cur, err = hashJoin(ctx, cur, next, eq, AndAll(residual))
 		default:
 			algo = "nested loop"
-			cur, err = nestedLoopJoin(ctx, cur, next, andAll(residual))
+			cur, err = nestedLoopJoin(ctx, cur, next, AndAll(residual))
 		}
 		if err != nil {
 			return nil, nil, err
@@ -840,17 +840,17 @@ func (db *Database) buildRef(ctx *execCtx, tr TableRef) (*relation, error) {
 			out, err := leftJoin(ctx, l, r, t.On)
 			return record("left join", out, err)
 		default: // inner
-			conj := splitConjuncts(t.On)
+			conj := Conjuncts(t.On)
 			eq, residual := extractEquiKeys(conj, l, r)
 			if len(eq) == 0 {
 				out, err := nestedLoopJoin(ctx, l, r, t.On)
 				return record("nested loop", out, err)
 			}
 			if db.Profile == ProfileSortMerge {
-				out, err := mergeJoin(ctx, l, r, eq, andAll(residual))
+				out, err := mergeJoin(ctx, l, r, eq, AndAll(residual))
 				return record("merge join", out, err)
 			}
-			out, err := hashJoin(ctx, l, r, eq, andAll(residual))
+			out, err := hashJoin(ctx, l, r, eq, AndAll(residual))
 			return record("hash join", out, err)
 		}
 	}

@@ -590,3 +590,26 @@ func TestExplainSelect(t *testing.T) {
 		t.Fatalf("sort-merge profile did not merge join:\n%s", prof.Render())
 	}
 }
+
+func TestSubsume(t *testing.T) {
+	set := func(group string, conjs ...string) ConjunctSet {
+		m := map[string]bool{}
+		for _, c := range conjs {
+			m[c] = true
+		}
+		return ConjunctSet{Group: group, Conjs: m}
+	}
+	got := Subsume([]ConjunctSet{
+		set("t", "k = 1", "j = 2"), // superset of the next: dropped
+		set("t", "k = 1"),          // survives
+		set("t", "k = 1"),          // equal to an earlier survivor: dropped
+		set("u", "k = 1", "j = 2"), // dropped by the later unrestricted u
+		set("u"),                   // survives; cannot reach group t
+	})
+	want := []bool{false, true, false, false, true}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("Subsume = %v, want %v", got, want)
+		}
+	}
+}

@@ -48,11 +48,11 @@ func TestStaticPruneArcConsistency(t *testing.T) {
 		Answer: []string{"x", "y"},
 	}
 	mp := disjointTemplateMapping()
-	off, err := UnfoldOpts(rewrite.UCQ{cq}, mp, nil, Opts{})
+	off, err := Unfold(rewrite.UCQ{cq}, mp, nil, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	on, err := UnfoldOpts(rewrite.UCQ{cq}, mp, nil, Opts{StaticPrune: true})
+	on, err := Unfold(rewrite.UCQ{cq}, mp, nil, Opts{StaticPrune: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestStaticPruneEmptyCQ(t *testing.T) {
 		},
 		Answer: []string{"x", "y"},
 	}
-	un, err := UnfoldOpts(rewrite.UCQ{cq}, disjointTemplateMapping(), nil, Opts{StaticPrune: true})
+	un, err := Unfold(rewrite.UCQ{cq}, disjointTemplateMapping(), nil, Opts{StaticPrune: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestStaticPruneConstantMismatch(t *testing.T) {
 		Atoms:  []rewrite.Atom{propAtom("sells", ct(rdf.NewIRI("http://t/prod/9")), vt("y"))},
 		Answer: []string{"y"},
 	}
-	un, err := UnfoldOpts(rewrite.UCQ{cq}, disjointTemplateMapping(), nil, Opts{StaticPrune: true})
+	un, err := Unfold(rewrite.UCQ{cq}, disjointTemplateMapping(), nil, Opts{StaticPrune: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ source    SELECT id FROM wellbore WHERE kind = 'development'
 	}); err != nil {
 		t.Fatal(err)
 	}
-	cons := analyze.DeriveConstraints(nil, nil, db)
+	cons := analyze.DeriveConstraints(db)
 	// Both classes over the same subject: the key-merge hoists the two
 	// fragment filters onto one table instance, where kind='exploration'
 	// AND kind='development' is a static contradiction.
@@ -206,11 +206,11 @@ source    SELECT id FROM wellbore WHERE kind = 'development'
 		},
 		Answer: []string{"x"},
 	}
-	off, err := UnfoldOpts(rewrite.UCQ{cq}, mp, nil, Opts{Cons: cons})
+	off, err := Unfold(rewrite.UCQ{cq}, mp, nil, Opts{Cons: cons})
 	if err != nil {
 		t.Fatal(err)
 	}
-	on, err := UnfoldOpts(rewrite.UCQ{cq}, mp, nil, Opts{Cons: cons, StaticPrune: true})
+	on, err := Unfold(rewrite.UCQ{cq}, mp, nil, Opts{Cons: cons, StaticPrune: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,7 +64,7 @@ type Unfolded struct {
 	// SelfJoinsEliminated counts merged table instances.
 	SelfJoinsEliminated int
 	// SubsumedArms counts arms dropped because another arm provably
-	// returns a superset (constraint-driven, requires UnfoldWith).
+	// returns a superset (constraint-driven, requires Opts.Cons).
 	SubsumedArms int
 	// StaticPrunedCands counts mapping-assertion candidates deleted by the
 	// pre-walk static analysis (own-constant and arc-consistency proofs)
@@ -144,15 +144,27 @@ type candidate struct {
 	isClass bool
 }
 
-// Unfold translates the UCQ into SQL over the mapping.
-func Unfold(ucq rewrite.UCQ, mp *r2rml.Mapping, filters []PushFilter) (*Unfolded, error) {
-	return UnfoldOpts(ucq, mp, filters, Opts{})
-}
-
 // Opts configures the unfolding.
 type Opts struct {
-	// Cons enables the constraint-driven semantic query optimizations (see
-	// UnfoldWith). Nil disables them.
+	// Cons enables the constraint-driven semantic query optimizations of
+	// the static analyzer (Hovland et al.'s OBDA constraints). Nil
+	// disables them.
+	//
+	//   - key-based self-join elimination: atoms whose logical sources
+	//     reduce to the same base table and whose shared subject template
+	//     covers a PK/UNIQUE key of that table denote the same row, so
+	//     their instances merge even across different mapping assertions
+	//     (the per-attribute mapping style of the NPD benchmark otherwise
+	//     yields one subquery per data property);
+	//   - NOT NULL guard elision for columns the catalog declares NOT NULL;
+	//   - typed template disjointness: a placeholder over an INT or DATE
+	//     column of a plain single-table source only expands to [0-9-]*,
+	//     so the candidate walk, static arc consistency and join
+	//     unification prune template pairs that untyped placeholders would
+	//     let collide (e.g. wellbore/{id} vs wellbore/{id}/core/{n});
+	//   - subsumed-arm elimination: a union arm whose FROM/projection
+	//     equals another's and whose conditions are a superset is dropped
+	//     (sound under the engine's set semantics).
 	Cons *analyze.Constraints
 	// StaticPrune enables the pre-walk static candidate deletion
 	// (own-constant and arc-consistency proofs over IRI-template structure)
@@ -162,34 +174,9 @@ type Opts struct {
 	StaticPrune bool
 }
 
-// UnfoldWith additionally applies the constraint-driven semantic query
-// optimizations of the static analyzer (Hovland et al.'s OBDA
-// constraints):
-//
-//   - key-based self-join elimination: atoms whose logical sources reduce
-//     to the same base table and whose shared subject template covers a
-//     PK/UNIQUE key of that table denote the same row, so their instances
-//     merge even across different mapping assertions (the per-attribute
-//     mapping style of the NPD benchmark otherwise yields one subquery
-//     per data property);
-//   - NOT NULL guard elision for columns the catalog declares NOT NULL;
-//   - typed template disjointness: a placeholder over an INT or DATE
-//     column of a plain single-table source only expands to [0-9-]*, so
-//     the candidate walk, static arc consistency and join unification
-//     prune template pairs that untyped placeholders would let collide
-//     (e.g. wellbore/{id} vs wellbore/{id}/core/{n});
-//   - subsumed-arm elimination: a union arm whose FROM/projection equals
-//     another's and whose conditions are a superset is dropped (sound
-//     under the engine's set semantics).
-//
-// A nil cons reproduces Unfold exactly.
-func UnfoldWith(ucq rewrite.UCQ, mp *r2rml.Mapping, filters []PushFilter, cons *analyze.Constraints) (*Unfolded, error) {
-	return UnfoldOpts(ucq, mp, filters, Opts{Cons: cons})
-}
-
-// UnfoldOpts is the fully configurable unfolding entry point.
-func UnfoldOpts(ucq rewrite.UCQ, mp *r2rml.Mapping, filters []PushFilter, o Opts) (*Unfolded, error) {
-	cons := o.Cons
+// Unfold translates the UCQ into SQL over the mapping. The zero Opts
+// applies no constraint-driven or static optimization.
+func Unfold(ucq rewrite.UCQ, mp *r2rml.Mapping, filters []PushFilter, o Opts) (*Unfolded, error) {
 	res := &Unfolded{}
 	if len(ucq) == 0 {
 		return nil, fmt.Errorf("unfold: empty UCQ")
@@ -227,7 +214,7 @@ func UnfoldOpts(ucq rewrite.UCQ, mp *r2rml.Mapping, filters []PushFilter, o Opts
 		uniq = append(uniq, a)
 	}
 	arms = uniq
-	if cons != nil && len(arms) > 1 {
+	if o.Cons != nil && len(arms) > 1 {
 		arms = subsumeArms(arms, &res.SubsumedArms)
 	}
 	res.Arms = len(arms)
@@ -872,53 +859,23 @@ func cloneStmt(s *sqldb.SelectStmt) *sqldb.SelectStmt {
 // because every consumer enforces set semantics on the translated
 // bindings (dedup at the BGP level, inner DISTINCT for aggregates).
 func subsumeArms(arms []*sqldb.SelectStmt, counter *int) []*sqldb.SelectStmt {
-	type armInfo struct {
-		skel  string
-		conjs map[string]bool
-	}
-	infos := make([]armInfo, len(arms))
+	sets := make([]sqldb.ConjunctSet, len(arms))
 	for i, a := range arms {
 		c := *a
 		c.Where = nil
 		c.Union, c.UnionAll = nil, false
-		m := make(map[string]bool)
+		conjs := make(map[string]bool)
 		for _, cj := range sqldb.Conjuncts(a.Where) {
-			m[cj.String()] = true
+			conjs[cj.String()] = true
 		}
-		infos[i] = armInfo{skel: c.String(), conjs: m}
-	}
-	subset := func(a, b map[string]bool) bool {
-		for k := range a {
-			if !b[k] {
-				return false
-			}
-		}
-		return true
-	}
-	keep := make([]bool, len(arms))
-	for i := range keep {
-		keep[i] = true
-	}
-	for i := range arms {
-		for j := range arms {
-			if i == j || !keep[j] || infos[i].skel != infos[j].skel {
-				continue
-			}
-			if !subset(infos[j].conjs, infos[i].conjs) {
-				continue
-			}
-			if len(infos[j].conjs) == len(infos[i].conjs) && j > i {
-				continue // equal condition sets: keep the earlier arm
-			}
-			keep[i] = false
-			*counter++
-			break
-		}
+		sets[i] = sqldb.ConjunctSet{Group: c.String(), Conjs: conjs}
 	}
 	out := arms[:0]
-	for i, a := range arms {
-		if keep[i] {
-			out = append(out, a)
+	for i, keep := range sqldb.Subsume(sets) {
+		if keep {
+			out = append(out, arms[i])
+		} else {
+			*counter++
 		}
 	}
 	return out

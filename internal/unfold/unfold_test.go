@@ -50,7 +50,7 @@ func dataAtom(p string, s, o rewrite.Term) rewrite.Atom {
 
 func TestUnfoldSingleClassAtom(t *testing.T) {
 	cq := &rewrite.CQ{Atoms: []rewrite.Atom{classAtom("Employee", vt("x"))}, Answer: []string{"x"}}
-	un, err := Unfold(rewrite.UCQ{cq}, testMapping(), nil)
+	un, err := Unfold(rewrite.UCQ{cq}, testMapping(), nil, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestUnfoldJoinSharedVariable(t *testing.T) {
 		},
 		Answer: []string{"x", "y"},
 	}
-	un, err := Unfold(rewrite.UCQ{cq}, testMapping(), nil)
+	un, err := Unfold(rewrite.UCQ{cq}, testMapping(), nil, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestUnfoldTemplateMismatchPrunes(t *testing.T) {
 		},
 		Answer: []string{"x", "z"},
 	}
-	un, err := Unfold(rewrite.UCQ{cq}, testMapping(), nil)
+	un, err := Unfold(rewrite.UCQ{cq}, testMapping(), nil, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestUnfoldConstantUnification(t *testing.T) {
 		},
 		Answer: []string{"y"},
 	}
-	un, err := Unfold(rewrite.UCQ{cq}, testMapping(), nil)
+	un, err := Unfold(rewrite.UCQ{cq}, testMapping(), nil, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestUnfoldConstantMismatchPrunes(t *testing.T) {
 		},
 		Answer: []string{"y"},
 	}
-	un, err := Unfold(rewrite.UCQ{cq}, testMapping(), nil)
+	un, err := Unfold(rewrite.UCQ{cq}, testMapping(), nil, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestUnfoldSelfJoinElimination(t *testing.T) {
 		},
 		Answer: []string{"x", "n"},
 	}
-	un, err := Unfold(rewrite.UCQ{cq}, testMapping(), nil)
+	un, err := Unfold(rewrite.UCQ{cq}, testMapping(), nil, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestUnfoldNotNullGuards(t *testing.T) {
 		Atoms:  []rewrite.Atom{dataAtom("name", vt("x"), vt("n"))},
 		Answer: []string{"x", "n"},
 	}
-	un, err := Unfold(rewrite.UCQ{cq}, testMapping(), nil)
+	un, err := Unfold(rewrite.UCQ{cq}, testMapping(), nil, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestUnfoldPushFilter(t *testing.T) {
 	}
 	un, err := Unfold(rewrite.UCQ{cq}, testMapping(), []PushFilter{
 		{Var: "n", Op: ">=", Val: rdf.NewLiteral("M")},
-	})
+	}, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestUnfoldUnionArms(t *testing.T) {
 		{Atoms: []rewrite.Atom{classAtom("Employee", vt("x"))}, Answer: []string{"x"}},
 		{Atoms: []rewrite.Atom{classAtom("Product", vt("x"))}, Answer: []string{"x"}},
 	}
-	un, err := Unfold(u, testMapping(), nil)
+	un, err := Unfold(u, testMapping(), nil, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestUnfoldEndToEndExecution(t *testing.T) {
 		},
 		Answer: []string{"n", "p"},
 	}
-	un, err := Unfold(rewrite.UCQ{cq}, testMapping(), nil)
+	un, err := Unfold(rewrite.UCQ{cq}, testMapping(), nil, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func TestUnfoldEndToEndExecution(t *testing.T) {
 }
 
 func TestUnfoldEmptyUCQ(t *testing.T) {
-	if _, err := Unfold(nil, testMapping(), nil); err == nil {
+	if _, err := Unfold(nil, testMapping(), nil, Opts{}); err == nil {
 		t.Fatal("empty UCQ must error")
 	}
 }
@@ -291,7 +291,7 @@ func TestUnfoldConstantSubjectWithPicks(t *testing.T) {
 		},
 		Answer: []string{"n"},
 	}
-	un, err := Unfold(rewrite.UCQ{cq}, testMapping(), nil)
+	un, err := Unfold(rewrite.UCQ{cq}, testMapping(), nil, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +312,7 @@ func TestUnfoldConstantSubjectWithPicks(t *testing.T) {
 		},
 		Answer: []string{"n"},
 	}
-	un2, err := Unfold(rewrite.UCQ{cq2}, testMapping(), nil)
+	un2, err := Unfold(rewrite.UCQ{cq2}, testMapping(), nil, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +378,7 @@ func splitConstraints(t *testing.T) *analyze.Constraints {
 	}, PrimaryKey: []int{0}}); err != nil {
 		t.Fatal(err)
 	}
-	return analyze.DeriveConstraints(nil, nil, db)
+	return analyze.DeriveConstraints(db)
 }
 
 func TestUnfoldWithConstraintsMergesSplitMappings(t *testing.T) {
@@ -393,7 +393,7 @@ func TestUnfoldWithConstraintsMergesSplitMappings(t *testing.T) {
 		},
 		Answer: []string{"x", "n", "a"},
 	}
-	base, err := Unfold(rewrite.UCQ{cq}, splitMapping(), nil)
+	base, err := Unfold(rewrite.UCQ{cq}, splitMapping(), nil, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,7 +401,7 @@ func TestUnfoldWithConstraintsMergesSplitMappings(t *testing.T) {
 		t.Fatalf("baseline should not merge: %d", base.SelfJoinsEliminated)
 	}
 
-	opt, err := UnfoldWith(rewrite.UCQ{cq}, splitMapping(), nil, splitConstraints(t))
+	opt, err := Unfold(rewrite.UCQ{cq}, splitMapping(), nil, Opts{Cons: splitConstraints(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,7 +427,7 @@ func TestUnfoldWithConstraintsSubsumesArms(t *testing.T) {
 		{Atoms: []rewrite.Atom{dataAtom("name", vt("x"), vt("n"))}, Answer: []string{"x", "n"}},
 		{Atoms: []rewrite.Atom{dataAtom("senior", vt("x"), vt("n"))}, Answer: []string{"x", "n"}},
 	}
-	base, err := Unfold(u, splitMapping(), nil)
+	base, err := Unfold(u, splitMapping(), nil, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,7 +435,7 @@ func TestUnfoldWithConstraintsSubsumesArms(t *testing.T) {
 		t.Fatalf("baseline arms = %d, subsumed = %d", base.Arms, base.SubsumedArms)
 	}
 
-	opt, err := UnfoldWith(u, splitMapping(), nil, splitConstraints(t))
+	opt, err := Unfold(u, splitMapping(), nil, Opts{Cons: splitConstraints(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,27 +449,6 @@ func TestUnfoldWithConstraintsSubsumesArms(t *testing.T) {
 	// The surviving arm must be the unguarded (superset) one.
 	if sql := opt.Stmt.String(); strings.Contains(sql, "age") {
 		t.Fatalf("kept the narrower arm: %s", sql)
-	}
-}
-
-func TestUnfoldWithNilConstraintsMatchesUnfold(t *testing.T) {
-	cq := &rewrite.CQ{
-		Atoms: []rewrite.Atom{
-			dataAtom("name", vt("x"), vt("n")),
-			dataAtom("age", vt("x"), vt("a")),
-		},
-		Answer: []string{"x", "n", "a"},
-	}
-	a, err := Unfold(rewrite.UCQ{cq}, splitMapping(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := UnfoldWith(rewrite.UCQ{cq}, splitMapping(), nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Stmt.String() != b.Stmt.String() {
-		t.Fatalf("nil constraints must be a no-op:\n%s\nvs\n%s", a.Stmt, b.Stmt)
 	}
 }
 
@@ -500,11 +479,11 @@ func TestUnfoldWithConstraintsExecution(t *testing.T) {
 		},
 		Answer: []string{"x", "n", "a"},
 	}
-	base, err := Unfold(rewrite.UCQ{cq}, splitMapping(), nil)
+	base, err := Unfold(rewrite.UCQ{cq}, splitMapping(), nil, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, err := UnfoldWith(rewrite.UCQ{cq}, splitMapping(), nil, analyze.DeriveConstraints(nil, nil, db))
+	opt, err := Unfold(rewrite.UCQ{cq}, splitMapping(), nil, Opts{Cons: analyze.DeriveConstraints(db)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -567,7 +546,7 @@ func TestUnfoldTypedTemplateDisjointness(t *testing.T) {
 	}}
 	// Without constraints the placeholders are untyped: the join falls
 	// back to comparing the concatenated strings.
-	off, err := Unfold(u, coreMapping(), nil)
+	off, err := Unfold(u, coreMapping(), nil, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -577,7 +556,7 @@ func TestUnfoldTypedTemplateDisjointness(t *testing.T) {
 	// Over TEXT keys the fallback is needed: "7/core/1" is a wellbore id
 	// whose IRI equals core (7, 1)'s.
 	textDB := coreDatabase(t, sqldb.TText)
-	text, err := UnfoldWith(u, coreMapping(), nil, analyze.DeriveConstraints(nil, nil, textDB))
+	text, err := Unfold(u, coreMapping(), nil, Opts{Cons: analyze.DeriveConstraints(textDB)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -604,9 +583,9 @@ func TestUnfoldTypedTemplateDisjointness(t *testing.T) {
 	}
 	// Over INT keys wellbore/{id} never contains "/core/": the walk prunes
 	// the pair, and so does static arc consistency.
-	intCons := analyze.DeriveConstraints(nil, nil, coreDatabase(t, sqldb.TInt))
+	intCons := analyze.DeriveConstraints(coreDatabase(t, sqldb.TInt))
 	for _, staticPrune := range []bool{false, true} {
-		on, err := UnfoldOpts(u, coreMapping(), nil, Opts{Cons: intCons, StaticPrune: staticPrune})
+		on, err := Unfold(u, coreMapping(), nil, Opts{Cons: intCons, StaticPrune: staticPrune})
 		if err != nil {
 			t.Fatal(err)
 		}

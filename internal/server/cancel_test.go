@@ -51,46 +51,48 @@ func (c *countdownCtx) Err() error {
 // TestCancelMidExecuteReleasesResources is the serving-path leak audit: a
 // query canceled in the middle of execution must return ctx's error, and
 // neither the npdbench_queries_inflight gauge nor any worker-pool slot may
-// leak. Runs across several NPD mix queries and both early and late
-// cancellation points.
+// leak. Runs across several NPD mix queries, both early and late
+// cancellation points, and at four workers and one.
 func TestCancelMidExecuteReleasesResources(t *testing.T) {
-	reg := obs.NewRegistry()
-	eng := testEngine(t, 4, reg)
-	gauge := reg.Gauge("npdbench_queries_inflight")
-	for _, id := range []string{"q2", "q6", "q9", "q12"} {
-		bq := npd.QueryByID(id)
-		if bq == nil {
-			t.Fatalf("unknown query %s", id)
-		}
-		q, err := eng.ParseQuery(bq.SPARQL)
-		if err != nil {
-			t.Fatalf("%s: parse: %v", id, err)
-		}
-		for _, polls := range []int64{3, 25, 200} {
-			_, err := eng.AnswerNamedCtx(newCountdownCtx(polls), q, id)
-			if err == nil {
-				// The query finished before poll N — it was cheaper than
-				// the countdown. Only the late points may do that.
-				if polls <= 25 {
-					t.Errorf("%s polls=%d: query completed, cancellation never observed", id, polls)
+	for _, workers := range []int{4, 1} {
+		reg := obs.NewRegistry()
+		eng := testEngine(t, workers, reg)
+		gauge := reg.Gauge("npdbench_queries_inflight")
+		for _, id := range []string{"q2", "q6", "q9", "q12"} {
+			bq := npd.QueryByID(id)
+			if bq == nil {
+				t.Fatalf("unknown query %s", id)
+			}
+			q, err := eng.ParseQuery(bq.SPARQL)
+			if err != nil {
+				t.Fatalf("%s: parse: %v", id, err)
+			}
+			for _, polls := range []int64{3, 25, 200} {
+				_, err := eng.AnswerNamedCtx(newCountdownCtx(polls), q, id)
+				if err == nil {
+					// The query finished before poll N — it was cheaper
+					// than the countdown. Only the late points may do that.
+					if polls <= 25 {
+						t.Errorf("workers=%d %s polls=%d: query completed, cancellation never observed", workers, id, polls)
+					}
+				} else if !errors.Is(err, context.Canceled) {
+					t.Errorf("workers=%d %s polls=%d: err = %v, want context.Canceled", workers, id, polls, err)
 				}
-			} else if !errors.Is(err, context.Canceled) {
-				t.Errorf("%s polls=%d: err = %v, want context.Canceled", id, polls, err)
+				if v := gauge.Value(); v != 0 {
+					t.Fatalf("workers=%d %s polls=%d: inflight gauge = %d after cancel, want 0", workers, id, polls, v)
+				}
+				if !eng.Pool().Idle() {
+					t.Fatalf("workers=%d %s polls=%d: worker pool not idle after cancel", workers, id, polls)
+				}
 			}
-			if v := gauge.Value(); v != 0 {
-				t.Fatalf("%s polls=%d: inflight gauge = %d after cancel, want 0", id, polls, v)
+			// The engine must stay healthy for the next client.
+			ans, err := eng.AnswerNamedCtx(context.Background(), q, id)
+			if err != nil {
+				t.Fatalf("workers=%d %s: query after cancellations failed: %v", workers, id, err)
 			}
-			if !eng.Pool().Idle() {
-				t.Fatalf("%s polls=%d: worker pool not idle after cancel", id, polls)
+			if ans == nil {
+				t.Fatalf("workers=%d %s: nil answer", workers, id)
 			}
-		}
-		// The engine must stay healthy for the next client.
-		ans, err := eng.AnswerNamedCtx(context.Background(), q, id)
-		if err != nil {
-			t.Fatalf("%s: query after cancellations failed: %v", id, err)
-		}
-		if ans == nil {
-			t.Fatalf("%s: nil answer", id)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package sqldb
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -51,8 +52,8 @@ func (ctx *execCtx) pollMask() int {
 
 // countBatches folds processed batches into the execution stats.
 func (ctx *execCtx) countBatches(n int) {
-	if ctx != nil && ctx.stats != nil {
-		ctx.stats.Batches.Add(int64(n))
+	if ctx != nil && ctx.par.stats != nil {
+		ctx.par.stats.Batches.Add(int64(n))
 	}
 }
 
@@ -92,20 +93,31 @@ func numBatches(n, bs int) int {
 
 // ---- scratch pool --------------------------------------------------------
 
-// vecScratch is the batch executor's reusable scratch: selection flags, the
-// survivor-index accumulators, and key-hash buffers. An OBDA unfolding
-// executes thousands of small union arms per statement, so the fixed
-// per-operator cost of these buffers dominates allocation counts unless
-// they are recycled; sequential operators borrow the context's pool for
-// the duration of one operator and return it, which amortizes the cost to
-// zero after the first operator. Parallel batch tasks are handed fresh
-// scratch instead — the pool is goroutine-local, never shared.
+// vecScratch is one batch worker's reusable state: selection flags, the
+// per-batch key hashes, the scratch row, and the filter predicate compiled
+// for this worker. An OBDA unfolding executes thousands of small union arms
+// per statement, so the fixed per-operator cost of these buffers dominates
+// allocation counts unless they are recycled. Every operator's worker 0
+// borrows the context's scratch for the duration of the operator and
+// returns it, which amortizes the cost to zero after the first operator;
+// helper workers of a fanned-out operator get fresh scratch, one per
+// worker — scratch is goroutine-local, never shared.
 type vecScratch struct {
 	keep []bool   // per-batch predicate results
-	sel  []int32  // survivor / probe-side index accumulator
-	selR []int32  // build-side index accumulator (joins)
 	hash []uint64 // full-input key hashes (join build side)
 	bh   []uint64 // per-batch key hashes
+	row  Row      // generic filter predicate / join residual input
+	// pred is the filter predicate compiled for this worker; when the
+	// shape does not compile, predFn evaluates over row instead.
+	pred   vecPred
+	predFn evalFn
+	// The fields below serve the operator that borrowed this scratch as
+	// its worker 0: team[w] is worker w's scratch (team[0] is this one),
+	// sel and selR collect the survivor indices or join match pairs.
+	team      []*vecScratch
+	sel, selR runOut[int32]
+	tables    []map[uint64][]int32 // join hash tables, one per partition
+	rows      runOut[Row]          // row executor's kept or joined rows
 }
 
 // borrowVecScratch hands out the context's scratch pool, emptying the slot
@@ -121,11 +133,36 @@ func (ctx *execCtx) borrowVecScratch() *vecScratch {
 }
 
 // returnVecScratch gives the (possibly grown) buffers back to the context
-// for the next operator.
+// for the next operator, dropping what belonged to the operator alone: its
+// helpers' scratch and its compiled predicate.
 func (ctx *execCtx) returnVecScratch(s *vecScratch) {
+	clear(s.team)
+	clear(s.tables)
+	s.team = s.team[:0]
+	s.pred, s.predFn = nil, nil
 	if ctx != nil {
 		ctx.vecs = s
 	}
+}
+
+// workers returns the operator's per-worker scratch table for a run with
+// the given number of slots: slot 0 is s itself, and helper slots start
+// empty for the helpers to fill on first use.
+func (s *vecScratch) workers(slots int) []*vecScratch {
+	s.team = append(s.team[:0], s)
+	for len(s.team) < slots {
+		s.team = append(s.team, nil)
+	}
+	return s.team
+}
+
+// rowOf returns the scratch row resized to n cells.
+func (s *vecScratch) rowOf(n int) Row {
+	if cap(s.row) < n {
+		s.row = make(Row, n)
+	}
+	s.row = s.row[:n]
+	return s.row
 }
 
 // batchHashes fills the scratch per-batch hash buffer with composite key
@@ -139,7 +176,7 @@ func (s *vecScratch) batchHashes(vd *vecData, slots []int, lo, hi int) []uint64 
 
 // vecPred fills dst[j] with whether row lo+j survives the filter (predicate
 // evaluates to TRUE; FALSE and NULL both drop the row). Compiled predicates
-// capture per-batch scratch, so each goroutine compiles its own.
+// capture scratch, so each worker compiles its own.
 type vecPred func(dst []bool, lo, hi int)
 
 // cmpKeep applies a comparison operator to a Compare result.
@@ -516,141 +553,102 @@ func numAccessor(c *colvec) func(int) float64 {
 
 // ---- batch filter --------------------------------------------------------
 
-// batchFilter evaluates pred over a columnar relation batch by batch,
-// accumulating survivor indices, then gathers them into exactly-sized
-// fresh vectors in one pass. Inputs past the parallel threshold fan
-// batches out over the worker pool; per-batch outputs concatenate in
-// batch order, bit-identical to the sequential scan.
+// batchFilter evaluates pred over a columnar relation with one driver task
+// per batch: a task appends the batch's survivor indices to its worker's
+// selection, and the selections gather in batch order into exactly-sized
+// fresh vectors — the same output at every worker count. Each worker
+// compiles the predicate once, against its own scratch.
 func batchFilter(ctx *execCtx, r *relation, pred Expr) (*relation, error) {
 	vd := r.vec
-	n := vd.n
 	bs := ctx.batchSize()
-	nb := numBatches(n, bs)
-	if ctx.parWorkers() > 1 && n >= minParallelRows && nb > 1 {
-		return batchFilterParallel(ctx, r, pred, nb, bs)
-	}
+	nb := numBatches(vd.n, bs)
+	fan := ctx.par.fanOut(nb, vd.n)
 	scr := ctx.borrowVecScratch()
 	defer ctx.returnVecScratch(scr)
-	runBatch, err := newBatchFilterTask(r, pred, scr)
-	if err != nil {
+	team := scr.workers(ctx.par.slots(fan))
+	if err := scr.compileFilter(pred, r); err != nil {
 		return nil, err
 	}
-	sel := scr.sel[:0]
-	for b := 0; b < nb; b++ {
-		if err := ctx.cancelled(); err != nil {
-			return nil, err
-		}
-		before := len(sel)
-		sel, err = runBatch(sel, b*bs, minInt(b*bs+bs, n))
-		if err != nil {
-			return nil, err
-		}
-		ctx.accountBatch(len(sel)-before, len(r.cols))
-	}
-	scr.sel = sel
-	out := newVecBuilder(vd.cols)
-	out.reserve(len(sel))
-	out.gather(vd.cols, sel)
-	ctx.countBatches(nb)
-	ctx.setBatches(nb)
-	return &relation{cols: r.cols, vec: out.build()}, nil
-}
-
-// newBatchFilterTask compiles pred for one goroutine's use and returns a
-// closure that appends the surviving row indices of [lo,hi) to sel. Each
-// parallel worker compiles its own task with its own scratch: compiled
-// predicates, the keep buffer and the scratch row are single-goroutine
-// state.
-func newBatchFilterTask(r *relation, pred Expr, scr *vecScratch) (func(sel []int32, lo, hi int) ([]int32, error), error) {
-	vd := r.vec
-	vp := compileVecPred(pred, vd, r.cols)
-	var f evalFn
-	var scratch Row
-	if vp == nil {
-		var err error
-		f, err = bindExpr(pred, r.cols)
-		if err != nil {
-			return nil, err
-		}
-		scratch = make(Row, len(vd.cols))
-	}
-	return func(sel []int32, lo, hi int) ([]int32, error) {
-		keep := scr.keep[:0]
-		for i := lo; i < hi; i++ {
-			keep = append(keep, false)
-		}
-		scr.keep = keep
-		if vp != nil {
-			vp(keep, lo, hi)
-		} else {
-			for i := lo; i < hi; i++ {
-				vd.rowInto(scratch, i)
-				v, err := f(scratch)
-				if err != nil {
-					return nil, err
-				}
-				keep[i-lo] = !v.IsNull() && v.Bool()
+	sel := &scr.sel
+	sel.reset(len(team), nb)
+	workers, err := ctx.par.run(fan, nb, func(w, b int) error {
+		s := team[w]
+		if s == nil {
+			s = &vecScratch{}
+			if err := s.compileFilter(pred, r); err != nil {
+				return err
 			}
+			team[w] = s
 		}
-		for j, k := range keep {
-			if k {
-				sel = append(sel, int32(lo+j))
-			}
-		}
-		return sel, nil
-	}, nil
-}
-
-// batchFilterParallel is the morsel-parallel arm of batchFilter: workers
-// claim whole batches, each filtering into a per-batch builder; the merge
-// pre-sizes the output to the exact survivor total.
-func batchFilterParallel(ctx *execCtx, r *relation, pred Expr, nb, bs int) (*relation, error) {
-	vd := r.vec
-	n := vd.n
-	outs := make([]*vecBuilder, nb)
-	// Per-worker task state is created lazily inside the tasks; par.run
-	// gives no worker identity, so state hangs off the batch index and the
-	// compile cost is paid per batch (small next to the scan itself).
-	workers, err := ctx.par.run(nb, func(b int) error {
-		runBatch, err := newBatchFilterTask(r, pred, &vecScratch{})
+		start := len(sel.bufs[w])
+		out, err := s.filterBatch(vd, sel.bufs[w], b*bs, min(b*bs+bs, vd.n))
 		if err != nil {
 			return err
 		}
-		sel, err := runBatch(nil, b*bs, minInt(b*bs+bs, n))
-		if err != nil {
-			return err
-		}
-		out := newVecBuilder(vd.cols)
-		out.reserve(len(sel))
-		out.gather(vd.cols, sel)
-		ctx.accountBatch(len(sel), len(r.cols))
-		outs[b] = out
+		sel.bufs[w] = out
+		sel.mark(w, b, start)
+		ctx.accountBatch(len(out)-start, len(r.cols))
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	ctx.par.stats.Morsels.Add(int64(nb))
-	total := 0
-	for _, o := range outs {
-		total += o.n
-	}
 	out := newVecBuilder(vd.cols)
-	out.reserve(total)
-	for _, o := range outs {
-		out.appendAll(o)
+	out.reserve(sel.len())
+	for _, run := range sel.runs {
+		out.gather(vd.cols, run)
 	}
 	ctx.countBatches(nb)
 	ctx.setBatches(nb)
-	ctx.setParNote(fmt.Sprintf(" [batches=%d workers=%d]", nb, workers))
+	if fan {
+		ctx.par.stats.Morsels.Add(int64(nb))
+		ctx.setParNote(fmt.Sprintf(" [batches=%d workers=%d]", nb, workers))
+	}
 	return &relation{cols: r.cols, vec: out.build()}, nil
 }
 
-func minInt(a, b int) int {
-	if a < b {
-		return a
+// compileFilter compiles pred against r for this worker: a vector
+// predicate when the shape converts, else the bound expression evaluated
+// over the worker's scratch row.
+func (s *vecScratch) compileFilter(pred Expr, r *relation) error {
+	s.pred, s.predFn = compileVecPred(pred, r.vec, r.cols), nil
+	if s.pred != nil {
+		return nil
 	}
-	return b
+	f, err := bindExpr(pred, r.cols)
+	if err != nil {
+		return err
+	}
+	s.predFn = f
+	s.rowOf(len(r.vec.cols))
+	return nil
+}
+
+// filterBatch appends the surviving row indices of [lo,hi) to sel.
+func (s *vecScratch) filterBatch(vd *vecData, sel []int32, lo, hi int) ([]int32, error) {
+	keep := s.keep[:0]
+	for i := lo; i < hi; i++ {
+		keep = append(keep, false)
+	}
+	s.keep = keep
+	if s.pred != nil {
+		s.pred(keep, lo, hi)
+	} else {
+		for i := lo; i < hi; i++ {
+			vd.rowInto(s.row, i)
+			v, err := s.predFn(s.row)
+			if err != nil {
+				return nil, err
+			}
+			keep[i-lo] = !v.IsNull() && v.Bool()
+		}
+	}
+	for j, k := range keep {
+		if k {
+			sel = append(sel, int32(lo+j))
+		}
+	}
+	return sel, nil
 }
 
 // ---- batch hash join -----------------------------------------------------
@@ -659,11 +657,20 @@ func minInt(a, b int) int {
 // are computed with type-specialized column loops, the hash table maps
 // 64-bit key hashes to build row indices (collisions verified with keyEq
 // semantics, so int 1 and float 1.0 still join), and the probe side is
-// probed batch by batch, gathering matched index pairs into fresh output
-// vectors. Probe order and within-key build order reproduce the row
-// executor's output exactly.
+// probed batch by batch, collecting matched index pairs that gather into
+// fresh output vectors. Probe order and within-key build order reproduce
+// the row executor's output exactly.
+//
+// Three driver runs, each split over the pool when the join fans out:
+// build-key hashing per batch; one hash table per partition, whose task
+// scans the build side in row order keeping the rows with hash%P == p, so
+// per-key lists keep build order without locking (a join that does not
+// fan out builds its one table the same way); and the probe per batch,
+// each task appending its match pairs to its worker's selections. The
+// pairs gather in batch order, so the output is the same at every worker
+// count.
 func batchHashJoin(ctx *execCtx, l, r *relation, keys []equiKey, residual Expr) (*relation, error) {
-	outCols := append(append([]colMeta{}, l.cols...), r.cols...)
+	outCols := slices.Concat(l.cols, r.cols)
 	var resFn evalFn
 	if residual != nil {
 		var err error
@@ -678,32 +685,30 @@ func batchHashJoin(ctx *execCtx, l, r *relation, keys []equiKey, residual Expr) 
 		build, probe = l, r
 		buildRight = false
 	}
-	buildSlots := make([]int, len(keys))
-	probeSlots := make([]int, len(keys))
-	for i, k := range keys {
-		if buildRight {
-			buildSlots[i], probeSlots[i] = k.rSlot, k.lSlot
-		} else {
-			buildSlots[i], probeSlots[i] = k.lSlot, k.rSlot
-		}
-	}
+	buildSlots, probeSlots := keySlots(keys, buildRight)
 	bvd, pvd := build.vec, probe.vec
+	lvd, rvd := l.vec, r.vec
 	bs := ctx.batchSize()
 	nbB := numBatches(bvd.n, bs)
 	nbP := numBatches(pvd.n, bs)
-	parallel := ctx.parWorkers() > 1 && bvd.n+pvd.n >= minParallelRows
+	parts := min(ctx.par.par, maxJoinPartitions)
+	fan := ctx.par.fanOut(parts, bvd.n+pvd.n)
+	if !fan {
+		parts = 1
+	}
 	scr := ctx.borrowVecScratch()
 	defer ctx.returnVecScratch(scr)
+	team := scr.workers(ctx.par.slots(fan))
 
-	// Phase 1: vectorized build-key hashing (into the reusable full-input
-	// hash buffer; parallel hashers write disjoint ranges of it).
+	// Phase 1: build-key hashing into the reusable full-input hash buffer;
+	// tasks write disjoint ranges of it.
 	if cap(scr.hash) < bvd.n {
 		scr.hash = make([]uint64, bvd.n)
 	}
 	buildHash := scr.hash[:bvd.n]
-	hashRange := func(b int) {
+	if _, err := ctx.par.run(ctx.par.fanOut(nbB, bvd.n+pvd.n), nbB, func(_, b int) error {
 		lo := b * bs
-		hi := minInt(lo+bs, bvd.n)
+		hi := min(lo+bs, bvd.n)
 		seg := buildHash[lo:hi]
 		for j := range seg {
 			seg[j] = hashOffset64
@@ -711,176 +716,113 @@ func batchHashJoin(ctx *execCtx, l, r *relation, keys []equiKey, residual Expr) 
 		for _, s := range buildSlots {
 			bvd.cols[s].hashColRange(seg, lo, hi)
 		}
-	}
-	if parallel && nbB > 1 {
-		if _, err := ctx.par.run(nbB, func(b int) error {
-			hashRange(b)
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-	} else {
-		for b := 0; b < nbB; b++ {
-			if err := ctx.cancelled(); err != nil {
-				return nil, err
-			}
-			hashRange(b)
-		}
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 
-	// Phase 2: hash table from key hash to build row indices, in build
-	// order (parallel executions partition it P ways).
-	lb := newVecBuilder(l.vec.cols)
-	rb := newVecBuilder(r.vec.cols)
-	var workers, parts int
-	if parallel {
-		var err error
-		workers, parts, err = batchProbeParallel(ctx, bvd, pvd, buildHash, buildSlots, probeSlots, buildRight, resFn, l, r, lb, rb, bs, nbP)
-		if err != nil {
-			return nil, err
-		}
-		ctx.par.stats.JoinPartitions.Add(int64(parts))
-		ctx.par.stats.Morsels.Add(int64(nbB + nbP))
-		ctx.setParNote(fmt.Sprintf(" [partitions=%d workers=%d]", parts, workers))
-	} else {
-		ht := make(map[uint64][]int32, bvd.n)
-		for j := 0; j < bvd.n; j++ {
-			if bvd.hasNullKey(j, buildSlots) {
+	// Phase 2: per-partition hash tables from key hash to build row
+	// indices, in build order.
+	tables := slices.Grow(scr.tables[:0], parts)[:parts]
+	scr.tables = tables
+	poll := ctx.pollMask()
+	if _, err := ctx.par.run(fan, parts, func(_, p int) error {
+		ht := make(map[uint64][]int32, bvd.n/parts+1)
+		for j, h := range buildHash {
+			if j&poll == 0 {
+				if err := ctx.cancelled(); err != nil {
+					return err
+				}
+			}
+			if int(h%uint64(parts)) != p || bvd.hasNullKey(j, buildSlots) {
 				continue
 			}
-			ht[buildHash[j]] = append(ht[buildHash[j]], int32(j))
+			ht[h] = append(ht[h], int32(j))
 		}
-		probeTask := newBatchProbeTask(bvd, pvd, buildSlots, probeSlots, buildRight, resFn, l, r, scr)
-		lSel, rSel := scr.sel[:0], scr.selR[:0]
-		var err error
-		for b := 0; b < nbP; b++ {
-			if err := ctx.cancelled(); err != nil {
-				return nil, err
-			}
-			before := len(lSel)
-			lSel, rSel, err = probeTask(lSel, rSel, func(h uint64) []int32 { return ht[h] }, b*bs, minInt(b*bs+bs, pvd.n))
-			if err != nil {
-				return nil, err
-			}
-			ctx.accountBatch(len(lSel)-before, len(outCols))
-		}
-		scr.sel, scr.selR = lSel, rSel
-		lb.reserve(len(lSel))
-		rb.reserve(len(rSel))
-		lb.gather(l.vec.cols, lSel)
-		rb.gather(r.vec.cols, rSel)
+		tables[p] = ht
+		return nil
+	}); err != nil {
+		return nil, err
 	}
-	ctx.countBatches(nbB + nbP)
-	ctx.setBatches(nbP)
-	out := &vecData{n: lb.n, cols: append(lb.cols, rb.cols...)}
-	return &relation{cols: outCols, vec: out}, nil
-}
 
-// newBatchProbeTask returns a closure probing rows [lo,hi) of the probe
-// side against a hash-bucket lookup, appending matched (left, right) index
-// pairs to the given accumulators in probe order. Task-local: the scratch
-// (probe-hash buffer) and the residual scratch row are owned by one
-// goroutine.
-func newBatchProbeTask(bvd, pvd *vecData, buildSlots, probeSlots []int, buildRight bool, resFn evalFn, l, r *relation, scr *vecScratch) func(lSel, rSel []int32, bucket func(uint64) []int32, lo, hi int) ([]int32, []int32, error) {
-	var scratch Row
-	if resFn != nil {
-		scratch = make(Row, len(l.cols)+len(r.cols))
-	}
-	lvd, rvd := l.vec, r.vec
-	return func(lSel, rSel []int32, bucket func(uint64) []int32, lo, hi int) ([]int32, []int32, error) {
-		hash := scr.batchHashes(pvd, probeSlots, lo, hi)
+	// Phase 3: the batch-wise probe.
+	lSel, rSel := &scr.sel, &scr.selR
+	lSel.reset(len(team), nbP)
+	rSel.reset(len(team), nbP)
+	workers, err := ctx.par.run(fan, nbP, func(w, b int) error {
+		s := team[w]
+		if s == nil {
+			s = &vecScratch{}
+			team[w] = s
+		}
+		var row Row
+		if resFn != nil {
+			row = s.rowOf(len(outCols))
+		}
+		ls, rs := lSel.bufs[w], rSel.bufs[w]
+		start := len(ls)
+		lo := b * bs
+		hi := min(lo+bs, pvd.n)
+		hash := s.batchHashes(pvd, probeSlots, lo, hi)
 		for i := lo; i < hi; i++ {
 			if pvd.hasNullKey(i, probeSlots) {
 				continue
 			}
-			for _, bj := range bucket(hash[i-lo]) {
+			h := hash[i-lo]
+			for _, bj := range tables[h%uint64(parts)][h] {
 				if !keyEqAt(pvd, i, probeSlots, bvd, int(bj), buildSlots) {
 					continue
 				}
-				var li, ri int32
-				if buildRight {
-					li, ri = int32(i), bj
-				} else {
+				li, ri := int32(i), bj
+				if !buildRight {
 					li, ri = bj, int32(i)
 				}
 				if resFn != nil {
 					for c := range lvd.cols {
-						scratch[c] = lvd.cols[c].value(int(li))
+						row[c] = lvd.cols[c].value(int(li))
 					}
-					off := len(lvd.cols)
 					for c := range rvd.cols {
-						scratch[off+c] = rvd.cols[c].value(int(ri))
+						row[len(lvd.cols)+c] = rvd.cols[c].value(int(ri))
 					}
-					v, err := resFn(scratch)
+					v, err := resFn(row)
 					if err != nil {
-						return nil, nil, err
+						return err
 					}
 					if v.IsNull() || !v.Bool() {
 						continue
 					}
 				}
-				lSel = append(lSel, li)
-				rSel = append(rSel, ri)
+				ls = append(ls, li)
+				rs = append(rs, ri)
 			}
 		}
-		return lSel, rSel, nil
-	}
-}
-
-// batchProbeParallel partitions the build hashes P ways and probes batch-
-// wise in parallel, mirroring partitionedHashJoin: partition tables list
-// build rows in build order, per-batch pair buffers concatenate in batch
-// order, so the merged output is bit-identical to the sequential probe.
-func batchProbeParallel(ctx *execCtx, bvd, pvd *vecData, buildHash []uint64, buildSlots, probeSlots []int, buildRight bool, resFn evalFn, l, r *relation, lb, rb *vecBuilder, bs, nbP int) (int, int, error) {
-	parts := ctx.parWorkers()
-	if parts > maxJoinPartitions {
-		parts = maxJoinPartitions
-	}
-	if parts < 2 {
-		parts = 2
-	}
-	tables := make([]map[uint64][]int32, parts)
-	if _, err := ctx.par.run(parts, func(p int) error {
-		ht := make(map[uint64][]int32, bvd.n/parts+1)
-		for j := 0; j < bvd.n; j++ {
-			if int(buildHash[j]%uint64(parts)) != p || bvd.hasNullKey(j, buildSlots) {
-				continue
-			}
-			ht[buildHash[j]] = append(ht[buildHash[j]], int32(j))
-		}
-		tables[p] = ht
-		return nil
-	}); err != nil {
-		return 0, 0, err
-	}
-	type pairs struct{ l, r []int32 }
-	outs := make([]pairs, nbP)
-	outCols := len(l.cols) + len(r.cols)
-	workers, err := ctx.par.run(nbP, func(b int) error {
-		probeTask := newBatchProbeTask(bvd, pvd, buildSlots, probeSlots, buildRight, resFn, l, r, &vecScratch{})
-		lSel, rSel, err := probeTask(nil, nil, func(h uint64) []int32 { return tables[h%uint64(parts)][h] }, b*bs, minInt(b*bs+bs, pvd.n))
-		if err != nil {
-			return err
-		}
-		// The accumulators are task-local and this task is done with them.
-		outs[b] = pairs{l: lSel, r: rSel}
-		ctx.accountBatch(len(lSel), outCols)
+		lSel.bufs[w], rSel.bufs[w] = ls, rs
+		lSel.mark(w, b, start)
+		rSel.mark(w, b, start)
+		ctx.accountBatch(len(ls)-start, len(outCols))
 		return nil
 	})
 	if err != nil {
-		return 0, 0, err
+		return nil, err
 	}
-	total := 0
-	for _, p := range outs {
-		total += len(p.l)
+	out := newVecBuilder(lvd.cols, rvd.cols)
+	lb := vecBuilder{cols: out.cols[:len(lvd.cols)]}
+	rb := vecBuilder{cols: out.cols[len(lvd.cols):]}
+	lb.reserve(lSel.len())
+	rb.reserve(lSel.len())
+	for b := range lSel.runs {
+		lb.gather(lvd.cols, lSel.runs[b])
+		rb.gather(rvd.cols, rSel.runs[b])
 	}
-	lb.reserve(total)
-	rb.reserve(total)
-	for _, p := range outs {
-		lb.gather(l.vec.cols, p.l)
-		rb.gather(r.vec.cols, p.r)
+	out.n = lb.n
+	ctx.countBatches(nbB + nbP)
+	ctx.setBatches(nbP)
+	if fan {
+		ctx.par.stats.JoinPartitions.Add(int64(parts))
+		ctx.par.stats.Morsels.Add(int64(nbB + nbP))
+		ctx.setParNote(fmt.Sprintf(" [partitions=%d workers=%d]", parts, workers))
 	}
-	return workers, parts, nil
+	return &relation{cols: outCols, vec: out.build()}, nil
 }
 
 // ---- batch distinct ------------------------------------------------------
@@ -902,13 +844,14 @@ func batchDistinct(ctx *execCtx, r *relation) (*relation, error) {
 	scr := ctx.borrowVecScratch()
 	defer ctx.returnVecScratch(scr)
 	buckets := make(map[uint64][]int32, n)
-	sel := scr.sel[:0]
+	scr.sel.reset(1, 0)
+	sel := scr.sel.bufs[0]
 	for b := 0; b < nb; b++ {
 		if err := ctx.cancelled(); err != nil {
 			return nil, err
 		}
 		lo := b * bs
-		hi := minInt(lo+bs, n)
+		hi := min(lo+bs, n)
 		hash := scr.batchHashes(vd, slots, lo, hi)
 		before := len(sel)
 		for i := lo; i < hi; i++ {
@@ -928,7 +871,7 @@ func batchDistinct(ctx *execCtx, r *relation) (*relation, error) {
 		}
 		ctx.accountBatch(len(sel)-before, len(r.cols))
 	}
-	scr.sel = sel
+	scr.sel.bufs[0] = sel
 	out := newVecBuilder(vd.cols)
 	out.reserve(len(sel))
 	out.gather(vd.cols, sel)
@@ -1051,7 +994,7 @@ func batchAggregate(ctx *execCtx, s *SelectStmt, input *relation) (*relation, bo
 			return nil, false, err
 		}
 		lo := b * bs
-		hi := minInt(lo+bs, n)
+		hi := min(lo+bs, n)
 		hash := scr.batchHashes(vd, keySlots, lo, hi)
 		for i := lo; i < hi; i++ {
 			h := hash[i-lo]

@@ -2,6 +2,7 @@ package sqldb
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -21,10 +22,11 @@ type relation struct {
 	mat bool // rows were materialized from vec (avoid re-materializing)
 }
 
-// filterRelation keeps rows where pred evaluates to TRUE. Inputs past the
-// parallel threshold are filtered morsel-wise: workers claim fixed-size
-// row chunks, keep survivors in per-morsel buffers, and the buffers are
-// concatenated in morsel order — bit-identical to the sequential scan.
+// filterRelation keeps rows where pred evaluates to TRUE, one driver task
+// per fixed-size morsel: a task appends its morsel's survivors to its
+// worker's buffer, and the morsels' stretches concatenate in morsel order —
+// the same output at every worker count. evalFns close only over immutable
+// bind-time state, so one bound predicate serves all workers.
 func filterRelation(ctx *execCtx, r *relation, pred Expr) (*relation, error) {
 	if ctx.batchOn() && r.vec != nil {
 		return batchFilter(ctx, r, pred)
@@ -34,68 +36,35 @@ func filterRelation(ctx *execCtx, r *relation, pred Expr) (*relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	if ctx.parWorkers() > 1 && len(r.rows) >= minParallelRows {
-		return filterMorsels(ctx, r, f)
-	}
-	out := &relation{cols: r.cols}
-	poll := ctx.pollMask()
-	for i, row := range r.rows {
-		if i&poll == 0 {
-			if err := ctx.cancelled(); err != nil {
-				return nil, err
-			}
-		}
-		v, err := f(row)
-		if err != nil {
-			return nil, err
-		}
-		if !v.IsNull() && v.Bool() {
-			out.rows = append(out.rows, row)
-		}
-	}
-	return out, nil
-}
-
-// filterMorsels is the parallel arm of filterRelation. evalFns close only
-// over immutable bind-time state, so one bound predicate serves all
-// workers.
-func filterMorsels(ctx *execCtx, r *relation, f evalFn) (*relation, error) {
 	n := len(r.rows)
-	m := (n + morselRows - 1) / morselRows
-	kept := make([][]Row, m)
-	workers, err := ctx.par.run(m, func(i int) error {
-		lo := i * morselRows
-		hi := lo + morselRows
-		if hi > n {
-			hi = n
-		}
-		var buf []Row
-		for _, row := range r.rows[lo:hi] {
+	m := numBatches(n, morselRows)
+	fan := ctx.par.fanOut(m, n)
+	scr := ctx.borrowVecScratch()
+	defer ctx.returnVecScratch(scr)
+	kept := &scr.rows
+	kept.reset(ctx.par.slots(fan), m)
+	workers, err := ctx.par.run(fan, m, func(w, i int) error {
+		start := len(kept.bufs[w])
+		for _, row := range r.rows[i*morselRows : min(i*morselRows+morselRows, n)] {
 			v, err := f(row)
 			if err != nil {
 				return err
 			}
 			if !v.IsNull() && v.Bool() {
-				buf = append(buf, row)
+				kept.add(w, row)
 			}
 		}
-		kept[i] = buf
+		kept.mark(w, i, start)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	ctx.par.stats.Morsels.Add(int64(m))
-	total := 0
-	for _, b := range kept {
-		total += len(b)
+	if fan {
+		ctx.par.stats.Morsels.Add(int64(m))
+		ctx.setParNote(fmt.Sprintf(" [morsels=%d workers=%d]", m, workers))
 	}
-	out := &relation{cols: r.cols, rows: make([]Row, 0, total)}
-	for _, b := range kept {
-		out.rows = append(out.rows, b...)
-	}
-	ctx.setParNote(fmt.Sprintf(" [morsels=%d workers=%d]", m, workers))
-	return out, nil
+	return &relation{cols: r.cols, rows: kept.concat()}, nil
 }
 
 func concatRows(a, b Row) Row {
@@ -108,6 +77,21 @@ func concatRows(a, b Row) Row {
 // equiKey describes one equality column pair between two relations.
 type equiKey struct {
 	lSlot, rSlot int
+}
+
+// keySlots splits equi-join keys into the build side's and the probe
+// side's column slots.
+func keySlots(keys []equiKey, buildRight bool) (build, probe []int) {
+	slots := make([]int, 2*len(keys))
+	build, probe = slots[:len(keys)], slots[len(keys):]
+	for i, k := range keys {
+		if buildRight {
+			build[i], probe[i] = k.rSlot, k.lSlot
+		} else {
+			build[i], probe[i] = k.lSlot, k.rSlot
+		}
+	}
+	return build, probe
 }
 
 // extractEquiKeys splits conjuncts into equi-join keys between l and r and
@@ -140,18 +124,23 @@ func extractEquiKeys(conjuncts []Expr, l, r *relation) (keys []equiKey, residual
 }
 
 // hashJoin performs an inner equi-join; residual conjuncts are checked on
-// each candidate pair. Joins past the parallel threshold run partitioned:
-// the build side is hashed into P disjoint partition tables by parallel
-// workers and the probe side is probed morsel-wise, each morsel writing
-// its own output buffer; build order within a key and probe order across
-// morsels are preserved, so output order is bit-identical to sequential.
+// each candidate pair. Three driver runs, each split over the pool when
+// the join fans out: build-side key extraction per morsel ("" marks a NULL
+// key, which can never join); one hash table per partition, whose task
+// scans the build side in row order keeping the rows with hash%P == p, so
+// per-key row lists keep build order without locking (a join that does not
+// fan out builds its one table the same way); and the probe per morsel,
+// each task appending its matches to its worker's buffer. The morsels'
+// stretches concatenate in probe order, so the output is the same at every
+// worker count, and a residual error surfaces from the earliest failing
+// probe morsel.
 func hashJoin(ctx *execCtx, l, r *relation, keys []equiKey, residual Expr) (*relation, error) {
 	if ctx.batchOn() && l.vec != nil && r.vec != nil && len(keys) > 0 {
 		return batchHashJoin(ctx, l, r, keys, residual)
 	}
 	l.matRows()
 	r.matRows()
-	out := &relation{cols: append(append([]colMeta{}, l.cols...), r.cols...)}
+	out := &relation{cols: slices.Concat(l.cols, r.cols)}
 	var resFn evalFn
 	if residual != nil {
 		var err error
@@ -167,150 +156,70 @@ func hashJoin(ctx *execCtx, l, r *relation, keys []equiKey, residual Expr) (*rel
 		build, probe = l, r
 		buildRight = false
 	}
-	buildCols := make([]int, len(keys))
-	probeCols := make([]int, len(keys))
-	for i, k := range keys {
-		if buildRight {
-			buildCols[i], probeCols[i] = k.rSlot, k.lSlot
-		} else {
-			buildCols[i], probeCols[i] = k.lSlot, k.rSlot
-		}
+	buildCols, probeCols := keySlots(keys, buildRight)
+	nb, np := len(build.rows), len(probe.rows)
+	parts := min(ctx.par.par, maxJoinPartitions)
+	fan := ctx.par.fanOut(parts, nb+np)
+	if !fan {
+		parts = 1
 	}
-	if ctx.parWorkers() > 1 && len(build.rows)+len(probe.rows) >= minParallelRows {
-		rows, err := partitionedHashJoin(ctx, build, probe, buildCols, probeCols, buildRight, resFn)
-		if err != nil {
-			return nil, err
-		}
-		out.rows = rows
-		return out, nil
+	type buildKey struct {
+		key  string // "" marks a NULL key
+		hash uint64
 	}
-	poll := ctx.pollMask()
-	ht := make(map[string][]Row, len(build.rows))
-	for i, row := range build.rows {
-		if i&poll == 0 {
-			if err := ctx.cancelled(); err != nil {
-				return nil, err
+	buildKeys := make([]buildKey, nb)
+	mb := numBatches(nb, morselRows)
+	if _, err := ctx.par.run(fan, mb, func(_, i int) error {
+		for j := i * morselRows; j < min(i*morselRows+morselRows, nb); j++ {
+			if !hasNullAt(build.rows[j], buildCols) {
+				k := RowKey(build.rows[j], buildCols)
+				buildKeys[j] = buildKey{k, hashString(k)}
 			}
-		}
-		if hasNullAt(row, buildCols) {
-			continue
-		}
-		k := RowKey(row, buildCols)
-		ht[k] = append(ht[k], row)
-	}
-	for i, prow := range probe.rows {
-		if i&poll == 0 {
-			if err := ctx.cancelled(); err != nil {
-				return nil, err
-			}
-		}
-		if hasNullAt(prow, probeCols) {
-			continue
-		}
-		for _, brow := range ht[RowKey(prow, probeCols)] {
-			var joined Row
-			if buildRight {
-				joined = concatRows(prow, brow)
-			} else {
-				joined = concatRows(brow, prow)
-			}
-			if resFn != nil {
-				v, err := resFn(joined)
-				if err != nil {
-					return nil, err
-				}
-				if v.IsNull() || !v.Bool() {
-					continue
-				}
-			}
-			out.rows = append(out.rows, joined)
-		}
-	}
-	return out, nil
-}
-
-// partitionedHashJoin is the parallel arm of hashJoin. Three phases, each
-// a parallel fan-out over the statement's worker budget:
-//
-//  1. key extraction — build-side join keys and their hashes, morsel-wise
-//     ("" marks a NULL key, which can never join);
-//  2. partitioned build — P workers each own partition p and insert every
-//     build row with hash%P == p, scanning the build side in row order so
-//     per-key row lists keep build order without any locking;
-//  3. morsel probe — probe rows are hashed to their partition and probed
-//     against it, each morsel appending matches to its own buffer.
-//
-// The buffers concatenate in morsel order, reproducing the sequential
-// probe-order output exactly. A residual error surfaces from the morsel
-// holding the earliest failing probe row — the same error sequential
-// execution reports.
-func partitionedHashJoin(ctx *execCtx, build, probe *relation, buildCols, probeCols []int, buildRight bool, resFn evalFn) ([]Row, error) {
-	parts := ctx.parWorkers()
-	if parts > maxJoinPartitions {
-		parts = maxJoinPartitions
-	}
-	if parts < 2 {
-		parts = 2
-	}
-	nb := len(build.rows)
-	buildKeys := make([]string, nb)
-	buildHash := make([]uint64, nb)
-	mb := (nb + morselRows - 1) / morselRows
-	if _, err := ctx.par.run(mb, func(i int) error {
-		lo := i * morselRows
-		hi := lo + morselRows
-		if hi > nb {
-			hi = nb
-		}
-		for j := lo; j < hi; j++ {
-			if hasNullAt(build.rows[j], buildCols) {
-				continue // buildKeys[j] stays "", the NULL marker
-			}
-			buildKeys[j] = RowKey(build.rows[j], buildCols)
-			buildHash[j] = hashString(buildKeys[j])
 		}
 		return nil
 	}); err != nil {
 		return nil, err
 	}
 	tables := make([]map[string][]Row, parts)
-	if _, err := ctx.par.run(parts, func(p int) error {
+	poll := ctx.pollMask()
+	if _, err := ctx.par.run(fan, parts, func(_, p int) error {
 		ht := make(map[string][]Row, nb/parts+1)
-		for j := 0; j < nb; j++ {
-			if buildKeys[j] == "" || int(buildHash[j]%uint64(parts)) != p {
+		for j, k := range buildKeys {
+			if j&poll == 0 {
+				if err := ctx.cancelled(); err != nil {
+					return err
+				}
+			}
+			if k.key == "" || int(k.hash%uint64(parts)) != p {
 				continue
 			}
-			ht[buildKeys[j]] = append(ht[buildKeys[j]], build.rows[j])
+			ht[k.key] = append(ht[k.key], build.rows[j])
 		}
 		tables[p] = ht
 		return nil
 	}); err != nil {
 		return nil, err
 	}
-	np := len(probe.rows)
-	mp := (np + morselRows - 1) / morselRows
-	outs := make([][]Row, mp)
-	workers, err := ctx.par.run(mp, func(i int) error {
-		lo := i * morselRows
-		hi := lo + morselRows
-		if hi > np {
-			hi = np
-		}
-		var buf []Row
-		for _, prow := range probe.rows[lo:hi] {
+	mp := numBatches(np, morselRows)
+	scr := ctx.borrowVecScratch()
+	defer ctx.returnVecScratch(scr)
+	joined := &scr.rows
+	joined.reset(ctx.par.slots(fan), mp)
+	workers, err := ctx.par.run(fan, mp, func(w, i int) error {
+		start := len(joined.bufs[w])
+		for _, prow := range probe.rows[i*morselRows : min(i*morselRows+morselRows, np)] {
 			if hasNullAt(prow, probeCols) {
 				continue
 			}
 			k := RowKey(prow, probeCols)
 			for _, brow := range tables[hashString(k)%uint64(parts)][k] {
-				var joined Row
-				if buildRight {
-					joined = concatRows(prow, brow)
-				} else {
-					joined = concatRows(brow, prow)
+				lrow, rrow := prow, brow
+				if !buildRight {
+					lrow, rrow = brow, prow
 				}
+				row := concatRows(lrow, rrow)
 				if resFn != nil {
-					v, err := resFn(joined)
+					v, err := resFn(row)
 					if err != nil {
 						return err
 					}
@@ -318,27 +227,22 @@ func partitionedHashJoin(ctx *execCtx, build, probe *relation, buildCols, probeC
 						continue
 					}
 				}
-				buf = append(buf, joined)
+				joined.add(w, row)
 			}
 		}
-		outs[i] = buf
+		joined.mark(w, i, start)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	ctx.par.stats.JoinPartitions.Add(int64(parts))
-	ctx.par.stats.Morsels.Add(int64(mb + mp))
-	total := 0
-	for _, b := range outs {
-		total += len(b)
+	if fan {
+		ctx.par.stats.JoinPartitions.Add(int64(parts))
+		ctx.par.stats.Morsels.Add(int64(mb + mp))
+		ctx.setParNote(fmt.Sprintf(" [partitions=%d workers=%d]", parts, workers))
 	}
-	rows := make([]Row, 0, total)
-	for _, b := range outs {
-		rows = append(rows, b...)
-	}
-	ctx.setParNote(fmt.Sprintf(" [partitions=%d workers=%d]", parts, workers))
-	return rows, nil
+	out.rows = joined.concat()
+	return out, nil
 }
 
 // mergeJoin sorts both sides on the first key column and merges; remaining

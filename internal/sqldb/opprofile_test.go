@@ -129,7 +129,7 @@ func TestProfileUnionRowsSum(t *testing.T) {
 	}
 	var sum int
 	for _, c := range u.Children {
-		if c.Op == "select" {
+		if c.Op == "arm" {
 			sum += c.Rows
 		}
 	}

@@ -2,6 +2,7 @@ package sqldb
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -175,7 +176,7 @@ func TestParStateDeterministicError(t *testing.T) {
 	ps := &parState{pool: pool, par: 4, stats: &ExecStats{}}
 	errAt := func(i int) error { return fmt.Errorf("task %d failed", i) }
 	for trial := 0; trial < 100; trial++ {
-		_, err := ps.run(64, func(i int) error {
+		_, err := ps.run(true, 64, func(_, i int) error {
 			if i == 17 || i == 53 {
 				return errAt(i)
 			}
@@ -193,9 +194,9 @@ func TestParStateDeterministicError(t *testing.T) {
 func TestParStateNestedNoDeadlock(t *testing.T) {
 	pool := NewPool(2) // one helper total
 	ps := &parState{pool: pool, par: 2, stats: &ExecStats{}}
-	_, err := ps.run(8, func(i int) error {
-		_, innerErr := ps.run(8, func(j int) error {
-			_, deepest := ps.run(4, func(k int) error { return nil })
+	_, err := ps.run(true, 8, func(_, i int) error {
+		_, innerErr := ps.run(true, 8, func(_, j int) error {
+			_, deepest := ps.run(true, 4, func(_, k int) error { return nil })
 			return deepest
 		})
 		return innerErr
@@ -209,7 +210,7 @@ func TestParStateRunCoversAllTasks(t *testing.T) {
 	pool := NewPool(4)
 	ps := &parState{pool: pool, par: 4, stats: &ExecStats{}}
 	hit := make([]bool, 500)
-	if _, err := ps.run(len(hit), func(i int) error {
+	if _, err := ps.run(true, len(hit), func(_, i int) error {
 		hit[i] = true
 		return nil
 	}); err != nil {
@@ -274,24 +275,20 @@ func TestDistinctKeySemantics(t *testing.T) {
 	}
 }
 
-func TestExecStatsAdd(t *testing.T) {
-	var a, b ExecStats
-	a.Tasks.Add(3)
-	b.Tasks.Add(4)
-	b.UnionArms.Add(2)
-	a.Add(&b)
-	if got := a.Tasks.Load(); got != 7 {
-		t.Errorf("Tasks = %d, want 7", got)
+// opSequence lists a profile's operators in preorder with their row
+// counts, leaving out times and the parallel notes in details.
+func opSequence(p *OpProfile) []string {
+	out := []string{fmt.Sprintf("%s rows=%d", p.Op, p.Rows)}
+	for _, c := range p.Children {
+		out = append(out, opSequence(c)...)
 	}
-	if got := a.UnionArms.Load(); got != 2 {
-		t.Errorf("UnionArms = %d, want 2", got)
-	}
-	a.Add(nil) // nil-safe
+	return out
 }
 
 // TestParallelProfileAnnotations checks EXPLAIN ANALYZE stays truthful
 // under parallel execution: per-arm nodes with timings and a workers=
-// annotation on the union.
+// annotation on the union — and that one worker reports the same
+// operators, arm nodes included.
 func TestParallelProfileAnnotations(t *testing.T) {
 	db := parTestDB(t, ProfileHashJoin)
 	stmt, err := Parse(`SELECT id FROM nums WHERE val < 300 UNION ALL SELECT id FROM other WHERE id < 3000`)
@@ -322,6 +319,13 @@ func TestParallelProfileAnnotations(t *testing.T) {
 	}
 	if arm.Rows == 0 {
 		t.Error("arm node has no row count")
+	}
+	_, prof1, err := db.ProfileSelectOpts(stmt, ExecOptions{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := opSequence(prof1), opSequence(prof); !slices.Equal(got, want) {
+		t.Errorf("one worker profiles operators\n%s\nfour workers\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }
 

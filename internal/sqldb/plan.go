@@ -85,18 +85,17 @@ func newExecCtx(opt ExecOptions, prof *OpProfile) *execCtx {
 	if batch <= 0 {
 		batch = DefaultBatchSize
 	}
-	ctx := &execCtx{cache: newStmtCache(), prof: prof, usage: opt.Usage, ctx: opt.Ctx, batch: batch, stats: opt.Stats}
+	ctx := &execCtx{cache: newStmtCache(), prof: prof, usage: opt.Usage, batch: batch,
+		par: parState{par: 1, stats: opt.Stats, ctx: opt.Ctx}}
 	if opt.Parallelism > 1 {
-		pool := opt.Pool
-		if pool == nil {
-			pool = NewPool(opt.Parallelism)
+		ctx.par.par = opt.Parallelism
+		ctx.par.pool = opt.Pool
+		if ctx.par.pool == nil {
+			ctx.par.pool = NewPool(opt.Parallelism)
 		}
-		stats := opt.Stats
-		if stats == nil {
-			stats = &ExecStats{}
+		if ctx.par.stats == nil {
+			ctx.par.stats = &ExecStats{}
 		}
-		ctx.stats = stats
-		ctx.par = &parState{pool: pool, par: opt.Parallelism, stats: stats, ctx: opt.Ctx}
 	}
 	return ctx
 }
@@ -110,18 +109,15 @@ type execCtx struct {
 	// built (EXPLAIN ANALYZE collection; see ProfileSelect). Operators
 	// append children via addOp/pushOp, which no-op when prof is nil.
 	prof *OpProfile
-	// par is the statement's parallel-execution state; nil = sequential.
-	par *parState
+	// par is the statement's execution driver: worker cap, pool, counters
+	// and cancellation signal (see pool.go).
+	par parState
 	// parNote is the pending workers/partitions annotation of the last
 	// parallel operator (see setParNote/takeParNote in pool.go).
 	parNote string
 	// usage is the per-query resource tracker (shared, atomic; nil =
 	// accounting off, one nil check per operator).
 	usage *obs.Usage
-	// ctx is the statement's cancellation signal (nil = non-cancellable);
-	// operators poll it through cancelled() at their boundaries and every
-	// morselRows rows inside long loops.
-	ctx context.Context
 	// scratch is a reusable byte buffer for profile details, so
 	// enabled-tracing formatting on the buildFrom hot path costs one
 	// string allocation instead of fmt boxing (goroutine-local: each
@@ -130,16 +126,13 @@ type execCtx struct {
 	// batch is the resolved batch size: > 1 runs the vectorized executor,
 	// <= 1 the row-at-a-time one (see ExecOptions.BatchSize).
 	batch int
-	// stats receives the batch counters even on sequential executions
-	// (parallel ones share it with par.stats); nil = not collected.
-	stats *ExecStats
 	// lastBatches is the pending batches= annotation of the operator just
 	// executed (goroutine-local, same discipline as parNote).
 	lastBatches int
-	// vecs is the reusable batch-executor scratch pool (selection indices,
-	// keep flags, key hashes; see vecScratch in batch.go). Goroutine-local
-	// like parNote: each parallel union arm owns its child context, and
-	// parallel batch tasks allocate task-locally instead of borrowing.
+	// vecs is the reusable operator scratch (selections, keep flags, key
+	// hashes; see vecScratch in batch.go), borrowed by each operator's
+	// worker 0. Goroutine-local like parNote: each union helper owns its
+	// child context, and the helpers of other operators get fresh scratch.
 	vecs *vecScratch
 }
 
@@ -198,14 +191,14 @@ func (ctx *execCtx) sortedOrder(r *relation, slot int) []int {
 	return e.idx
 }
 
-// cancelled returns the statement context's error once it is done.
-// Nil-safe on a nil receiver and a nil context — the batch paths never
-// pay more than two nil checks.
+// cancelled returns the statement's cancellation error once it is done.
+// Nil-safe on a nil receiver and a nil signal — the batch paths never pay
+// more than two nil checks.
 func (ctx *execCtx) cancelled() error {
-	if ctx == nil || ctx.ctx == nil {
+	if ctx == nil {
 		return nil
 	}
-	return ctx.ctx.Err()
+	return ctx.par.cancelled()
 }
 
 // approxValueBytes is the estimated materialized footprint of one Value
@@ -288,14 +281,7 @@ func (db *Database) evalSelectChain(ctx *execCtx, s *SelectStmt) (*relation, err
 		arms = append(arms, u)
 	}
 	node, restore := ctx.pushOp(op, "")
-	var head *relation
-	var err error
-	workers := 1
-	if ctx.par != nil && len(arms) > 1 {
-		head, workers, err = db.evalUnionArmsParallel(ctx, arms)
-	} else {
-		head, err = db.evalUnionArmsSequential(ctx, arms)
-	}
+	head, workers, err := db.evalUnionArms(ctx, arms)
 	restore()
 	if err != nil {
 		return nil, err
@@ -324,61 +310,50 @@ func (db *Database) evalSelectChain(ctx *execCtx, s *SelectStmt) (*relation, err
 	return head, nil
 }
 
-func (db *Database) evalUnionArmsSequential(ctx *execCtx, arms []*SelectStmt) (*relation, error) {
-	head, err := db.evalSelect(ctx, arms[0])
-	if err != nil {
-		return nil, err
-	}
-	// The head's row slice can alias a base table (star fast path), so
-	// appending the other arms into it would write through to — or race
-	// on — the shared table storage. Concatenate into a fresh slice.
-	head.rows = append(make([]Row, 0, head.numRows()), head.matRows()...)
-	head.vec = nil
-	head.mat = false
-	for _, u := range arms[1:] {
-		arm, err := db.evalSelect(ctx, u)
-		if err != nil {
-			return nil, err
-		}
-		if len(arm.cols) != len(head.cols) {
-			return nil, fmt.Errorf("sqldb: UNION arms have %d vs %d columns", len(head.cols), len(arm.cols))
-		}
-		head.rows = append(head.rows, arm.matRows()...)
-	}
-	return head, nil
-}
-
-// evalUnionArmsParallel evaluates every arm of a union chain concurrently —
-// the dominant cost of unfolded OBDA queries, whose UCQs have dozens of
-// arms. Arm outputs are concatenated in arm order, so the merged relation
-// is bit-identical to the sequential one. Each arm runs under a child
-// context that shares the statement cache and parallel state but owns its
-// own (pre-created, deterministically ordered) profile node.
-func (db *Database) evalUnionArmsParallel(ctx *execCtx, arms []*SelectStmt) (*relation, int, error) {
-	rels := make([]*relation, len(arms))
+// evalUnionArms evaluates the arms of a union chain — the dominant cost of
+// unfolded OBDA queries, whose UCQs have dozens of arms — as one task per
+// arm, fanned out when the statement has workers to spare. Arm outputs
+// concatenate in arm order, so the merged relation is the same at every
+// worker count. Worker 0 runs its arms on the statement's own context;
+// each helper builds one child context that shares the statement cache,
+// driver and usage tracker but owns its profile cursor, notes and scratch.
+// Every arm gets its own profile node, created up front in arm order.
+func (db *Database) evalUnionArms(ctx *execCtx, arms []*SelectStmt) (*relation, int, error) {
+	fan := ctx.par.fanOut(len(arms), minParallelRows)
 	nodes := make([]*OpProfile, len(arms))
-	ctxs := make([]*execCtx, len(arms))
-	for i := range arms {
-		if ctx.prof != nil {
+	if ctx.prof != nil {
+		for i := range arms {
 			nodes[i] = ctx.addOp("arm", fmt.Sprintf("#%d", i+1))
 		}
-		ctxs[i] = &execCtx{cache: ctx.cache, par: ctx.par, prof: nodes[i], usage: ctx.usage, ctx: ctx.ctx, batch: ctx.batch, stats: ctx.stats}
 	}
-	ctx.par.stats.UnionArms.Add(int64(len(arms)))
-	workers, err := ctx.par.run(len(arms), func(i int) error {
+	if fan {
+		ctx.par.stats.UnionArms.Add(int64(len(arms)))
+	}
+	rels := make([]*relation, len(arms))
+	wctx := make([]*execCtx, ctx.par.slots(fan))
+	wctx[0] = ctx
+	union := ctx.prof
+	workers, err := ctx.par.run(fan, len(arms), func(w, i int) error {
+		c := wctx[w]
+		if c == nil {
+			c = &execCtx{cache: ctx.cache, par: ctx.par, usage: ctx.usage, batch: ctx.batch}
+			wctx[w] = c
+		}
+		c.prof = nodes[i]
 		start := obs.Now()
-		rel, armErr := db.evalSelect(ctxs[i], arms[i])
+		rel, err := db.evalSelect(c, arms[i])
 		nodes[i].SetTime(obs.Since(start))
-		if armErr != nil {
-			return armErr
+		if err != nil {
+			return err
 		}
 		nodes[i].SetRows(rel.numRows())
 		// Materialize inside the arm's task: the relation is still owned
-		// by this goroutine, and the transpose work parallelizes with it.
+		// by this worker, and the transpose work parallelizes with it.
 		rel.matRows()
 		rels[i] = rel
 		return nil
 	})
+	ctx.prof = union
 	if err != nil {
 		return nil, 0, err
 	}
@@ -387,6 +362,8 @@ func (db *Database) evalUnionArmsParallel(ctx *execCtx, arms []*SelectStmt) (*re
 	for _, r := range rels {
 		total += len(r.rows)
 	}
+	// A fresh slice: an arm's rows can alias a base table (star fast
+	// path), so appending into one would write through to shared storage.
 	rows := make([]Row, 0, total)
 	for _, r := range rels {
 		if len(r.cols) != len(head.cols) {

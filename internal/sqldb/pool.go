@@ -2,18 +2,22 @@ package sqldb
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
 
-// Intra-query parallelism (morsel-driven, after Leis et al.): operators
-// that have enough work fan it out over a bounded worker pool — union arms
-// of the big OBDA unfoldings run concurrently, hash joins build and probe
-// partitioned hash tables, and scans/filters split their input into
-// fixed-size morsels. Every parallel operator merges its pieces in input
-// order, so results are bit-identical to sequential execution; the only
-// observable differences are wall time and the workers= annotations in
-// EXPLAIN ANALYZE.
+// Intra-query parallelism (morsel-driven, after Leis et al.): every
+// operator that splits its work into ranges — union arms, filter morsels
+// and batches, hash-join key extraction, partitions and probe morsels —
+// has one body that works on one range, and the driver, parState.run, is
+// its only loop. One worker is the driver's inline case: the calling
+// goroutine runs every range in order. Many workers are the same body
+// with helpers borrowed from a bounded pool claiming ranges alongside it.
+// Range outputs merge in range order, so results are bit-identical at
+// every worker count; the only observable differences are wall time and
+// the workers= annotations in EXPLAIN ANALYZE. Whether an operator fans
+// out at all is one rule, parState.fanOut.
 //
 // This file is the engine's one sanctioned goroutine spawn point: every
 // parallel operator fans out through parState.run, whose workers observe
@@ -100,45 +104,31 @@ func (p *Pool) release(n int) {
 // bump them simultaneously. core publishes these as the
 // npdbench_exec_parallel_* metric family.
 type ExecStats struct {
-	// Tasks counts operator tasks (union arms, partitions, morsels)
-	// executed by the parallel driver, whoever ran them.
+	// Tasks counts the tasks (union arms, partitions, morsels) of
+	// operators that fanned out, whoever ran them.
 	Tasks atomic.Int64
 	// Workers counts helper goroutines launched (excludes the calling
 	// goroutine, which always participates).
 	Workers atomic.Int64
-	// UnionArms counts union arms evaluated through the parallel driver.
+	// UnionArms counts the arms of unions that fanned out.
 	UnionArms atomic.Int64
-	// JoinPartitions counts hash-join partitions built in parallel.
+	// JoinPartitions counts the partitions of hash joins that fanned out.
 	JoinPartitions atomic.Int64
-	// Morsels counts scan/filter/probe row chunks processed in parallel
-	// operators.
+	// Morsels counts the filter and hash-join row chunks of operators
+	// that fanned out.
 	Morsels atomic.Int64
 	// Batches counts fixed-size row batches processed by vectorized
-	// operators (sequential and parallel alike).
+	// operators, whether they fanned out or not.
 	Batches atomic.Int64
 }
 
-// add folds other into s (used to roll per-statement stats up into
-// engine-lifetime aggregates).
-func (s *ExecStats) Add(other *ExecStats) {
-	if s == nil || other == nil {
-		return
-	}
-	s.Tasks.Add(other.Tasks.Load())
-	s.Workers.Add(other.Workers.Load())
-	s.UnionArms.Add(other.UnionArms.Load())
-	s.JoinPartitions.Add(other.JoinPartitions.Load())
-	s.Morsels.Add(other.Morsels.Load())
-	s.Batches.Add(other.Batches.Load())
-}
-
-// parState is the per-statement handle on the parallel execution machinery;
-// a nil parState (or one on a sequential execCtx) means every operator runs
-// inline. It is shared by all child contexts of one statement, so its
-// fields must be safe for concurrent use.
+// parState is the per-statement handle on the execution driver. Every
+// context of one statement carries a copy of it, the union workers' child
+// contexts included; its fields are set when the statement starts and only
+// read afterwards.
 type parState struct {
-	pool  *Pool
-	par   int // per-operator worker cap, >= 2 whenever parState exists
+	pool  *Pool // nil when par is 1
+	par   int   // per-operator worker cap; 1 runs every operator inline
 	stats *ExecStats
 	// ctx carries the statement's cancellation signal; workers stop
 	// claiming tasks once it is done. Nil means non-cancellable.
@@ -154,40 +144,60 @@ func (ps *parState) cancelled() error {
 	return ps.ctx.Err()
 }
 
-// run executes tasks 0..n-1 with the calling goroutine plus up to par-1
-// helpers borrowed non-blockingly from the pool. Tasks are claimed from a
-// shared counter (morsel dispatch); after any task fails, workers stop
-// claiming new ones. The error reported is the failing task with the
-// lowest index — the same one sequential execution would have hit first —
-// so error propagation is deterministic regardless of scheduling. Returns
-// the number of workers that participated.
-func (ps *parState) run(n int, task func(i int) error) (int, error) {
+// fanOut is the one fan-out rule of every parallel operator: split the
+// work over the pool only when the statement may use more than one worker,
+// the work splits into more than one task, and the input holds at least
+// minParallelRows rows. Union arms are whole SELECT blocks, so a union
+// passes minParallelRows as its input and fans out on its arm count alone.
+func (ps *parState) fanOut(tasks, rows int) bool {
+	return ps.par > 1 && tasks > 1 && rows >= minParallelRows
+}
+
+// slots returns how many worker slots a run can hand out: par when it fans
+// out, otherwise only the calling goroutine's slot 0.
+func (ps *parState) slots(fan bool) int {
+	if fan {
+		return ps.par
+	}
+	return 1
+}
+
+// run is the one loop of every operator that splits its work into ranges:
+// it executes tasks 0..n-1 and hands each the slot w of the worker running
+// it, so operators build per-worker state once per worker. Slot 0 is the
+// calling goroutine. Without fan, or when the pool lends no helper, slot 0
+// runs every task itself, in order: one-worker execution is this inline
+// case, not a second implementation. With fan, up to par-1 helpers borrowed
+// non-blockingly from the pool take slots 1.. and claim tasks from a shared
+// counter (morsel dispatch); each worker therefore sees its tasks in
+// increasing order.
+//
+// The driver polls cancellation before every task. After any task fails,
+// workers stop claiming new ones, and the error reported is the failing
+// task with the lowest index — the one inline execution hits first — so
+// error propagation is deterministic regardless of scheduling. Runs that
+// fan out count their tasks and helpers. Returns the number of workers
+// that participated.
+func (ps *parState) run(fan bool, n int, task func(w, i int) error) (int, error) {
 	if n <= 0 {
 		return 0, nil
 	}
 	helpers := 0
-	if ps != nil && n > 1 {
-		want := ps.par - 1
-		if want > n-1 {
-			want = n - 1
-		}
-		if want > 0 {
-			helpers = ps.pool.tryAcquire(want)
-		}
+	if fan {
+		helpers = ps.pool.tryAcquire(min(ps.par, n) - 1)
 	}
 	if helpers == 0 {
-		// Pool drained or single task: inline, in order.
 		for i := 0; i < n; i++ {
 			if err := ps.cancelled(); err != nil {
-				ps.countTasks(i, 0)
+				ps.countTasks(fan, i, 0)
 				return 1, err
 			}
-			if err := task(i); err != nil {
-				ps.countTasks(i+1, 0)
+			if err := task(0, i); err != nil {
+				ps.countTasks(fan, i+1, 0)
 				return 1, err
 			}
 		}
-		ps.countTasks(n, 0)
+		ps.countTasks(fan, n, 0)
 		return 1, nil
 	}
 	// From here on the helpers are borrowed; return them even if a task
@@ -201,7 +211,7 @@ func (ps *parState) run(n int, task func(i int) error) (int, error) {
 		errIdx   = -1
 		firstErr error
 	)
-	work := func() {
+	work := func(w int) {
 		for !stop.Load() {
 			if err := ps.cancelled(); err != nil {
 				mu.Lock()
@@ -216,7 +226,7 @@ func (ps *parState) run(n int, task func(i int) error) (int, error) {
 			if i >= n {
 				return
 			}
-			if err := task(i); err != nil {
+			if err := task(w, i); err != nil {
 				mu.Lock()
 				if errIdx == -1 || i < errIdx {
 					errIdx, firstErr = i, err
@@ -229,37 +239,26 @@ func (ps *parState) run(n int, task func(i int) error) (int, error) {
 	}
 	var wg sync.WaitGroup
 	wg.Add(helpers)
-	for i := 0; i < helpers; i++ {
+	for w := 1; w <= helpers; w++ {
 		go func() {
 			defer wg.Done()
-			work()
+			work(w)
 		}()
 	}
-	work()
+	work(0)
 	wg.Wait()
-	claimed := int(next.Load())
-	if claimed > n {
-		claimed = n
-	}
-	ps.countTasks(claimed, helpers)
+	ps.countTasks(fan, min(int(next.Load()), n), helpers)
 	return helpers + 1, firstErr
 }
 
-func (ps *parState) countTasks(tasks, workers int) {
-	if ps == nil || ps.stats == nil {
+// countTasks folds a fanned-out run's claimed tasks and helpers into the
+// stats; runs that stay inline by the fan-out rule are not counted.
+func (ps *parState) countTasks(fan bool, tasks, workers int) {
+	if !fan || ps.stats == nil {
 		return
 	}
 	ps.stats.Tasks.Add(int64(tasks))
 	ps.stats.Workers.Add(int64(workers))
-}
-
-// parWorkers reports the worker cap of this context: 1 when execution is
-// sequential.
-func (ctx *execCtx) parWorkers() int {
-	if ctx == nil || ctx.par == nil {
-		return 1
-	}
-	return ctx.par.par
 }
 
 // setParNote stashes the parallel-execution annotation of the operator
@@ -279,4 +278,63 @@ func (ctx *execCtx) takeParNote() string {
 	note := ctx.parNote
 	ctx.parNote = ""
 	return note
+}
+
+// runOut collects the output of one run: worker w appends to bufs[w], and
+// task i records in runs[i] the stretch of its worker's buffer it filled.
+// Each worker runs its tasks in increasing order, so the stretches taken
+// in task order are the inline output at every worker count.
+type runOut[T any] struct {
+	bufs [][]T // per worker slot
+	runs [][]T // per task
+}
+
+// reset prepares o for a run of tasks over slots workers, keeping the
+// capacity of earlier runs' buffers.
+func (o *runOut[T]) reset(slots, tasks int) {
+	o.bufs = slices.Grow(o.bufs[:0], slots)[:slots]
+	for w := range o.bufs {
+		o.bufs[w] = o.bufs[w][:0]
+	}
+	o.runs = slices.Grow(o.runs[:0], tasks)[:tasks]
+}
+
+// add appends v to worker w's buffer.
+func (o *runOut[T]) add(w int, v T) {
+	o.bufs[w] = append(o.bufs[w], v)
+}
+
+// mark records that task i, run by worker w, appended bufs[w][start:].
+// Later appends may move the buffer; the stretch keeps the old backing,
+// whose cells no later append writes.
+func (o *runOut[T]) mark(w, i, start int) {
+	b := o.bufs[w]
+	o.runs[i] = b[start:len(b):len(b)]
+}
+
+// len returns the total output length.
+func (o *runOut[T]) len() int {
+	n := 0
+	for _, b := range o.bufs {
+		n += len(b)
+	}
+	return n
+}
+
+// concat returns the stretches joined in task order. When one worker
+// filled every stretch, its buffer already is that concatenation: it is
+// handed over, and o forgets it.
+func (o *runOut[T]) concat() []T {
+	n := o.len()
+	for w, b := range o.bufs {
+		if len(b) == n {
+			o.bufs[w] = nil
+			return b
+		}
+	}
+	out := make([]T, 0, n)
+	for _, r := range o.runs {
+		out = append(out, r...)
+	}
+	return out
 }

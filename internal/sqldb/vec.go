@@ -208,16 +208,23 @@ func (vd *vecData) hasNullKey(i int, slots []int) bool {
 // vecBuilder accumulates output rows of a batch operator column by column.
 // Gathers are type-specialized appends; string columns copy codes and share
 // the source dictionary. A builder's columns all gather from the same
-// source relation (possibly one side of a join).
+// source relation; a join's output builder is built over both sides'
+// columns and gathers each side through a builder over its half.
 type vecBuilder struct {
 	cols []colvec
 	n    int
 }
 
-func newVecBuilder(src []colvec) *vecBuilder {
-	b := &vecBuilder{cols: make([]colvec, len(src))}
-	for i := range src {
-		b.cols[i] = colvec{kind: src[i].kind, dict: src[i].dict}
+func newVecBuilder(srcs ...[]colvec) *vecBuilder {
+	n := 0
+	for _, src := range srcs {
+		n += len(src)
+	}
+	b := &vecBuilder{cols: make([]colvec, 0, n)}
+	for _, src := range srcs {
+		for i := range src {
+			b.cols = append(b.cols, colvec{kind: src[i].kind, dict: src[i].dict})
+		}
 	}
 	return b
 }
@@ -333,35 +340,6 @@ func (b *vecBuilder) gather(src []colvec, idx []int32) {
 		}
 	}
 	b.n += len(idx)
-}
-
-// appendAll concatenates another builder's columns (used to merge the
-// per-task outputs of parallel batch operators in task order).
-func (b *vecBuilder) appendAll(o *vecBuilder) {
-	base := b.n
-	for ci := range b.cols {
-		dc := &b.cols[ci]
-		oc := &o.cols[ci]
-		if oc.nulls != nil || dc.nulls != nil {
-			need := (base + o.n + 63) >> 6
-			if dc.nulls == nil {
-				dc.nulls = newNullBitmap(base + o.n)
-			}
-			for len(dc.nulls) < need {
-				dc.nulls = append(dc.nulls, 0)
-			}
-			for i := 0; i < o.n; i++ {
-				if oc.nulls.get(i) {
-					dc.nulls.set(base + i)
-				}
-			}
-		}
-		dc.ints = append(dc.ints, oc.ints...)
-		dc.floats = append(dc.floats, oc.floats...)
-		dc.codes = append(dc.codes, oc.codes...)
-		dc.geos = append(dc.geos, oc.geos...)
-	}
-	b.n += o.n
 }
 
 // build finalizes the builder into a vecData.

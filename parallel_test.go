@@ -20,20 +20,31 @@ func parallelSpec(t testing.TB) core.Spec {
 	}
 }
 
-// TestParallelSequentialIdentical runs all 21 NPD queries on two engines
-// that differ only in Options.Parallelism and asserts the answers are
-// identical row-for-row (the ResultSet rendering is order-sensitive), so
-// parallel execution — union-arm fan-out, partitioned joins, morsel
-// scans — is provably answer- and order-preserving, including the ORDER
-// BY/LIMIT and UNION-dedup queries. ci.sh also runs this test under
-// GOMAXPROCS=1, where parallel scheduling interleaves maximally
-// differently from the multi-core case.
-func TestParallelSequentialIdentical(t *testing.T) {
-	spec := parallelSpec(t)
-	seqEng, err := core.NewEngine(spec, core.DefaultOptions())
+// sequentialEngine builds the one-worker reference engine. Parallelism 1
+// is explicit: DefaultOptions' 0 means one worker per CPU, and GOMAXPROCS
+// does not change that.
+func sequentialEngine(t *testing.T, spec core.Spec) *core.Engine {
+	t.Helper()
+	opts := core.DefaultOptions()
+	opts.Parallelism = 1
+	eng, err := core.NewEngine(spec, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return eng
+}
+
+// TestParallelSequentialIdentical runs all 21 NPD queries on two engines
+// that differ only in Options.Parallelism (one worker vs four) and asserts
+// the answers are identical row-for-row (the ResultSet rendering is
+// order-sensitive), so parallel execution — union-arm fan-out, partitioned
+// joins, morsel scans — is provably answer- and order-preserving,
+// including the ORDER BY/LIMIT and UNION-dedup queries. ci.sh also runs
+// this test under GOMAXPROCS=1, where parallel scheduling interleaves
+// maximally differently from the multi-core case.
+func TestParallelSequentialIdentical(t *testing.T) {
+	spec := parallelSpec(t)
+	seqEng := sequentialEngine(t, spec)
 	opts := core.DefaultOptions()
 	opts.Parallelism = 4
 	parEng, err := core.NewEngine(spec, opts)
@@ -49,6 +60,9 @@ func TestParallelSequentialIdentical(t *testing.T) {
 		seq, err := seqEng.Answer(parsed)
 		if err != nil {
 			t.Fatalf("%s (sequential): %v", q.ID, err)
+		}
+		if n := seq.Stats.Parallel.Tasks; n != 0 {
+			t.Errorf("%s: the one-worker reference ran %d parallel tasks", q.ID, n)
 		}
 		par, err := parEng.Answer(parsed.Clone())
 		if err != nil {
@@ -83,10 +97,7 @@ func TestParallelConcurrentStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seqEng, err := core.NewEngine(spec, core.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	seqEng := sequentialEngine(t, spec)
 	queries := npd.Queries()
 	want := make(map[string]string, len(queries))
 	for _, q := range queries {
@@ -97,6 +108,9 @@ func TestParallelConcurrentStress(t *testing.T) {
 		ans, err := seqEng.Answer(parsed)
 		if err != nil {
 			t.Fatalf("%s (reference): %v", q.ID, err)
+		}
+		if n := ans.Stats.Parallel.Tasks; n != 0 {
+			t.Fatalf("%s: the one-worker reference ran %d parallel tasks", q.ID, n)
 		}
 		want[q.ID] = ans.String()
 	}

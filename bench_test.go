@@ -17,6 +17,7 @@ package npdbench
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -195,13 +196,15 @@ func BenchmarkQuery(b *testing.B) {
 // BenchmarkAblation_TMappings contrasts the two hierarchy-reasoning
 // strategies: T-mappings (saturation at load) versus classic UCQ expansion
 // at query time. The paper attributes Ontop's performance to the former.
+// It runs q6, whose classic expansion fits in 8192 CQs; q1, q5 and q7
+// expand past that cap, and the engine refuses a truncated rewriting.
 func BenchmarkAblation_TMappings(b *testing.B) {
 	db, _, err := mixer.BuildInstance(1, benchSeedScale, benchSeed)
 	if err != nil {
 		b.Fatal(err)
 	}
 	spec := core.Spec{Onto: npd.NewOntology(), Mapping: npd.NewMapping(), DB: db, Prefixes: npd.Prefixes()}
-	query := npd.QueryByID("q7").SPARQL // FixedFacility: 13-subclass hierarchy
+	query := npd.QueryByID("q6").SPARQL
 	for _, mode := range []struct {
 		name string
 		opts core.Options
@@ -228,6 +231,36 @@ func BenchmarkAblation_TMappings(b *testing.B) {
 			}
 			b.ReportMetric(float64(cqs), "CQs")
 		})
+	}
+}
+
+// TestAblationUCQExpansionAnswersQ6 runs q6 under the ucq-expansion
+// ablation's configuration. Its hierarchy expansion once ran past MaxCQs
+// and the truncated UCQ answered nothing; it must now fit the cap and
+// return the rows DefaultOptions returns.
+func TestAblationUCQExpansionAnswersQ6(t *testing.T) {
+	db, err := npd.NewSeededDatabase(npd.SeedConfig{Scale: 0.15, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := core.Spec{Onto: npd.NewOntology(), Mapping: npd.NewMapping(), DB: db, Prefixes: npd.Prefixes()}
+	var rows [2][]string
+	for i, opts := range []core.Options{
+		core.DefaultOptions(),
+		{TMappings: false, Existential: true, MaxCQs: 8192},
+	} {
+		eng, err := core.NewEngine(spec, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ans, err := eng.Query(npd.QueryByID("q6").SPARQL)
+		if err != nil {
+			t.Fatalf("options %+v: %v", opts, err)
+		}
+		rows[i] = renderRows(ans)
+	}
+	if len(rows[0]) != 6 || strings.Join(rows[0], "\n") != strings.Join(rows[1], "\n") {
+		t.Fatalf("q6: %d rows with DefaultOptions, %d under ucq-expansion (want 6 and equal)", len(rows[0]), len(rows[1]))
 	}
 }
 

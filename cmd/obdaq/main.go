@@ -141,8 +141,8 @@ func main() {
 	fmt.Printf("\nphases: rewrite=%v unfold=%v exec=%v translate=%v total=%v\n",
 		st.RewriteTime.Round(1e3), st.UnfoldTime.Round(1e3),
 		st.ExecTime.Round(1e3), st.TranslateTime.Round(1e3), st.TotalTime.Round(1e3))
-	fmt.Printf("rewriting: %d tree witnesses, %d CQs; unfolding: %d arms (%d pruned, %d self-joins eliminated, %d subsumed)\n",
-		st.TreeWitnesses, st.CQCount, st.UnionArms, st.PrunedArms, st.SelfJoinsEliminated, st.SubsumedArms)
+	fmt.Printf("rewriting: %d tree witnesses, %d CQs, %d entailed atoms dropped; unfolding: %d arms (%d pruned, %d self-joins eliminated, %d subsumed)\n",
+		st.TreeWitnesses, st.CQCount, st.EntailedAtoms, st.UnionArms, st.PrunedArms, st.SelfJoinsEliminated, st.SubsumedArms)
 	if st.StaticPrunedCQs+st.StaticPrunedArms+st.StaticUnsatFilters > 0 {
 		fmt.Printf("static pruning: %d CQs, %d candidates/arms, %d unsatisfiable filter sets\n",
 			st.StaticPrunedCQs, st.StaticPrunedArms, st.StaticUnsatFilters)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 
 	"npdbench/internal/obs"
@@ -35,6 +36,7 @@ type compiledPlan struct {
 	// cached or not (they describe the plan, not the compile run).
 	treeWitnesses    int
 	cqCount          int
+	entailedAtoms    int
 	unionArms        int
 	prunedArms       int
 	selfJoins        int
@@ -58,6 +60,7 @@ func (p *compiledPlan) addTo(st *PhaseStats) {
 	}
 	st.TreeWitnesses += p.treeWitnesses
 	st.CQCount += p.cqCount
+	st.EntailedAtoms += p.entailedAtoms
 	st.UnionArms += p.unionArms
 	st.PrunedArms += p.prunedArms
 	st.SelfJoinsEliminated += p.selfJoins
@@ -109,6 +112,7 @@ func emitCachedSpans(p *compiledPlan, spawn func(string) *obs.Span) {
 	rw.SetStr("cached", "true")
 	rw.SetInt("cqs", p.cqCount)
 	rw.SetInt("tree_witnesses", p.treeWitnesses)
+	rw.SetInt("entailed_atoms", p.entailedAtoms)
 	rw.End()
 	sp := spawn("static-prune")
 	sp.SetStr("cached", "true")
@@ -123,6 +127,20 @@ func emitCachedSpans(p *compiledPlan, spawn func(string) *obs.Span) {
 	pl.SetStr("cache", "hit")
 	pl.SetInt("sql_len", len(p.sql))
 	pl.End()
+}
+
+// rewriteComplete runs rw.Rewrite and refuses a truncated rewriting: a UCQ
+// cut at MaxCQs lacks disjuncts, so the answers computed from it would be
+// silently incomplete.
+func rewriteComplete(rw *rewrite.Rewriter, cq *rewrite.CQ, protected []string) (*rewrite.Result, error) {
+	res, err := rw.Rewrite(cq, protected)
+	if err != nil {
+		return nil, err
+	}
+	if res.Truncated {
+		return nil, fmt.Errorf("core: rewriting truncated at MaxCQs=%d, answers would be incomplete", rw.CQLimit())
+	}
+	return res, nil
 }
 
 // compileBGP runs the compile half of the pipeline for one BGP: CQ
@@ -167,7 +185,7 @@ func (e *Engine) compileBGP(bgp *sparql.BGP, push []unfold.PushFilter, st *Phase
 	plan := &compiledPlan{}
 	rwSpan := spawn("rewrite")
 	rwStart := obs.Now()
-	rres, err := e.rewriter.Rewrite(cq, protected)
+	rres, err := rewriteComplete(e.rewriter, cq, protected)
 	if err != nil {
 		rwSpan.End()
 		return nil, err
@@ -175,8 +193,10 @@ func (e *Engine) compileBGP(bgp *sparql.BGP, push []unfold.PushFilter, st *Phase
 	st.RewriteTime += obs.Since(rwStart)
 	plan.treeWitnesses = rres.TreeWitnesses
 	plan.cqCount = rres.CQCount
+	plan.entailedAtoms = rres.EntailedAtoms
 	rwSpan.SetInt("cqs", rres.CQCount)
 	rwSpan.SetInt("tree_witnesses", rres.TreeWitnesses)
+	rwSpan.SetInt("entailed_atoms", rres.EntailedAtoms)
 	rwSpan.End()
 	if err := e.verifyUCQ("rewrite", rres.UCQ, cq.Answer); err != nil {
 		return nil, err

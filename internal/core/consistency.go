@@ -67,7 +67,7 @@ func (e *Engine) CheckConsistency(maxWitnesses int) (*ConsistencyReport, error) 
 		}
 		add(a)
 		add(b)
-		res, err := e.rewriter.Rewrite(cq, []string{"x"})
+		res, err := rewriteComplete(e.rewriter, cq, []string{"x"})
 		if err != nil {
 			return nil, err
 		}
@@ -113,7 +113,7 @@ func (e *Engine) CheckConsistency(maxWitnesses int) (*ConsistencyReport, error) 
 				{Kind: rewrite.ObjPropAtom, Pred: d.B.Prop, S: rewrite.Term{Var: "x"}, O: rewrite.Term{Var: "y"}},
 			},
 		}
-		res, err := e.rewriter.Rewrite(cq, []string{"x", "y"})
+		res, err := rewriteComplete(e.rewriter, cq, []string{"x", "y"})
 		if err != nil {
 			return nil, err
 		}

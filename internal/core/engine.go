@@ -306,9 +306,11 @@ type PhaseStats struct {
 	TranslateTime time.Duration
 	TotalTime     time.Duration
 
-	// Simplicity R-Query measures.
+	// Simplicity R-Query measures, plus the query atoms the rewriter
+	// dropped because the rest of their CQ entails them under the TBox.
 	TreeWitnesses int
 	CQCount       int
+	EntailedAtoms int
 	// Simplicity U-Query measures.
 	UnionArms           int
 	PrunedArms          int

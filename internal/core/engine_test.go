@@ -289,6 +289,20 @@ func TestEngineFilterPushdown(t *testing.T) {
 	}
 }
 
+func TestEngineRefusesTruncatedRewriting(t *testing.T) {
+	// Person expands to Person, Employee and ∃SellsProduct: a cap of one
+	// CQ truncates the rewriting, and the engine must say so rather than
+	// answer from the partial UCQ.
+	e, err := NewEngine(exampleSpec(t), Options{TMappings: false, Existential: true, MaxCQs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = e.Query(`SELECT DISTINCT ?x WHERE { ?x a :Person }`)
+	if err == nil || !strings.Contains(err.Error(), "rewriting truncated at MaxCQs=1, answers would be incomplete") {
+		t.Fatalf("want a truncation error, got %v", err)
+	}
+}
+
 func TestEngineExistentialReasoning(t *testing.T) {
 	// ?x :WorksFor ?b — with existential reasoning OFF, only explicit
 	// WorksFor triples (from M7). The tree-witness case: a query where the

@@ -58,6 +58,32 @@ func TestTraceStageTaxonomy(t *testing.T) {
 	}
 }
 
+// TestTraceEntailedAtoms checks that the rewrite span and the phase stats
+// report the atoms the rewriter dropped, on a compile and on the cached
+// replay: Person(x) is entailed by SellsProduct's domain Employee.
+func TestTraceEntailedAtoms(t *testing.T) {
+	e, err := NewEngine(exampleSpec(t), obsOptions(&obs.Observer{Tracing: true}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for run := 0; run < 2; run++ {
+		ans, err := e.Query(`SELECT ?x ?p WHERE { ?x a :Person ; :SellsProduct ?p }`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got string
+		for _, a := range ans.Trace.Root.Find("rewrite").Attrs {
+			if a.Key == "entailed_atoms" {
+				got = a.Val
+			}
+		}
+		if got != "1" || ans.Stats.EntailedAtoms != 1 {
+			t.Fatalf("run %d: span entailed_atoms=%q, stats %d, want 1\n%s",
+				run, got, ans.Stats.EntailedAtoms, ans.Trace.Render())
+		}
+	}
+}
+
 func TestTraceDisabledByDefault(t *testing.T) {
 	e, err := NewEngine(exampleSpec(t), DefaultOptions())
 	if err != nil {

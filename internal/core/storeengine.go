@@ -132,7 +132,7 @@ func (se *StoreEngine) rewritePattern(p sparql.GraphPattern, st *PhaseStats) (sp
 			// Variable predicates etc.: evaluate unrewritten.
 			return x, nil
 		}
-		res, err := se.rewriter.Rewrite(cq, sparql.PatternVars(x))
+		res, err := rewriteComplete(se.rewriter, cq, sparql.PatternVars(x))
 		if err != nil {
 			return nil, err
 		}

@@ -13,7 +13,10 @@
 //   - tree-witness rewriting: detection of query subtrees that can be
 //     matched in the anonymous part of the canonical model generated by
 //     axioms of the form A ⊑ ∃R.B, with the folded alternatives emitted
-//     as extra UCQ disjuncts.
+//     as extra UCQ disjuncts;
+//   - entailed-atom elimination: every CQ of the tree-witness rewriting
+//     loses the atoms the rest of it entails under the TBox (see
+//     dropEntailed), before the UCQ is minimised.
 package rewrite
 
 import (

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"npdbench/internal/npd"
 	"npdbench/internal/owl"
 	"npdbench/internal/r2rml"
 	"npdbench/internal/rdf"
@@ -360,12 +361,21 @@ func TestSaturateSkipsLiteralObjectsForInverse(t *testing.T) {
 }
 
 func TestTreeWitnessGeneratorsAcrossHierarchy(t *testing.T) {
-	// Lecturer ⊑ Professor ⊑ ∃teaches.Course: a Lecturer-rooted query
-	// still folds, and the folded CQ keeps the root atom.
+	// Lecturer2 ⊑ Professor ⊑ ∃teaches.Course: a Lecturer2-rooted query
+	// still folds, with the generator found through the hierarchy.
 	onto := testOntology()
 	onto.AddSubClass(owl.NamedConcept(ns+"Lecturer2"), owl.NamedConcept(ns+"Professor"))
 	rw := &Rewriter{Onto: onto, Existential: true}
 	cq := parseBGP(t, `SELECT ?p WHERE { ?p a :Lecturer2 . ?p :teaches [ a :Course ] }`, onto)
+	tws := rw.findTreeWitnesses(cq, protectedSet(cq, []string{"p"}))
+	if len(tws) != 1 || len(tws[0].Generators) != 1 ||
+		tws[0].Generators[0] != owl.NamedConcept(ns+"Professor") {
+		t.Fatalf("want one witness generated by Professor, got %v", tws)
+	}
+	// The folded disjunct Lecturer2(p) ∧ Professor(p) loses Professor(p),
+	// which Lecturer2(p) entails; the unfolded one loses both the range
+	// atom Course and the edge teaches(p, _), which Lecturer2 ⊑ ∃teaches
+	// entails. Both minimise to Lecturer2(p), so the UCQ has one disjunct.
 	res, err := rw.Rewrite(cq, []string{"p"})
 	if err != nil {
 		t.Fatal(err)
@@ -373,24 +383,124 @@ func TestTreeWitnessGeneratorsAcrossHierarchy(t *testing.T) {
 	if res.TreeWitnesses != 1 {
 		t.Fatalf("tw = %d", res.TreeWitnesses)
 	}
-	// minimized: Lecturer2(p) ∧ Professor(p) — generator Professor is not
-	// already implied syntactically, so both atoms remain.
-	found := false
-	for _, q := range res.UCQ {
-		has2, hasProf := false, false
-		for _, a := range q.Atoms {
-			if a.Pred == ns+"Lecturer2" {
-				has2 = true
+	if got := res.UCQ.String(); got != "q(p) <- Lecturer2(?p)" {
+		t.Fatalf("UCQ is not minimal:\n%s", got)
+	}
+}
+
+// entailOntology extends the test ontology with Student ⊑ ∃name and
+// Course ⊑ ∃teaches⁻, so that the data and inverse cases of the free-end
+// rule have an axiom to fire on.
+func entailOntology() *owl.Ontology {
+	o := testOntology()
+	o.AddSubClass(owl.NamedConcept(ns+"Student"), owl.SomeData(ns+"name"))
+	o.AddSubClass(owl.NamedConcept(ns+"Course"), owl.SomeValues(ns+"teaches", true))
+	return o
+}
+
+// atomsAfterDrop runs dropEntailed on the query's CQ and renders the
+// surviving atoms in order.
+func atomsAfterDrop(t *testing.T, rw *Rewriter, src string, protected ...string) string {
+	t.Helper()
+	cq := parseBGP(t, src, rw.Onto)
+	n := len(cq.Atoms)
+	dropped := rw.dropEntailed(cq, protectedSet(cq, protected))
+	if dropped != n-len(cq.Atoms) {
+		t.Fatalf("dropEntailed reports %d drops, the CQ lost %d atoms", dropped, n-len(cq.Atoms))
+	}
+	parts := make([]string, len(cq.Atoms))
+	for i, a := range cq.Atoms {
+		parts[i] = a.String()
+	}
+	return strings.Join(parts, " ∧ ")
+}
+
+func TestDropEntailedRules(t *testing.T) {
+	for _, tc := range []struct {
+		name, src   string
+		existential bool
+		protected   []string
+		want        string
+	}{
+		{"domain", `SELECT ?p ?c WHERE { ?p a :Professor ; :teaches ?c }`, false, nil,
+			"teaches(?p,?c)"},
+		{"domain through a subproperty", `SELECT ?p ?c WHERE { ?p a :Person ; :lectures ?c }`, false, nil,
+			"lectures(?p,?c)"},
+		{"range", `SELECT ?p ?c WHERE { ?p :teaches ?c . ?c a :Course }`, false, nil,
+			"teaches(?p,?c)"},
+		{"range on a blank node", `SELECT ?p WHERE { ?p :lectures [ a :Course ] }`, false, nil,
+			"lectures(?p,?_bn1)"},
+		{"subclass", `SELECT ?s WHERE { ?s a :Student , :Person }`, false, nil,
+			"Student(?s)"},
+		{"A ⊑ ∃R with a free object", `SELECT ?p WHERE { ?p a :Professor ; :teaches [] }`, true, nil,
+			"Professor(?p)"},
+		{"A ⊑ ∃U with a free value", `SELECT ?s WHERE { ?s a :Student ; :name [] }`, true, nil,
+			"Student(?s)"},
+		{"A ⊑ ∃R⁻ with a free subject", `SELECT ?c WHERE { [] :teaches ?c . ?c a :Course }`, true, nil,
+			"Course(?c)"},
+		{"free end off without existential reasoning", `SELECT ?s WHERE { ?s a :Student ; :name [] }`, false, nil,
+			"Student(?s) ∧ name(?s,?_bn1)"},
+		{"a shared blank node is not free", `SELECT ?s ?t WHERE { ?s a :Student ; :name _:n . ?t :name _:n }`, true, nil,
+			"Student(?s) ∧ name(?s,?_bnl_n) ∧ name(?t,?_bnl_n)"},
+		{"answer variables stay", `SELECT ?s ?n WHERE { ?s a :Student ; :name ?n }`, true, nil,
+			"Student(?s) ∧ name(?s,?n)"},
+		{"filter variables stay", `SELECT ?s WHERE { ?s a :Student ; :name _:n }`, true, []string{"_bnl_n"},
+			"Student(?s) ∧ name(?s,?_bnl_n)"},
+		{"protected class atoms stay unless entailed", `SELECT ?s WHERE { ?s a :Student ; :name [] . ?s a :Course }`, false, nil,
+			"Student(?s) ∧ name(?s,?_bn1) ∧ Course(?s)"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rw := &Rewriter{Onto: entailOntology(), Existential: tc.existential}
+			if got := atomsAfterDrop(t, rw, tc.src, tc.protected...); got != tc.want {
+				t.Fatalf("got  %s\nwant %s", got, tc.want)
 			}
-			if a.Pred == ns+"Professor" {
-				hasProf = true
-			}
-		}
-		if has2 && hasProf && len(q.Atoms) == 2 {
-			found = true
+		})
+	}
+}
+
+// TestDropEntailedRemovalOrder pins the order for Professor ≡ ∃teaches:
+// the class atom on the answer variable stays and the free-ended edge
+// goes, whichever comes first in the query. Keeping the edge instead
+// would leave the tree-witness fold Professor(p) as a second disjunct.
+func TestDropEntailedRemovalOrder(t *testing.T) {
+	rw := &Rewriter{Onto: testOntology(), Existential: true}
+	for _, src := range []string{
+		`SELECT ?p WHERE { ?p a :Professor ; :teaches [] }`,
+		`SELECT ?p WHERE { ?p :teaches [] . ?p a :Professor }`,
+		`SELECT ?p WHERE { ?p :teaches [ a :Course ] . ?p a :Professor }`,
+	} {
+		if got := atomsAfterDrop(t, rw, src); got != "Professor(?p)" {
+			t.Errorf("%s: got %s, want Professor(?p)", src, got)
 		}
 	}
-	if !found {
-		t.Fatalf("expected folded disjunct {Lecturer2(p), Professor(p)}:\n%s", res.UCQ)
+	// Without existential reasoning the edge cannot go, so the domain
+	// axiom removes the class atom instead.
+	rw.Existential = false
+	if got := atomsAfterDrop(t, rw, `SELECT ?p WHERE { ?p a :Professor ; :teaches [] }`); got != "teaches(?p,?_bn1)" {
+		t.Errorf("existential off: got %s, want teaches(?p,?_bn1)", got)
+	}
+}
+
+// TestDropEntailedKeepsExplorationWellbore is the negative case on the
+// NPD ontology: q1's ?w a :ExplorationWellbore stays, because the other
+// atoms on ?w only entail Wellbore (drilledInLicence's domain).
+func TestDropEntailedKeepsExplorationWellbore(t *testing.T) {
+	onto := npd.NewOntology()
+	q, err := sparql.Parse(npd.QueryByID("q1").SPARQL, npd.Prefixes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	bgp := q.Pattern.(*sparql.Filter).Inner.(*sparql.BGP)
+	cq, err := FromBGP(bgp, onto, sparql.PatternVars(bgp))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rw := &Rewriter{Onto: onto, Existential: true}
+	res, err := rw.Rewrite(cq, []string{"year"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.EntailedAtoms != 0 || len(res.UCQ) != 1 || len(res.UCQ[0].Atoms) != len(cq.Atoms) {
+		t.Fatalf("q1 lost atoms (%d dropped):\n%s", res.EntailedAtoms, res.UCQ)
 	}
 }

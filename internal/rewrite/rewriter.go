@@ -31,11 +31,16 @@ type Result struct {
 	// CQCount is the number of CQs in the rewriting (the "73 intermediate
 	// queries" measure quoted for q6 in the paper).
 	CQCount int
-	// Truncated reports that MaxCQs was hit.
+	// Truncated reports that MaxCQs was hit: the UCQ lacks disjuncts, so
+	// its answers are incomplete.
 	Truncated bool
+	// EntailedAtoms counts the atoms dropEntailed removed, summed over the
+	// CQs of the tree-witness rewriting.
+	EntailedAtoms int
 }
 
-func (rw *Rewriter) maxCQs() int {
+// CQLimit returns the effective MaxCQs cap.
+func (rw *Rewriter) CQLimit() int {
 	if rw.MaxCQs > 0 {
 		return rw.MaxCQs
 	}
@@ -48,21 +53,25 @@ func (rw *Rewriter) maxCQs() int {
 func (rw *Rewriter) Rewrite(cq *CQ, protected []string) (*Result, error) {
 	res := &Result{}
 	base := UCQ{cq.Clone()}
+	prot := protectedSet(cq, protected)
 
 	if rw.Existential {
-		tws := rw.findTreeWitnesses(cq, protected)
+		tws := rw.findTreeWitnesses(cq, prot)
 		res.TreeWitnesses = len(tws)
 		base = rw.applyTreeWitnesses(cq, tws)
+	}
+	for _, q := range base {
+		res.EntailedAtoms += rw.dropEntailed(q, prot)
 	}
 
 	if rw.ExpandHierarchy {
 		var expanded UCQ
 		truncated := false
 		for _, q := range base {
-			ex, tr := rw.expandHierarchy(q, rw.maxCQs()-len(expanded))
+			ex, tr := rw.expandHierarchy(q, rw.CQLimit()-len(expanded))
 			expanded = append(expanded, ex...)
 			truncated = truncated || tr
-			if len(expanded) >= rw.maxCQs() {
+			if len(expanded) >= rw.CQLimit() {
 				truncated = true
 				break
 			}
@@ -173,6 +182,124 @@ func (rw *Rewriter) expandHierarchy(cq *CQ, limit int) (UCQ, bool) {
 	return out, truncated
 }
 
+// protectedSet returns the variables of cq that must be bound to real
+// values: the answer variables plus the caller's protected ones.
+func protectedSet(cq *CQ, protected []string) map[string]bool {
+	prot := make(map[string]bool, len(protected)+len(cq.Answer))
+	for _, v := range protected {
+		prot[v] = true
+	}
+	for _, v := range cq.Answer {
+		prot[v] = true
+	}
+	return prot
+}
+
+// skipDropEntailed turns dropEntailed off. It is no engine option: only
+// the differential soundness test sets it, to compare answers with the
+// pass on and off.
+var skipDropEntailed bool
+
+// dropEntailed removes from q, one atom at a time and to a fixpoint, every
+// atom that the rest of q entails under the TBox, and returns how many it
+// removed. No data is read. The concepts the rest of q asserts of a term t
+// come from the other atoms on t: B(t) gives B, R(t,_) gives ∃R, R(_,t)
+// gives ∃R⁻ and U(t,_) gives ∃U. An atom goes when one of them is
+// subsumed by the concept the atom asserts:
+//
+//   - a class atom A(t) asserts A, which covers domain, range and
+//     subclass entailment;
+//   - a property atom whose other end is a free variable (unprotected and
+//     occurring nowhere else) asserts ∃R, ∃R⁻ or ∃U of its bound end. That
+//     is existential reasoning, so it runs only with Existential on.
+//
+// Class atoms on unprotected variables go first, then free-ended property
+// atoms, then class atoms on protected terms. When A ≡ ∃R either atom of
+// A(p) ∧ R(p,_v) could go; keeping A(p) makes the CQ equal the tree-witness
+// fold of R(p,_v), which also yields A(p), so minimizeUCQ keeps one
+// disjunct where the other order would keep two.
+//
+// Dropping a free-ended atom cannot change multiplicities: the engine
+// deduplicates a BGP's solutions over its answer variables, and only the
+// parser's blank nodes are non-answer variables.
+func (rw *Rewriter) dropEntailed(q *CQ, prot map[string]bool) int {
+	if skipDropEntailed {
+		return 0
+	}
+	dropped := 0
+	for {
+		best, bestPhase := -1, 0
+		for i := range q.Atoms {
+			t, sup, phase := rw.entailCandidate(q, i, prot)
+			if phase == 0 || (best >= 0 && phase >= bestPhase) {
+				continue
+			}
+			if rw.entailedOn(q, i, t, sup) {
+				best, bestPhase = i, phase
+			}
+		}
+		if best < 0 {
+			return dropped
+		}
+		q.Atoms = append(q.Atoms[:best], q.Atoms[best+1:]...)
+		dropped++
+	}
+}
+
+// entailCandidate returns the term t and concept sup that atom i asserts
+// as far as dropEntailed is concerned, with its removal phase (1 to 3,
+// earlier first); phase 0 means the atom is never dropped.
+func (rw *Rewriter) entailCandidate(q *CQ, i int, prot map[string]bool) (t Term, sup owl.Concept, phase int) {
+	a := q.Atoms[i]
+	free := func(x Term) bool { return x.IsVar() && !prot[x.Var] && occurrences(q, x.Var) == 1 }
+	switch {
+	case a.Kind == ClassAtom && a.S.IsVar() && !prot[a.S.Var]:
+		return a.S, owl.NamedConcept(a.Pred), 1
+	case a.Kind == ClassAtom:
+		return a.S, owl.NamedConcept(a.Pred), 3
+	case !rw.Existential:
+		return Term{}, owl.Concept{}, 0
+	case a.Kind == DataPropAtom && free(a.O):
+		return a.S, owl.SomeData(a.Pred), 2
+	case a.Kind == ObjPropAtom && free(a.O):
+		return a.S, owl.SomeValues(a.Pred, false), 2
+	case a.Kind == ObjPropAtom && free(a.S):
+		return a.O, owl.SomeValues(a.Pred, true), 2
+	}
+	return Term{}, owl.Concept{}, 0
+}
+
+// occurrences counts the argument positions of q holding variable v.
+func occurrences(q *CQ, v string) int {
+	n := 0
+	for _, a := range q.Atoms {
+		for _, x := range a.Vars() {
+			if x == v {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// entailedOn reports whether an atom of q other than atom skip asserts of
+// t a concept that sup subsumes.
+func (rw *Rewriter) entailedOn(q *CQ, skip int, t Term, sup owl.Concept) bool {
+	for j, b := range q.Atoms {
+		if j == skip {
+			continue
+		}
+		switch {
+		case b.Kind == ClassAtom && b.S == t && rw.Onto.Subsumes(sup, owl.NamedConcept(b.Pred)),
+			b.Kind == DataPropAtom && b.S == t && rw.Onto.Subsumes(sup, owl.SomeData(b.Pred)),
+			b.Kind == ObjPropAtom && b.S == t && rw.Onto.Subsumes(sup, owl.SomeValues(b.Pred, false)),
+			b.Kind == ObjPropAtom && b.O == t && rw.Onto.Subsumes(sup, owl.SomeValues(b.Pred, true)):
+			return true
+		}
+	}
+	return false
+}
+
 // minimizeUCQ removes CQs subsumed by another disjunct: when cq2's atoms
 // are a subset of cq1's (same answer variables), every answer of cq1 is an
 // answer of cq2, so cq1 is redundant. This identity-homomorphism case is
@@ -180,7 +307,10 @@ func (rw *Rewriter) expandHierarchy(cq *CQ, limit int) (UCQ, bool) {
 // paper's "semantic query optimisation in the SPARQL-to-SQL translation"):
 // the partially-folded disjuncts of a tree-witness expansion are all
 // subsumed by the fully-folded one whenever the generator atoms already
-// occur in the query.
+// occur in the query. dropEntailed runs first and widens that case: once
+// every CQ has lost the atoms the TBox entails from its other atoms, a
+// folded and an unfolded disjunct often shrink to the same core (q6's
+// do), and the subset test here removes the copies.
 func minimizeUCQ(u UCQ) UCQ {
 	atomSets := make([]map[string]bool, len(u))
 	for i, q := range u {

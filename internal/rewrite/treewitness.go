@@ -33,16 +33,9 @@ func (tw TreeWitness) String() string {
 }
 
 // findTreeWitnesses detects depth-1 tree witnesses in cq. Variables in
-// protected (answer variables, filter variables) can never be folded,
-// because anonymous individuals cannot be returned or compared.
-func (rw *Rewriter) findTreeWitnesses(cq *CQ, protected []string) []TreeWitness {
-	prot := make(map[string]bool, len(protected)+len(cq.Answer))
-	for _, v := range protected {
-		prot[v] = true
-	}
-	for _, v := range cq.Answer {
-		prot[v] = true
-	}
+// prot (answer variables, filter variables) can never be folded, because
+// anonymous individuals cannot be returned or compared.
+func (rw *Rewriter) findTreeWitnesses(cq *CQ, prot map[string]bool) []TreeWitness {
 	var out []TreeWitness
 	for _, v := range cq.Vars() {
 		if prot[v] {

@@ -588,54 +588,6 @@ func BenchmarkAblation_AggregatePushdown(b *testing.B) {
 	})
 }
 
-// BenchmarkBatchExecutor contrasts the row-at-a-time executor (BatchSize 1)
-// with the vectorized batch executor across its size ladder, over the full
-// 21-query NPD mix end-to-end. allocs/op and ns/op per level are the
-// numbers EXPERIMENTS.md tabulates; the answers themselves are pinned
-// identical by TestBatchRowIdentical.
-func BenchmarkBatchExecutor(b *testing.B) {
-	db, _, err := mixer.BuildInstance(1, benchSeedScale, benchSeed)
-	if err != nil {
-		b.Fatal(err)
-	}
-	spec := core.Spec{Onto: npd.NewOntology(), Mapping: npd.NewMapping(), DB: db, Prefixes: npd.Prefixes()}
-	for _, bs := range []int{1, 256, 1024, 4096} {
-		opts := core.DefaultOptions()
-		opts.VerifyPlans = core.VerifyOff
-		opts.Parallelism = 1
-		opts.BatchSize = bs
-		eng, err := core.NewEngine(spec, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		queries := npd.Queries()
-		parsed := make([]*sparql.Query, len(queries))
-		for i, q := range queries {
-			parsed[i], err = eng.ParseQuery(q.SPARQL)
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		// Warm pass: plans compile once, segments build once, so the
-		// measured loop is pure execution.
-		for _, p := range parsed {
-			if _, err := eng.Answer(p); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.Run(fmt.Sprintf("batch%d", bs), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				for _, p := range parsed {
-					if _, err := eng.Answer(p); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		})
-	}
-}
-
 // ---- component throughput benchmarks ----
 
 // BenchmarkVIG_Generation measures the generator's throughput (the paper's

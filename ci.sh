@@ -132,7 +132,7 @@ fi
 
 # Determinism under a single OS thread: parallel scheduling interleaves
 # completely differently with GOMAXPROCS=1, and results (four workers vs
-# one, batched vs row-at-a-time) must still be bit-identical — end to end
-# and at the operator level, where one worker and many share each body.
-GOMAXPROCS=1 go test -run 'TestParallelSequentialIdentical|TestBatchRowIdentical' .
+# one) must still be bit-identical — end to end and at the operator level,
+# where one worker and many share each body.
+GOMAXPROCS=1 go test -run 'TestParallelSequentialIdentical' .
 GOMAXPROCS=1 go test -run 'TestParallelMatchesSequential' ./internal/sqldb

@@ -48,9 +48,9 @@ type Spec struct {
 // Existential (the paper's own toggle), Parallelism, VerifyPlans and Obs.
 // The other fields are reference switches for the identity and soundness
 // tests and the bench oracle, not deployment settings: TMappings,
-// Constraints, StaticPrune and PlanCache off, or BatchSize 1, select the
-// unoptimized paths those checks compare against, and MaxCQs bounds the
-// rewriting of the classic UCQ-expansion path.
+// Constraints, StaticPrune and PlanCache off select the unoptimized paths
+// those checks compare against, and MaxCQs bounds the rewriting of the
+// classic UCQ-expansion path.
 type Options struct {
 	// TMappings compiles the hierarchy into the mapping at load time
 	// (Ontop's approach; the default mode in the paper's experiments).
@@ -89,10 +89,9 @@ type Options struct {
 	// fully sequential execution (the pre-parallel behaviour). Results
 	// are bit-identical at every setting; only wall time changes.
 	Parallelism int
-	// BatchSize selects the sqldb executor per statement: 0 runs the
-	// vectorized batch executor at its default batch size, 1 forces the
-	// classic row-at-a-time executor, larger values set the batch size
-	// explicitly. Results are row-for-row identical at every setting.
+	// Deprecated: BatchSize is ignored. It selected sqldb's vectorized
+	// batch executor, which was removed; the row-at-a-time executor is the
+	// only one. The field stays so existing callers keep compiling.
 	BatchSize int
 	// Obs enables observability: per-query span traces, operator-level
 	// execution profiles, and process metrics. nil means fully off — the
@@ -131,7 +130,6 @@ type Engine struct {
 	met      *engineMetrics // nil when the observer has no registry
 	par      int            // resolved Options.Parallelism (>= 1)
 	pool     *sqldb.Pool    // shared worker pool; nil when par == 1
-	batch    int            // Options.BatchSize, passed through to sqldb
 }
 
 // engineMetrics holds the per-engine metric handles, resolved once at
@@ -145,8 +143,8 @@ type engineMetrics struct {
 	stageSeconds [4]*obs.Histogram
 	// parallel counts the intra-query parallel execution work, indexed
 	// like parallelMetricNames: tasks, workers, union arms, join
-	// partitions, morsels, batches.
-	parallel [6]*obs.Counter
+	// partitions, morsels.
+	parallel [5]*obs.Counter
 	// inflight gauges queries currently inside Answer.
 	inflight *obs.Gauge
 	// usage accumulates the per-query resource accounting totals,
@@ -168,13 +166,12 @@ var usageMetricNames = [3]string{
 
 // parallelMetricNames is the npdbench_exec_parallel_* family, in the index
 // order engineMetrics.parallel and ParallelStats use.
-var parallelMetricNames = [6]string{
+var parallelMetricNames = [5]string{
 	"npdbench_exec_parallel_tasks_total",
 	"npdbench_exec_parallel_workers_total",
 	"npdbench_exec_parallel_union_arms_total",
 	"npdbench_exec_parallel_join_partitions_total",
 	"npdbench_exec_parallel_morsels_total",
-	"npdbench_exec_batches_total",
 }
 
 func newEngineMetrics(reg *obs.Registry) *engineMetrics {
@@ -240,7 +237,6 @@ func NewEngine(spec Spec, opts Options) (*Engine, error) {
 	if e.par <= 0 {
 		e.par = runtime.NumCPU()
 	}
-	e.batch = opts.BatchSize
 	if e.par > 1 {
 		// One pool for the engine's lifetime: concurrent queries share the
 		// same bounded helper supply, so total goroutines stay capped no
@@ -357,8 +353,9 @@ type ParallelStats struct {
 	UnionArms      int
 	JoinPartitions int
 	Morsels        int
-	// Batches counts vectorized executor batches, sequential or parallel
-	// (zero when Options.BatchSize forces the row-at-a-time executor).
+	// Deprecated: Batches is always 0. It counted the batches of sqldb's
+	// vectorized executor, which was removed; the field stays so existing
+	// readers keep compiling.
 	Batches int
 }
 
@@ -816,9 +813,9 @@ func (e *Engine) answerBGP(bgp *sparql.BGP, push []unfold.PushFilter, qc *queryC
 // counters folded into the phase stats, the execute span, and the
 // npdbench_exec_parallel_* metric family.
 func (e *Engine) execStmt(stmt *sqldb.SelectStmt, qc *queryCtx, span *obs.Span) (*sqldb.Result, error) {
-	opt := sqldb.ExecOptions{Parallelism: e.par, Pool: e.pool, Usage: qc.usage, Ctx: qc.ctx, BatchSize: e.batch}
+	opt := sqldb.ExecOptions{Parallelism: e.par, Pool: e.pool, Usage: qc.usage, Ctx: qc.ctx}
 	var stats *sqldb.ExecStats
-	if e.par > 1 || e.batch != 1 {
+	if e.par > 1 {
 		stats = &sqldb.ExecStats{}
 		opt.Stats = stats
 	}
@@ -844,9 +841,9 @@ func (e *Engine) execStmt(stmt *sqldb.SelectStmt, qc *queryCtx, span *obs.Span) 
 // the query's phase stats, annotates the execute span, and bumps the
 // engine-lifetime npdbench_exec_parallel_* counters.
 func (e *Engine) publishParallel(st *PhaseStats, span *obs.Span, s *sqldb.ExecStats) {
-	vals := [6]int64{
+	vals := [5]int64{
 		s.Tasks.Load(), s.Workers.Load(), s.UnionArms.Load(),
-		s.JoinPartitions.Load(), s.Morsels.Load(), s.Batches.Load(),
+		s.JoinPartitions.Load(), s.Morsels.Load(),
 	}
 	if st != nil {
 		st.Parallel.Tasks += int(vals[0])
@@ -854,7 +851,6 @@ func (e *Engine) publishParallel(st *PhaseStats, span *obs.Span, s *sqldb.ExecSt
 		st.Parallel.UnionArms += int(vals[2])
 		st.Parallel.JoinPartitions += int(vals[3])
 		st.Parallel.Morsels += int(vals[4])
-		st.Parallel.Batches += int(vals[5])
 	}
 	if span != nil && vals[1] > 0 {
 		span.SetInt("parallel_tasks", int(vals[0]))

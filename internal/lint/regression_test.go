@@ -30,8 +30,8 @@ func TestDeletedFixFailsTheBuild(t *testing.T) {
 		"\tt.mu.Lock()\n\tfor _, idx := range t.secondary {",
 		"\tfor _, idx := range t.secondary {")
 	patch(t, filepath.Join(tmp, "internal", "sqldb", "table.go"),
-		"\tt.seg = nil\n\tt.mu.Unlock()",
-		"\tt.seg = nil")
+		"\tt.statsDirty = true\n\tt.mu.Unlock()",
+		"\tt.statsDirty = true")
 	// sharedmut: sort the possibly-aliased rows slice in place again.
 	patch(t, filepath.Join(tmp, "internal", "sqldb", "plan.go"),
 		"\tout.rows = append(make([]Row, 0, len(out.rows)), out.rows...)\n",

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"npdbench/internal/core"
-	"npdbench/internal/mixer"
 	"npdbench/internal/npd"
 	"npdbench/internal/obs"
 )
@@ -92,57 +91,6 @@ func TestCancelMidExecuteReleasesResources(t *testing.T) {
 			}
 			if ans == nil {
 				t.Fatalf("workers=%d %s: nil answer", workers, id)
-			}
-		}
-	}
-}
-
-// TestCancelMidExecuteBatchExecutor re-runs the leak audit with the
-// vectorized executor pinned at both ends of the batch ladder: cooperative
-// cancellation now polls on batch boundaries, and a canceled batched query
-// must drop its segments and scratch buffers exactly like the row path —
-// inflight gauge back to zero, every worker-pool slot returned.
-func TestCancelMidExecuteBatchExecutor(t *testing.T) {
-	for _, bs := range []int{1, 1024} {
-		reg := obs.NewRegistry()
-		db, _, err := mixer.BuildInstance(1, 0.15, 42)
-		if err != nil {
-			t.Fatalf("building instance: %v", err)
-		}
-		spec := core.Spec{Onto: npd.NewOntology(), Mapping: npd.NewMapping(), DB: db, Prefixes: npd.Prefixes()}
-		eng, err := core.NewEngine(spec, core.Options{
-			TMappings:   true,
-			Existential: true,
-			Constraints: true,
-			StaticPrune: true,
-			PlanCache:   true,
-			Parallelism: 4,
-			BatchSize:   bs,
-			Obs:         &obs.Observer{Metrics: reg},
-		})
-		if err != nil {
-			t.Fatalf("building engine: %v", err)
-		}
-		gauge := reg.Gauge("npdbench_queries_inflight")
-		for _, id := range []string{"q2", "q6", "q9", "q12"} {
-			q, err := eng.ParseQuery(npd.QueryByID(id).SPARQL)
-			if err != nil {
-				t.Fatalf("%s: parse: %v", id, err)
-			}
-			for _, polls := range []int64{3, 25, 200} {
-				_, err := eng.AnswerNamedCtx(newCountdownCtx(polls), q, id)
-				if err != nil && !errors.Is(err, context.Canceled) {
-					t.Errorf("batch=%d %s polls=%d: err = %v, want context.Canceled", bs, id, polls, err)
-				}
-				if v := gauge.Value(); v != 0 {
-					t.Fatalf("batch=%d %s polls=%d: inflight gauge = %d after cancel, want 0", bs, id, polls, v)
-				}
-				if !eng.Pool().Idle() {
-					t.Fatalf("batch=%d %s polls=%d: worker pool not idle after cancel", bs, id, polls)
-				}
-			}
-			if _, err := eng.AnswerNamedCtx(context.Background(), q, id); err != nil {
-				t.Fatalf("batch=%d %s: query after cancellations failed: %v", bs, id, err)
 			}
 		}
 	}

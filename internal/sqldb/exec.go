@@ -14,12 +14,6 @@ type relation struct {
 	// relation's backing array; the sharedmut lint pass enforces that it is
 	// freshened with an owned copy before any in-place mutation.
 	rows []Row //lint:shared may alias base-table storage
-	// vec is the columnar backing when the batch executor produced (or
-	// scanned) this relation; immutable and possibly shared, like rows.
-	// Base-table scans carry both backings so falling back to a row
-	// operator is free; matRows() materializes (once) otherwise.
-	vec *vecData
-	mat bool // rows were materialized from vec (avoid re-materializing)
 }
 
 // filterRelation keeps rows where pred evaluates to TRUE, one driver task
@@ -28,20 +22,15 @@ type relation struct {
 // the same output at every worker count. evalFns close only over immutable
 // bind-time state, so one bound predicate serves all workers.
 func filterRelation(ctx *execCtx, r *relation, pred Expr) (*relation, error) {
-	if ctx.batchOn() && r.vec != nil {
-		return batchFilter(ctx, r, pred)
-	}
-	r.matRows()
 	f, err := bindExpr(pred, r.cols)
 	if err != nil {
 		return nil, err
 	}
 	n := len(r.rows)
-	m := numBatches(n, morselRows)
+	m := numMorsels(n)
 	fan := ctx.par.fanOut(m, n)
-	scr := ctx.borrowVecScratch()
-	defer ctx.returnVecScratch(scr)
-	kept := &scr.rows
+	kept := ctx.borrowRows()
+	defer ctx.returnRows(kept)
 	kept.reset(ctx.par.slots(fan), m)
 	workers, err := ctx.par.run(fan, m, func(w, i int) error {
 		start := len(kept.bufs[w])
@@ -135,11 +124,6 @@ func extractEquiKeys(conjuncts []Expr, l, r *relation) (keys []equiKey, residual
 // worker count, and a residual error surfaces from the earliest failing
 // probe morsel.
 func hashJoin(ctx *execCtx, l, r *relation, keys []equiKey, residual Expr) (*relation, error) {
-	if ctx.batchOn() && l.vec != nil && r.vec != nil && len(keys) > 0 {
-		return batchHashJoin(ctx, l, r, keys, residual)
-	}
-	l.matRows()
-	r.matRows()
 	out := &relation{cols: slices.Concat(l.cols, r.cols)}
 	var resFn evalFn
 	if residual != nil {
@@ -168,7 +152,7 @@ func hashJoin(ctx *execCtx, l, r *relation, keys []equiKey, residual Expr) (*rel
 		hash uint64
 	}
 	buildKeys := make([]buildKey, nb)
-	mb := numBatches(nb, morselRows)
+	mb := numMorsels(nb)
 	if _, err := ctx.par.run(fan, mb, func(_, i int) error {
 		for j := i * morselRows; j < min(i*morselRows+morselRows, nb); j++ {
 			if !hasNullAt(build.rows[j], buildCols) {
@@ -181,11 +165,10 @@ func hashJoin(ctx *execCtx, l, r *relation, keys []equiKey, residual Expr) (*rel
 		return nil, err
 	}
 	tables := make([]map[string][]Row, parts)
-	poll := ctx.pollMask()
 	if _, err := ctx.par.run(fan, parts, func(_, p int) error {
 		ht := make(map[string][]Row, nb/parts+1)
 		for j, k := range buildKeys {
-			if j&poll == 0 {
+			if j&pollMask == 0 {
 				if err := ctx.cancelled(); err != nil {
 					return err
 				}
@@ -200,10 +183,9 @@ func hashJoin(ctx *execCtx, l, r *relation, keys []equiKey, residual Expr) (*rel
 	}); err != nil {
 		return nil, err
 	}
-	mp := numBatches(np, morselRows)
-	scr := ctx.borrowVecScratch()
-	defer ctx.returnVecScratch(scr)
-	joined := &scr.rows
+	mp := numMorsels(np)
+	joined := ctx.borrowRows()
+	defer ctx.returnRows(joined)
 	joined.reset(ctx.par.slots(fan), mp)
 	workers, err := ctx.par.run(fan, mp, func(w, i int) error {
 		start := len(joined.bufs[w])
@@ -253,8 +235,6 @@ func mergeJoin(ctx *execCtx, l, r *relation, keys []equiKey, residual Expr) (*re
 	if len(keys) == 0 {
 		return nestedLoopJoin(ctx, l, r, residual)
 	}
-	l.matRows()
-	r.matRows()
 	out := &relation{cols: append(append([]colMeta{}, l.cols...), r.cols...)}
 	var resFn evalFn
 	rest := keys[1:]
@@ -279,7 +259,7 @@ func mergeJoin(ctx *execCtx, l, r *relation, keys []equiKey, residual Expr) (*re
 	i, j := 0, 0
 	steps := 0
 	for i < len(li) && j < len(ri) {
-		if steps&(morselRows-1) == 0 {
+		if steps&pollMask == 0 {
 			if err := ctx.cancelled(); err != nil {
 				return nil, err
 			}
@@ -372,8 +352,6 @@ func computeSortedOrder(r *relation, slot int) []int {
 // nestedLoopJoin joins with an arbitrary predicate (nil = cross join).
 // ctx may be nil (standalone join without cancellation).
 func nestedLoopJoin(ctx *execCtx, l, r *relation, pred Expr) (*relation, error) {
-	l.matRows()
-	r.matRows()
 	out := &relation{cols: append(append([]colMeta{}, l.cols...), r.cols...)}
 	var f evalFn
 	if pred != nil {
@@ -408,8 +386,6 @@ func nestedLoopJoin(ctx *execCtx, l, r *relation, pred Expr) (*relation, error) 
 // the predicate are used for hashing; the full predicate decides matching.
 // ctx may be nil (standalone join without cancellation).
 func leftJoin(ctx *execCtx, l, r *relation, on Expr) (*relation, error) {
-	l.matRows()
-	r.matRows()
 	out := &relation{cols: append(append([]colMeta{}, l.cols...), r.cols...)}
 	conjuncts := Conjuncts(on)
 	keys, residual := extractEquiKeys(conjuncts, l, r)
@@ -436,9 +412,8 @@ func leftJoin(ctx *execCtx, l, r *relation, on Expr) (*relation, error) {
 			k := RowKey(row, rCols)
 			ht[k] = append(ht[k], row)
 		}
-		poll := ctx.pollMask()
 		for i, lrow := range l.rows {
-			if i&poll == 0 {
+			if i&pollMask == 0 {
 				if err := ctx.cancelled(); err != nil {
 					return nil, err
 				}
@@ -549,7 +524,6 @@ func naturalJoin(ctx *execCtx, l, r *relation, profile Profile) (*relation, erro
 	for i, s := range keep {
 		out.cols[i] = joined.cols[s]
 	}
-	joined.matRows()
 	out.rows = make([]Row, len(joined.rows))
 	for ri, row := range joined.rows {
 		nr := make(Row, len(keep))

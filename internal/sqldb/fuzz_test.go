@@ -53,51 +53,3 @@ func FuzzParse(f *testing.F) {
 		_ = stmt.Metrics()
 	})
 }
-
-// FuzzDictRoundTrip drives the columnar string dictionary with arbitrary
-// (and aliasing) values: encode must be a bijection onto first-appearance
-// codes, decode must return the exact payload back, lookup must agree with
-// encode without assigning, and the precomputed hash table must match a
-// direct hash of the stored string — the invariant vectorized joins and
-// DISTINCT rely on when they compare hashes instead of payloads.
-func FuzzDictRoundTrip(f *testing.F) {
-	f.Add("", "", "")
-	f.Add("a", "b", "a")
-	f.Add("alpha", "alpha", "beta")
-	f.Add("npd:wellbore/1", "npd:wellbore/12", "npd:wellbore/1")
-	f.Add("\x00\xff", "üñîçødé", "\x00\xff")
-	f.Fuzz(func(t *testing.T, a, b, c string) {
-		d := newStrDict()
-		inputs := []string{a, b, c, a, b}
-		codes := make([]uint32, len(inputs))
-		want := make(map[string]uint32)
-		for i, s := range inputs {
-			codes[i] = d.encode(s)
-			if prev, seen := want[s]; seen {
-				if codes[i] != prev {
-					t.Fatalf("encode(%q) unstable: %d then %d", s, prev, codes[i])
-				}
-			} else {
-				want[s] = codes[i]
-			}
-		}
-		if d.size() != len(want) {
-			t.Fatalf("size = %d, want %d distinct", d.size(), len(want))
-		}
-		for s, code := range want {
-			if got := d.decode(code); got != s {
-				t.Fatalf("decode(encode(%q)) = %q", s, got)
-			}
-			lc, ok := d.lookup(s)
-			if !ok || lc != code {
-				t.Fatalf("lookup(%q) = (%d, %v), want (%d, true)", s, lc, ok, code)
-			}
-			if d.hashes[code] != hashString(d.vals[code]) {
-				t.Fatalf("precomputed hash for %q diverges from hashString", s)
-			}
-		}
-		if _, ok := d.lookup(a + b + c + "\x01absent"); ok {
-			t.Fatal("lookup invented a code for an unseen value")
-		}
-	})
-}

@@ -36,10 +36,6 @@ type OpProfile struct {
 	// probe-side rows) or, for a nested loop, the row pairs examined — the
 	// executor's "index probe vs scan" measure.
 	Probes int `json:"probes,omitempty"`
-	// Batches counts the fixed-size row batches this operator processed on
-	// the vectorized path; 0 means the operator ran row-at-a-time (row
-	// executor, or a batch-executor fallback).
-	Batches int `json:"batches,omitempty"`
 	// TimeUS is the operator's wall time in microseconds, recorded only
 	// where the executor times work explicitly (parallel union arms); 0
 	// means not measured.
@@ -71,13 +67,6 @@ func (p *OpProfile) SetJoin(left, right, out, build, probes int) {
 	if p != nil {
 		p.LeftRows, p.RightRows, p.Rows = left, right, out
 		p.BuildRows, p.Probes = build, probes
-	}
-}
-
-// SetBatches records how many vectorized batches the operator processed.
-func (p *OpProfile) SetBatches(n int) {
-	if p != nil {
-		p.Batches = n
 	}
 }
 
@@ -194,9 +183,6 @@ func (p *OpProfile) cardinality() string {
 	default:
 		s = fmt.Sprintf("rows=%d", p.Rows)
 	}
-	if p.Batches > 0 {
-		s += fmt.Sprintf(", batches=%d", p.Batches)
-	}
 	return s
 }
 
@@ -246,8 +232,8 @@ func (db *Database) ProfileSelectOpts(s *SelectStmt, opt ExecOptions) (*Result, 
 	if err != nil {
 		return nil, nil, err
 	}
-	root.SetRows(rel.numRows())
-	res := &Result{Columns: make([]string, len(rel.cols)), Rows: rel.matRows()}
+	root.SetRows(len(rel.rows))
+	res := &Result{Columns: make([]string, len(rel.cols)), Rows: rel.rows}
 	for i, c := range rel.cols {
 		res.Columns[i] = c.name
 	}

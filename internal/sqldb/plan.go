@@ -49,12 +49,11 @@ type ExecOptions struct {
 	// Ctx, when non-nil, carries the query's cancellation signal: a
 	// client disconnect or per-query deadline makes operators stop at the
 	// next morsel/operator boundary and return Ctx.Err(). Nil executes
-	// to completion (the classic batch behaviour).
+	// to completion.
 	Ctx context.Context
-	// BatchSize selects the executor: 0 runs the vectorized batch executor
-	// at DefaultBatchSize, 1 runs the classic row-at-a-time executor, and
-	// any larger value runs the batch executor at that batch size. Results
-	// are row-for-row identical at every setting.
+	// Deprecated: BatchSize is ignored. It selected the vectorized batch
+	// executor, which was removed; the row-at-a-time executor is the only
+	// one. The field stays so existing callers keep compiling.
 	BatchSize int
 }
 
@@ -72,7 +71,7 @@ func (db *Database) ExecSelectOpts(s *SelectStmt, opt ExecOptions) (*Result, err
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Columns: make([]string, len(rel.cols)), Rows: rel.matRows()}
+	res := &Result{Columns: make([]string, len(rel.cols)), Rows: rel.rows}
 	for i, c := range rel.cols {
 		res.Columns[i] = c.name
 	}
@@ -81,11 +80,7 @@ func (db *Database) ExecSelectOpts(s *SelectStmt, opt ExecOptions) (*Result, err
 
 // newExecCtx builds the root context of one statement execution.
 func newExecCtx(opt ExecOptions, prof *OpProfile) *execCtx {
-	batch := opt.BatchSize
-	if batch <= 0 {
-		batch = DefaultBatchSize
-	}
-	ctx := &execCtx{cache: newStmtCache(), prof: prof, usage: opt.Usage, batch: batch,
+	ctx := &execCtx{cache: newStmtCache(), prof: prof, usage: opt.Usage,
 		par: parState{par: 1, stats: opt.Stats, ctx: opt.Ctx}}
 	if opt.Parallelism > 1 {
 		ctx.par.par = opt.Parallelism
@@ -123,17 +118,10 @@ type execCtx struct {
 	// string allocation instead of fmt boxing (goroutine-local: each
 	// parallel union arm owns its child context).
 	scratch []byte
-	// batch is the resolved batch size: > 1 runs the vectorized executor,
-	// <= 1 the row-at-a-time one (see ExecOptions.BatchSize).
-	batch int
-	// lastBatches is the pending batches= annotation of the operator just
-	// executed (goroutine-local, same discipline as parNote).
-	lastBatches int
-	// vecs is the reusable operator scratch (selections, keep flags, key
-	// hashes; see vecScratch in batch.go), borrowed by each operator's
-	// worker 0. Goroutine-local like parNote: each union helper owns its
-	// child context, and the helpers of other operators get fresh scratch.
-	vecs *vecScratch
+	// rowBufs is the reusable output buffer of filter and hash join,
+	// borrowed by each operator's worker 0 (see borrowRows in pool.go).
+	// Goroutine-local like parNote.
+	rowBufs *runOut[Row]
 }
 
 // stmtCache is the state shared across one statement's evaluation: derived
@@ -192,8 +180,8 @@ func (ctx *execCtx) sortedOrder(r *relation, slot int) []int {
 }
 
 // cancelled returns the statement's cancellation error once it is done.
-// Nil-safe on a nil receiver and a nil signal — the batch paths never pay
-// more than two nil checks.
+// Nil-safe on a nil receiver and a nil signal — row loops never pay more
+// than two nil checks per poll.
 func (ctx *execCtx) cancelled() error {
 	if ctx == nil {
 		return nil
@@ -228,7 +216,6 @@ func (ctx *execCtx) accountRows(rel *relation) {
 // recorded line cost one string allocation.
 func (ctx *execCtx) notePushdown(pred Expr, before, after int) {
 	note := ctx.takeParNote() // consume even when nothing records it
-	batches := ctx.takeBatches()
 	if ctx.prof == nil {
 		return
 	}
@@ -237,7 +224,6 @@ func (ctx *execCtx) notePushdown(pred Expr, before, after int) {
 	b = append(b, note...)
 	node := ctx.addOp("filter", string(b))
 	node.SetInOut(before, after)
-	node.SetBatches(batches)
 	ctx.scratch = b[:0]
 }
 
@@ -246,7 +232,6 @@ func (ctx *execCtx) notePushdown(pred Expr, before, after int) {
 // Sprintf on the buildFrom join loop.
 func (ctx *execCtx) noteJoin(algo string, eqKeys, lrows, rrows, out int) {
 	note := ctx.takeParNote()
-	batches := ctx.takeBatches()
 	if ctx.prof == nil {
 		return
 	}
@@ -255,7 +240,6 @@ func (ctx *execCtx) noteJoin(algo string, eqKeys, lrows, rrows, out int) {
 	b = append(b, note...)
 	node := ctx.addOp(algo, string(b))
 	node.SetJoin(lrows, rrows, out, joinBuildRows(algo, lrows, rrows), joinProbes(algo, lrows, rrows))
-	node.SetBatches(batches)
 	ctx.scratch = b[:0]
 }
 
@@ -293,19 +277,13 @@ func (db *Database) evalSelectChain(ctx *execCtx, s *SelectStmt) (*relation, err
 			detail += fmt.Sprintf(" [workers=%d]", workers)
 		}
 		node.SetDetail(detail)
-		node.SetRows(head.numRows())
+		node.SetRows(len(head.rows))
 	}
 	if !s.UnionAll {
-		before := head.numRows()
-		head, err = distinctRelation(ctx, head)
-		if err != nil {
-			return nil, err
-		}
+		before := len(head.rows)
+		head = distinctRows(head)
 		ctx.accountRows(head)
-		batches := ctx.takeBatches()
-		dnode := ctx.addOp("distinct", "")
-		dnode.SetInOut(before, head.numRows())
-		dnode.SetBatches(batches)
+		ctx.addOp("distinct", "").SetInOut(before, len(head.rows))
 	}
 	return head, nil
 }
@@ -336,7 +314,7 @@ func (db *Database) evalUnionArms(ctx *execCtx, arms []*SelectStmt) (*relation, 
 	workers, err := ctx.par.run(fan, len(arms), func(w, i int) error {
 		c := wctx[w]
 		if c == nil {
-			c = &execCtx{cache: ctx.cache, par: ctx.par, usage: ctx.usage, batch: ctx.batch}
+			c = &execCtx{cache: ctx.cache, par: ctx.par, usage: ctx.usage}
 			wctx[w] = c
 		}
 		c.prof = nodes[i]
@@ -346,10 +324,7 @@ func (db *Database) evalUnionArms(ctx *execCtx, arms []*SelectStmt) (*relation, 
 		if err != nil {
 			return err
 		}
-		nodes[i].SetRows(rel.numRows())
-		// Materialize inside the arm's task: the relation is still owned
-		// by this worker, and the transpose work parallelizes with it.
-		rel.matRows()
+		nodes[i].SetRows(len(rel.rows))
 		rels[i] = rel
 		return nil
 	})
@@ -385,7 +360,7 @@ func (db *Database) evalSelect(ctx *execCtx, s *SelectStmt) (*relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	node.SetRows(out.numRows())
+	node.SetRows(len(out.rows))
 	return out, nil
 }
 
@@ -395,18 +370,15 @@ func (db *Database) evalSelectBody(ctx *execCtx, s *SelectStmt) (*relation, erro
 		return nil, err
 	}
 	if rest := AndAll(remaining); rest != nil {
-		before := input.numRows()
+		before := len(input.rows)
 		input, err = filterRelation(ctx, input, rest)
 		if err != nil {
 			return nil, err
 		}
 		ctx.accountRows(input)
 		note := ctx.takeParNote()
-		batches := ctx.takeBatches()
 		if ctx.prof != nil {
-			node := ctx.addOp("filter", rest.String()+note)
-			node.SetInOut(before, input.numRows())
-			node.SetBatches(batches)
+			ctx.addOp("filter", rest.String()+note).SetInOut(before, len(input.rows))
 		}
 	}
 
@@ -420,79 +392,38 @@ func (db *Database) evalSelectBody(ctx *execCtx, s *SelectStmt) (*relation, erro
 	var out *relation
 	var inputAligned []Row // input rows aligned to output rows (for ORDER BY)
 	if hasAgg {
-		vectorized := false
-		if ctx.batchOn() && input.vec != nil {
-			out, vectorized, err = batchAggregate(ctx, s, input)
-			if err != nil {
-				return nil, err
-			}
-		}
-		if !vectorized {
-			input.matRows()
-			out, err = db.evalAggregate(s, input)
-			if err != nil {
-				return nil, err
-			}
-		}
-		ctx.accountRows(out)
-		batches := ctx.takeBatches()
-		node := ctx.addOpf("aggregate", "%d groups", len(out.rows))
-		node.SetInOut(input.numRows(), len(out.rows))
-		node.SetBatches(batches)
-	} else {
-		// The vectorized projection only applies to pure column selections
-		// on vector-only inputs, and only when every ORDER BY key binds to
-		// the projected columns (the vec path has no aligned input rows for
-		// keys over non-projected columns).
-		var vecOut *relation
-		if ctx.batchOn() && input.vec != nil && input.rows == nil {
-			if v, ok := vecProject(s.Items, input); ok && orderKeysBindable(s.OrderBy, v.cols) {
-				vecOut = v
-			}
-		}
-		if vecOut != nil {
-			out = vecOut
-			ctx.accountBatch(out.numRows(), len(out.cols))
-		} else {
-			input.matRows()
-			out, inputAligned, err = projectItems(s.Items, input)
-			if err != nil {
-				return nil, err
-			}
-			ctx.accountRows(out)
-		}
-		ctx.addOpf("project", "%d columns", len(out.cols)).SetRows(out.numRows())
-	}
-
-	if s.Distinct {
-		before := out.numRows()
-		out, err = distinctRelation(ctx, out)
+		out, err = db.evalAggregate(s, input)
 		if err != nil {
 			return nil, err
 		}
+		ctx.accountRows(out)
+		ctx.addOpf("aggregate", "%d groups", len(out.rows)).SetInOut(len(input.rows), len(out.rows))
+	} else {
+		out, inputAligned, err = projectItems(s.Items, input)
+		if err != nil {
+			return nil, err
+		}
+		ctx.accountRows(out)
+		ctx.addOpf("project", "%d columns", len(out.cols)).SetRows(len(out.rows))
+	}
+
+	if s.Distinct {
+		before := len(out.rows)
+		out = distinctRows(out)
 		inputAligned = nil
 		ctx.accountRows(out)
-		batches := ctx.takeBatches()
-		node := ctx.addOp("distinct", "")
-		node.SetInOut(before, out.numRows())
-		node.SetBatches(batches)
+		ctx.addOp("distinct", "").SetInOut(before, len(out.rows))
 	}
 
 	if len(s.OrderBy) > 0 {
-		out.matRows()
 		if err := orderRelation(s.OrderBy, out, input.cols, inputAligned); err != nil {
 			return nil, err
 		}
-		out.vec = nil
-		out.mat = false
 		ctx.addOpf("sort", "%d keys", len(s.OrderBy)).SetRows(len(out.rows))
 	}
 
-	if s.Offset > 0 || (s.Limit >= 0 && s.Limit < out.numRows()) {
-		before := out.numRows()
-		out.matRows()
-		out.vec = nil
-		out.mat = false
+	if s.Offset > 0 || (s.Limit >= 0 && s.Limit < len(out.rows)) {
+		before := len(out.rows)
 		if s.Offset > 0 {
 			if s.Offset >= len(out.rows) {
 				out.rows = nil
@@ -506,17 +437,6 @@ func (db *Database) evalSelectBody(ctx *execCtx, s *SelectStmt) (*relation, erro
 		ctx.addOp("limit", "").SetInOut(before, len(out.rows))
 	}
 	return out, nil
-}
-
-// orderKeysBindable reports whether every ORDER BY key resolves against the
-// given (projected) columns.
-func orderKeysBindable(order []OrderItem, cols []colMeta) bool {
-	for _, o := range order {
-		if !bindable(o.Expr, cols) {
-			return false
-		}
-	}
-	return true
 }
 
 // buildFrom materializes the FROM clause. WHERE conjuncts are consumed for
@@ -540,13 +460,13 @@ func (db *Database) buildFrom(ctx *execCtx, from []TableRef, conjuncts []Expr) (
 		placed := false
 		for i, r := range rels {
 			if bindable(c, r.cols) {
-				before := r.numRows()
+				before := len(r.rows)
 				fr, err := filterRelation(ctx, r, c)
 				if err != nil {
 					return nil, nil, err
 				}
 				ctx.accountRows(fr)
-				ctx.notePushdown(c, before, fr.numRows())
+				ctx.notePushdown(c, before, len(fr.rows))
 				rels[i] = fr
 				placed = true
 				break
@@ -583,7 +503,7 @@ func (db *Database) buildFrom(ctx *execCtx, from []TableRef, conjuncts []Expr) (
 			}
 		}
 		eq, residual := extractEquiKeys(usable, cur, next)
-		lrows, rrows := cur.numRows(), next.numRows()
+		lrows, rrows := len(cur.rows), len(next.rows)
 		var algo string
 		var err error
 		switch {
@@ -601,7 +521,7 @@ func (db *Database) buildFrom(ctx *execCtx, from []TableRef, conjuncts []Expr) (
 			return nil, nil, err
 		}
 		ctx.accountRows(cur)
-		ctx.noteJoin(algo, len(eq), lrows, rrows, cur.numRows())
+		ctx.noteJoin(algo, len(eq), lrows, rrows, len(cur.rows))
 		pending = stillPending
 	}
 	return cur, pending, nil
@@ -649,7 +569,7 @@ func greedyOrder(rels []*relation, conjuncts []Expr) []int {
 	// seed: smallest
 	best := 0
 	for i := 1; i < n; i++ {
-		if rels[i].numRows() < rels[best].numRows() {
+		if len(rels[i].rows) < len(rels[best].rows) {
 			best = i
 		}
 	}
@@ -666,7 +586,7 @@ func greedyOrder(rels []*relation, conjuncts []Expr) []int {
 			connected := hasEquiBetween(conjuncts, curCols, rels[i].cols)
 			if cand == -1 ||
 				(connected && !candConnected) ||
-				(connected == candConnected && rels[i].numRows() < rels[cand].numRows()) {
+				(connected == candConnected && len(rels[i].rows) < len(rels[cand].rows)) {
 				cand = i
 				candConnected = connected
 			}
@@ -727,15 +647,7 @@ func (db *Database) buildRef(ctx *execCtx, tr TableRef) (*relation, error) {
 		ctx.accountScan(len(tab.Rows))
 		node := ctx.addOp("scan", t.Name)
 		node.SetRows(len(tab.Rows))
-		rel := &relation{cols: cols, rows: tab.Rows}
-		if ctx.batchOn() {
-			// The scan is zero-copy in both executors (the relation aliases
-			// the table's rows and segment), so it accounts whole — only
-			// operators that process batches account per batch.
-			rel.vec = tab.Segment()
-			node.SetBatches(numBatches(rel.vec.n, ctx.batchSize()))
-		}
-		return rel, nil
+		return &relation{cols: cols, rows: tab.Rows}, nil
 	case *SubqueryTable:
 		// Derived tables repeat across the arms of OBDA unfoldings, so
 		// each distinct subquery is materialized once per statement. The
@@ -756,7 +668,7 @@ func (db *Database) buildRef(ctx *execCtx, tr TableRef) (*relation, error) {
 			e.rel, e.err = db.evalSelectChain(ctx, t.Query)
 			restore()
 			if e.err == nil {
-				node.SetRows(e.rel.numRows())
+				node.SetRows(len(e.rel.rows))
 			}
 		})
 		if e.err != nil {
@@ -767,17 +679,16 @@ func (db *Database) buildRef(ctx *execCtx, tr TableRef) (*relation, error) {
 			if ctx.usage != nil {
 				ctx.usage.AddCacheHits(1)
 			}
-			ctx.addOp("subquery", t.Alias+" (cached)").SetRows(inner.numRows())
+			ctx.addOp("subquery", t.Alias+" (cached)").SetRows(len(inner.rows))
 		}
 		alias := strings.ToLower(t.Alias)
 		cols := make([]colMeta, len(inner.cols))
 		for i, c := range inner.cols {
 			cols[i] = colMeta{table: alias, name: c.name}
 		}
-		// The wrapper shares both backings of the cached inner relation;
-		// each wrapper is owned by one goroutine, so a later matRows on it
-		// materializes locally without racing other arms on the cache entry.
-		return &relation{cols: cols, rows: inner.rows, vec: inner.vec}, nil
+		// The wrapper shares the cached inner relation's rows, which no
+		// operator mutates in place.
+		return &relation{cols: cols, rows: inner.rows}, nil
 	case *JoinRef:
 		l, err := db.buildRef(ctx, t.L)
 		if err != nil {
@@ -787,18 +698,16 @@ func (db *Database) buildRef(ctx *execCtx, tr TableRef) (*relation, error) {
 		if err != nil {
 			return nil, err
 		}
-		lrows, rrows := l.numRows(), r.numRows()
+		lrows, rrows := len(l.rows), len(r.rows)
 		record := func(algo string, out *relation, err error) (*relation, error) {
 			if err != nil {
 				return nil, err
 			}
 			ctx.accountRows(out)
 			note := ctx.takeParNote()
-			batches := ctx.takeBatches()
 			if ctx.prof != nil {
 				node := ctx.addOp(algo, strings.ToLower(t.Kind.String())+note)
-				node.SetJoin(lrows, rrows, out.numRows(), joinBuildRows(algo, lrows, rrows), joinProbes(algo, lrows, rrows))
-				node.SetBatches(batches)
+				node.SetJoin(lrows, rrows, len(out.rows), joinBuildRows(algo, lrows, rrows), joinProbes(algo, lrows, rrows))
 			}
 			return out, nil
 		}

@@ -8,10 +8,10 @@ import (
 )
 
 // Intra-query parallelism (morsel-driven, after Leis et al.): every
-// operator that splits its work into ranges — union arms, filter morsels
-// and batches, hash-join key extraction, partitions and probe morsels —
-// has one body that works on one range, and the driver, parState.run, is
-// its only loop. One worker is the driver's inline case: the calling
+// operator that splits its work into ranges — union arms, filter morsels,
+// hash-join key extraction, partitions and probe morsels — has one body
+// that works on one range, and the driver, parState.run, is its only
+// loop. One worker is the driver's inline case: the calling
 // goroutine runs every range in order. Many workers are the same body
 // with helpers borrowed from a bounded pool claiming ranges alongside it.
 // Range outputs merge in range order, so results are bit-identical at
@@ -31,6 +31,9 @@ const (
 	// to one worker task. Small enough to balance skewed predicates, large
 	// enough that the per-task bookkeeping disappears in the scan cost.
 	morselRows = 1024
+	// pollMask spaces the cancellation polls inside long row loops: one
+	// poll per morsel's worth of rows.
+	pollMask = morselRows - 1
 	// minParallelRows is the operator input size below which fanning out
 	// cannot win: coordination costs more than a single worker's pass.
 	minParallelRows = 2048
@@ -117,9 +120,6 @@ type ExecStats struct {
 	// Morsels counts the filter and hash-join row chunks of operators
 	// that fanned out.
 	Morsels atomic.Int64
-	// Batches counts fixed-size row batches processed by vectorized
-	// operators, whether they fanned out or not.
-	Batches atomic.Int64
 }
 
 // parState is the per-statement handle on the execution driver. Every
@@ -278,6 +278,35 @@ func (ctx *execCtx) takeParNote() string {
 	note := ctx.parNote
 	ctx.parNote = ""
 	return note
+}
+
+// numMorsels returns how many morsels n rows split into.
+func numMorsels(n int) int {
+	return (n + morselRows - 1) / morselRows
+}
+
+// borrowRows hands out the context's reusable per-worker row buffers,
+// emptying the slot so an unexpected nested borrow allocates fresh ones
+// instead of corrupting the outer operator's output. An OBDA unfolding
+// executes thousands of small union arms per statement, so the fixed
+// per-operator cost of these buffers dominates allocation counts unless
+// they are recycled; each union helper owns its child context, and with it
+// its own buffers.
+func (ctx *execCtx) borrowRows() *runOut[Row] {
+	if ctx != nil && ctx.rowBufs != nil {
+		o := ctx.rowBufs
+		ctx.rowBufs = nil
+		return o
+	}
+	return &runOut[Row]{}
+}
+
+// returnRows gives the (possibly grown) buffers back to the context for
+// the next operator.
+func (ctx *execCtx) returnRows(o *runOut[Row]) {
+	if ctx != nil {
+		ctx.rowBufs = o
+	}
 }
 
 // runOut collects the output of one run: worker w appends to bufs[w], and

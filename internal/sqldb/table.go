@@ -19,7 +19,6 @@ type Table struct {
 	secondary   map[string]*HashIndex // guarded by mu
 	statsDirty  bool                  // guarded by mu
 	cachedStats *TableStats           // guarded by mu
-	seg         *vecData              // columnar segment cache, guarded by mu
 }
 
 // NewTable creates an empty table for the given definition.
@@ -36,6 +35,13 @@ func NewTable(def *TableDef) (*Table, error) {
 	}
 	return t, nil
 }
+
+// Segment does nothing.
+//
+// Deprecated: tables no longer keep a columnar segment; the row-at-a-time
+// executor scans the row heap directly. Segment stays only so existing
+// callers keep compiling.
+func (t *Table) Segment() {}
 
 // Len returns the number of rows.
 func (t *Table) Len() int { return len(t.Rows) }
@@ -108,7 +114,6 @@ func (t *Table) insertUnchecked(row Row) error {
 		idx.Add(row, pos)
 	}
 	t.statsDirty = true
-	t.seg = nil
 	t.mu.Unlock()
 	return nil
 }

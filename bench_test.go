@@ -373,54 +373,10 @@ func BenchmarkAblation_Constraints(b *testing.B) {
 	}
 }
 
-// BenchmarkAblation_StaticPrune measures the effect of ontology-driven
-// static pruning (candidate arc-consistency and contradictory-condition
-// elimination before/during unfolding) on the queries where the NPD
-// mapping admits the most dead candidates.
-func BenchmarkAblation_StaticPrune(b *testing.B) {
-	db, _, err := mixer.BuildInstance(1, benchSeedScale, benchSeed)
-	if err != nil {
-		b.Fatal(err)
-	}
-	spec := core.Spec{Onto: npd.NewOntology(), Mapping: npd.NewMapping(), DB: db, Prefixes: npd.Prefixes()}
-	for _, mode := range []struct {
-		name string
-		on   bool
-	}{{"staticprune-on", true}, {"staticprune-off", false}} {
-		eng, err := core.NewEngine(spec, core.Options{
-			TMappings: true, Existential: true, Constraints: true, StaticPrune: mode.on,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		// q1 (join-heavy, many template candidates), q6 (largest UCQ),
-		// q13 (wide union over facility subclasses).
-		for _, id := range []string{"q1", "q6", "q13"} {
-			parsed, err := eng.ParseQuery(npd.QueryByID(id).SPARQL)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Run(id+"/"+mode.name, func(b *testing.B) {
-				var st core.PhaseStats
-				for i := 0; i < b.N; i++ {
-					ans, err := eng.Answer(parsed)
-					if err != nil {
-						b.Fatal(err)
-					}
-					st = ans.Stats
-				}
-				b.ReportMetric(float64(st.UnionArms), "arms")
-				b.ReportMetric(float64(st.StaticPrunedArms), "staticpruned")
-				b.ReportMetric(float64(st.PrunedArms), "walkpruned")
-			})
-		}
-	}
-}
-
 // BenchmarkPlanCache measures the steady-state effect of the compiled-query
 // cache over all 21 NPD queries: with the cache on, every iteration after
 // the first serves memoized plans and pays execute/translate only; with it
-// off, every iteration recompiles (rewrite + static-prune + unfold + plan).
+// off, every iteration recompiles (rewrite + unfold + plan).
 func BenchmarkPlanCache(b *testing.B) {
 	// A small instance keeps execution cheap so the compile fraction —
 	// the part the cache removes — is visible in ns/op; compileus/op
@@ -479,8 +435,8 @@ func BenchmarkPlanCache(b *testing.B) {
 
 // BenchmarkVerifyOverhead measures the cost of running the planck plan
 // verifier on every intermediate representation (translate, rewrite,
-// static-prune, unfold) relative to an unverified pipeline, over all 21
-// NPD queries end-to-end.
+// unfold) relative to an unverified pipeline, over all 21 NPD queries
+// end-to-end.
 func BenchmarkVerifyOverhead(b *testing.B) {
 	db, _, err := mixer.BuildInstance(1, benchSeedScale, benchSeed)
 	if err != nil {

@@ -143,9 +143,8 @@ func main() {
 		st.ExecTime.Round(1e3), st.TranslateTime.Round(1e3), st.TotalTime.Round(1e3))
 	fmt.Printf("rewriting: %d tree witnesses, %d CQs, %d entailed atoms dropped; unfolding: %d arms (%d pruned, %d self-joins eliminated, %d subsumed)\n",
 		st.TreeWitnesses, st.CQCount, st.EntailedAtoms, st.UnionArms, st.PrunedArms, st.SelfJoinsEliminated, st.SubsumedArms)
-	if st.StaticPrunedCQs+st.StaticPrunedArms+st.StaticUnsatFilters > 0 {
-		fmt.Printf("static pruning: %d CQs, %d candidates/arms, %d unsatisfiable filter sets\n",
-			st.StaticPrunedCQs, st.StaticPrunedArms, st.StaticUnsatFilters)
+	if st.StaticPrunedArms > 0 {
+		fmt.Printf("static pruning: %d candidates\n", st.StaticPrunedArms)
 	}
 	fmt.Printf("weight of R+U: %.3f\n", st.WeightRU())
 	if cacheOn {

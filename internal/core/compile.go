@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"npdbench/internal/obs"
-	"npdbench/internal/planck"
 	"npdbench/internal/rewrite"
 	"npdbench/internal/sparql"
 	"npdbench/internal/sqldb"
@@ -13,16 +12,13 @@ import (
 )
 
 // compiledPlan is the immutable result of compiling one BGP (with its
-// pushed filters) through rewrite → static-prune → unfold → plan. It is
-// what the plan cache stores and what concurrent clients share: the
-// executor never mutates a SelectStmt, so one plan serves any number of
-// simultaneous executions.
+// pushed filters) through rewrite → unfold → plan. It is what the plan
+// cache stores and what concurrent clients share: the executor never
+// mutates a SelectStmt, so one plan serves any number of simultaneous
+// executions.
 type compiledPlan struct {
-	// unsatFilter marks a BGP proved answerless by contradictory pushed
-	// filter bounds before any rewriting happened.
-	unsatFilter bool
-	// stmt is the unfolded SQL statement; nil (with unsatFilter false)
-	// means the BGP is provably empty (every disjunct or arm pruned).
+	// stmt is the unfolded SQL statement; nil means the BGP is provably
+	// empty (every arm pruned).
 	stmt *sqldb.SelectStmt
 	// vars lists the answer variables; output columns come in (v, v_t,
 	// v_dt) triples in this order.
@@ -41,7 +37,6 @@ type compiledPlan struct {
 	prunedArms       int
 	selfJoins        int
 	subsumedArms     int
-	staticPrunedCQs  int
 	staticPrunedArms int
 
 	// filtersPushed[i] reports whether pushed filter i reached SQL in
@@ -54,10 +49,6 @@ type compiledPlan struct {
 
 // addTo replays the plan-shape measures into the per-query stats.
 func (p *compiledPlan) addTo(st *PhaseStats) {
-	if p.unsatFilter {
-		st.StaticUnsatFilters++
-		return
-	}
 	st.TreeWitnesses += p.treeWitnesses
 	st.CQCount += p.cqCount
 	st.EntailedAtoms += p.entailedAtoms
@@ -65,7 +56,6 @@ func (p *compiledPlan) addTo(st *PhaseStats) {
 	st.PrunedArms += p.prunedArms
 	st.SelfJoinsEliminated += p.selfJoins
 	st.SubsumedArms += p.subsumedArms
-	st.StaticPrunedCQs += p.staticPrunedCQs
 	st.StaticPrunedArms += p.staticPrunedArms
 	st.SQL.Joins += p.sqlMetrics.Joins
 	st.SQL.LeftJoins += p.sqlMetrics.LeftJoins
@@ -101,22 +91,14 @@ func (e *Engine) compiledPlanFor(bgp *sparql.BGP, push []unfold.PushFilter, st *
 }
 
 // emitCachedSpans records the compile stages of a cache hit: same span
-// names as a real compilation, near-zero durations, cached=true. An
-// unsat-filter plan emits nothing, matching the uncached short-circuit
-// (which returns before the rewrite stage starts).
+// names as a real compilation, near-zero durations, cached=true.
 func emitCachedSpans(p *compiledPlan, spawn func(string) *obs.Span) {
-	if p.unsatFilter {
-		return
-	}
 	rw := spawn("rewrite")
 	rw.SetStr("cached", "true")
 	rw.SetInt("cqs", p.cqCount)
 	rw.SetInt("tree_witnesses", p.treeWitnesses)
 	rw.SetInt("entailed_atoms", p.entailedAtoms)
 	rw.End()
-	sp := spawn("static-prune")
-	sp.SetStr("cached", "true")
-	sp.End()
 	un := spawn("unfold")
 	un.SetStr("cached", "true")
 	un.SetInt("union_arms", p.unionArms)
@@ -144,10 +126,9 @@ func rewriteComplete(rw *rewrite.Rewriter, cq *rewrite.CQ, protected []string) (
 }
 
 // compileBGP runs the compile half of the pipeline for one BGP: CQ
-// translation, tree-witness rewriting, static pruning, unfolding, and plan
-// verification. Only compile timings are charged to st here; the
-// plan-shape measures live on the returned plan so cached executions
-// replay them too.
+// translation, tree-witness rewriting, unfolding, and plan verification.
+// Only compile timings are charged to st here; the plan-shape measures
+// live on the returned plan so cached executions replay them too.
 func (e *Engine) compileBGP(bgp *sparql.BGP, push []unfold.PushFilter, st *PhaseStats, spawn func(string) *obs.Span) (*compiledPlan, error) {
 	// Blank-node variables (_bn…) introduced by the parser are local to
 	// the BGP: they are existential, never projected, and are the
@@ -165,14 +146,6 @@ func (e *Engine) compileBGP(bgp *sparql.BGP, push []unfold.PushFilter, st *Phase
 	}
 	if err := e.verifyCQ("translate", cq); err != nil {
 		return nil, err
-	}
-	// Contradictory pushed-filter bounds prove the BGP answerless before
-	// any rewriting happens (the filters are conjunctive: every solution
-	// would have to satisfy all of them).
-	if e.opts.StaticPrune && len(push) > 0 {
-		if reason := planck.UnsatisfiableBounds(staticBounds(push)); reason != "" {
-			return &compiledPlan{unsatFilter: true}, nil
-		}
 	}
 	// Filter variables are protected alongside the answer variables: a
 	// pushed comparison must see the real values, never a tree-witness
@@ -201,30 +174,10 @@ func (e *Engine) compileBGP(bgp *sparql.BGP, push []unfold.PushFilter, st *Phase
 	if err := e.verifyUCQ("rewrite", rres.UCQ, cq.Answer); err != nil {
 		return nil, err
 	}
-	ucq := rres.UCQ
-	spSpan := spawn("static-prune")
-	spSpan.SetInt("ucq_before", len(ucq))
-	if e.opts.StaticPrune {
-		pr := planck.PruneUCQ(ucq, e.spec.Onto)
-		plan.staticPrunedCQs = pr.Dropped
-		ucq = pr.Kept
-		spSpan.SetInt("ucq_after", len(ucq))
-		spSpan.End()
-		if len(ucq) == 0 {
-			return plan, nil // every disjunct statically unsatisfiable
-		}
-		if err := e.verifyUCQ("static-prune", ucq, cq.Answer); err != nil {
-			return nil, err
-		}
-	} else {
-		spSpan.SetStr("skipped", "true")
-		spSpan.SetInt("ucq_after", len(ucq))
-		spSpan.End()
-	}
 
 	unSpan := spawn("unfold")
 	unStart := obs.Now()
-	un, err := unfold.Unfold(ucq, e.mapping, push, unfold.Opts{Cons: e.cons, StaticPrune: e.opts.StaticPrune})
+	un, err := unfold.Unfold(rres.UCQ, e.mapping, push, unfold.Opts{Cons: e.cons})
 	if err != nil {
 		unSpan.End()
 		return nil, err
@@ -234,7 +187,7 @@ func (e *Engine) compileBGP(bgp *sparql.BGP, push []unfold.PushFilter, st *Phase
 	plan.prunedArms = un.PrunedArms
 	plan.selfJoins = un.SelfJoinsEliminated
 	plan.subsumedArms = un.SubsumedArms
-	plan.staticPrunedArms = un.StaticPrunedCands + un.StaticContradictions
+	plan.staticPrunedArms = un.StaticPrunedCands
 	plan.filtersPushed = un.FiltersPushed
 	unSpan.SetInt("union_arms", un.Arms)
 	unSpan.SetInt("pruned_arms", un.PrunedArms)

@@ -22,6 +22,7 @@ import (
 	"runtime"
 	"strings"
 	"time"
+	"unicode/utf8"
 
 	"npdbench/internal/analyze"
 	"npdbench/internal/obs"
@@ -46,11 +47,12 @@ type Spec struct {
 // Options configures reasoning behaviour. DefaultOptions is the one engine
 // that ships: the commands and the mixer start from it and override only
 // Existential (the paper's own toggle), Parallelism, VerifyPlans and Obs.
-// The other fields are reference switches for the identity and soundness
-// tests and the bench oracle, not deployment settings: TMappings,
-// Constraints, StaticPrune and PlanCache off select the unoptimized paths
-// those checks compare against, and MaxCQs bounds the rewriting of the
-// classic UCQ-expansion path.
+// TMappings, Constraints and PlanCache are reference switches for the
+// identity and soundness tests and the bench oracle, not deployment
+// settings: off, they select the unoptimized paths those checks compare
+// against. MaxCQs bounds the rewriting of the classic UCQ-expansion path.
+// Unfolding always deletes the mapping candidates that IRI-template arc
+// consistency proves cannot join; no option switches that off.
 type Options struct {
 	// TMappings compiles the hierarchy into the mapping at load time
 	// (Ontop's approach; the default mode in the paper's experiments).
@@ -71,11 +73,6 @@ type Options struct {
 	// a structured diagnostic naming the offending transform. The zero
 	// value (VerifyAuto) verifies under `go test` only.
 	VerifyPlans VerifyMode
-	// StaticPrune deletes statically unsatisfiable work before it runs:
-	// contradictory pushed-filter bounds, UCQ disjuncts typed into
-	// disjoint concepts, mapping candidates with no arc-consistent
-	// partner, and union arms with contradictory WHERE conjunctions.
-	StaticPrune bool
 	// PlanCache memoizes per-BGP compilation results (rewritten UCQ,
 	// unfolded SQL plan, projection/tag metadata) in a bounded sharded
 	// LRU, so repeated executions of the same BGP+filter shape pay
@@ -101,9 +98,9 @@ type Options struct {
 
 // DefaultOptions returns the configuration the paper uses for the main
 // experiments: T-mappings on, existential reasoning on, database
-// constraints on, static pruning on, plan cache on.
+// constraints on, plan cache on.
 func DefaultOptions() Options {
-	return Options{TMappings: true, Existential: true, Constraints: true, StaticPrune: true, PlanCache: true}
+	return Options{TMappings: true, Existential: true, Constraints: true, PlanCache: true}
 }
 
 // LoadStats reports the starting-phase measures.
@@ -312,13 +309,14 @@ type PhaseStats struct {
 	PrunedArms          int
 	SelfJoinsEliminated int
 	SubsumedArms        int
-	// Static pruning measures (planck): UCQ disjuncts deleted for type
-	// contradictions, unfolder work deleted by the pre-walk candidate
-	// analysis plus contradictory-condition arms, and whole BGPs skipped
-	// because their pushed filter bounds are unsatisfiable.
-	StaticPrunedCQs    int
-	StaticPrunedArms   int
-	StaticUnsatFilters int
+	// Deprecated: StaticPrunedCQs is always 0. It counted UCQ disjuncts
+	// deleted by a UCQ pruning stage that was removed; the field stays
+	// so existing readers keep compiling.
+	StaticPrunedCQs int
+	// StaticPrunedArms counts the mapping candidates unfolding deleted
+	// before its candidate walk: own-constant mismatches and IRI-template
+	// arc inconsistencies.
+	StaticPrunedArms int
 	// Plan-cache measures: BGP compilations served from, respectively
 	// added to, the compiled-query cache during this query.
 	PlanCacheHits   int
@@ -477,11 +475,16 @@ func (e *Engine) AnswerNamedCtx(ctx context.Context, q *sparql.Query, name strin
 	return e.answer(q, qc)
 }
 
-// queryLabel compresses raw SPARQL text into a short slow-log label.
+// queryLabel compresses raw SPARQL text into a short slow-log label of at
+// most 80 bytes, cut at a rune boundary so the label stays valid UTF-8.
 func queryLabel(src string) string {
 	s := strings.Join(strings.Fields(src), " ")
 	if len(s) > 80 {
-		s = s[:77] + "..."
+		cut := 77
+		for cut > 0 && !utf8.RuneStart(s[cut]) {
+			cut--
+		}
+		s = s[:cut] + "..."
 	}
 	return s
 }
@@ -759,8 +762,8 @@ func flipOp(op string) string {
 }
 
 // answerBGP runs the rewrite/unfold/execute pipeline for one BGP. When
-// tracing is on it emits one span per pipeline stage (rewrite,
-// static-prune, unfold, plan, execute, assemble) under the query trace.
+// tracing is on it emits one span per pipeline stage (rewrite, unfold,
+// plan, execute, assemble) under the query trace.
 // The compile half goes through the plan cache when enabled; execution
 // always runs live against the database.
 func (e *Engine) answerBGP(bgp *sparql.BGP, push []unfold.PushFilter, qc *queryCtx) ([]sparql.Binding, error) {
@@ -774,8 +777,7 @@ func (e *Engine) answerBGP(bgp *sparql.BGP, push []unfold.PushFilter, qc *queryC
 	}
 	plan.addTo(st)
 	if plan.stmt == nil {
-		// Unsatisfiable filter bounds, an empty UCQ after static pruning,
-		// or every union arm pruned: provably no answers.
+		// Every union arm pruned: provably no answers.
 		return nil, nil
 	}
 	if st.UnfoldedSQL == "" {

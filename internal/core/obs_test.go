@@ -28,7 +28,7 @@ func TestTraceStageTaxonomy(t *testing.T) {
 	if ans.Trace == nil {
 		t.Fatal("tracing enabled but Answer.Trace is nil")
 	}
-	want := []string{"parse", "rewrite", "static-prune", "unfold", "plan", "execute", "assemble"}
+	want := []string{"parse", "rewrite", "unfold", "plan", "execute", "assemble"}
 	got := ans.Trace.Root.StageNames()
 	if len(got) != len(want) {
 		t.Fatalf("stages = %v, want %v", got, want)

@@ -12,7 +12,7 @@ import (
 )
 
 // The compiled-query cache memoizes the per-BGP compilation result — the
-// rewritten UCQ after static pruning, the unfolded SQL plan, and the
+// rewritten UCQ, the unfolded SQL plan, and the
 // projection/tag metadata — so a served query pays rewrite/unfold/plan once
 // and every later execution of the same BGP+filter shape is execute-only.
 // Entries are immutable once published (the executor never writes into a

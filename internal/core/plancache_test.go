@@ -131,8 +131,7 @@ func TestPlanCacheEpochGuardsStalePut(t *testing.T) {
 func TestEngineCacheHitOnRepeat(t *testing.T) {
 	reg := obs.NewRegistry()
 	e, err := NewEngine(exampleSpec(t), Options{
-		TMappings: true, Existential: true, Constraints: true,
-		StaticPrune: true, PlanCache: true,
+		TMappings: true, Existential: true, Constraints: true, PlanCache: true,
 		Obs: &obs.Observer{Metrics: reg},
 	})
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unicode/utf8"
 
 	"npdbench/internal/obs"
 )
@@ -205,5 +206,35 @@ func TestConcurrentAnswerTelemetry(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("exposition missing %q", want)
 		}
+	}
+}
+
+// TestQueryLabelKeepsRunesWhole checks that the slow-log label never splits
+// a UTF-8 character when it cuts long SPARQL text, and stays within 80
+// bytes even for input that is not UTF-8 at all.
+func TestQueryLabelKeepsRunesWhole(t *testing.T) {
+	cases := []struct {
+		name, src, want string
+	}{
+		{"short text unchanged", "SELECT  ?x\n WHERE { ?x a :Wellbore }", "SELECT ?x WHERE { ?x a :Wellbore }"},
+		{"ascii cut at 77", strings.Repeat("a", 100), strings.Repeat("a", 77) + "..."},
+		{"two-byte rune across the cut", strings.Repeat("a", 76) + "øøøø", strings.Repeat("a", 76) + "..."},
+		{"Norwegian literal", `SELECT ?w WHERE { ?w npdv:name ?n . FILTER (?n = "Snøhvit" || ?n = "Åsgard" || ?n = "Ærfugl Nord") }`, ""},
+		{"all multi-byte", strings.Repeat("ø", 60), strings.Repeat("ø", 38) + "..."},
+		{"invalid UTF-8", strings.Repeat("\x80", 100), "..."},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			got := queryLabel(c.src)
+			if utf8.ValidString(c.src) && !utf8.ValidString(got) {
+				t.Fatalf("queryLabel(%q) = %q: not valid UTF-8", c.src, got)
+			}
+			if len(got) > 80 {
+				t.Fatalf("queryLabel(%q) is %d bytes, want at most 80", c.src, len(got))
+			}
+			if c.want != "" && got != c.want {
+				t.Fatalf("queryLabel(%q) = %q, want %q", c.src, got, c.want)
+			}
+		})
 	}
 }

@@ -3,10 +3,8 @@ package core
 import (
 	"testing"
 
-	"npdbench/internal/planck"
 	"npdbench/internal/rewrite"
 	"npdbench/internal/sqldb"
-	"npdbench/internal/unfold"
 )
 
 // VerifyMode controls the per-transform plan verifier (package planck).
@@ -56,15 +54,4 @@ func (e *Engine) verifySQL(stage string, stmt *sqldb.SelectStmt, vars []string) 
 		return nil
 	}
 	return e.verifier.CheckSQL(stage, stmt, vars)
-}
-
-// staticBounds converts the pushable filter fragment into planck bounds for
-// contradiction detection. Both types describe the same var-op-literal
-// shape; the conversion is lossless.
-func staticBounds(push []unfold.PushFilter) []planck.Bound {
-	out := make([]planck.Bound, len(push))
-	for i, f := range push {
-		out[i] = planck.Bound{Var: f.Var, Op: f.Op, Val: f.Val}
-	}
-	return out
 }

@@ -287,18 +287,6 @@ func (o *Ontology) UnsatisfiableClasses() []string {
 	return out
 }
 
-// DisjointWith reports whether concepts a and b are entailed disjoint.
-func (o *Ontology) DisjointWith(a, b Concept) bool {
-	sa := o.classify().superConcepts[a]
-	sb := o.classify().superConcepts[b]
-	for _, d := range o.Disjoints {
-		if (sa[d.A] && sb[d.B]) || (sa[d.B] && sb[d.A]) {
-			return true
-		}
-	}
-	return false
-}
-
 func sortConcepts(m map[Concept]bool) []Concept {
 	out := make([]Concept, 0, len(m))
 	for k := range m {

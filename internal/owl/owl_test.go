@@ -127,18 +127,6 @@ func TestUnsatisfiableClasses(t *testing.T) {
 	}
 }
 
-func TestDisjointWithPropagates(t *testing.T) {
-	o := chainOntology()
-	o.AddSubClass(NamedConcept(ns+"A2"), NamedConcept(ns+"A"))
-	o.AddSubClass(NamedConcept(ns+"D2"), NamedConcept(ns+"D"))
-	if !o.DisjointWith(NamedConcept(ns+"A2"), NamedConcept(ns+"D2")) {
-		t.Fatal("disjointness must propagate down both hierarchies")
-	}
-	if o.DisjointWith(NamedConcept(ns+"A"), NamedConcept(ns+"B")) {
-		t.Fatal("A and B are not disjoint")
-	}
-}
-
 func TestHierarchyDepth(t *testing.T) {
 	o := New(ns)
 	prev := "L0"

@@ -1,19 +1,10 @@
-// Package planck is the plan checker: a static-analysis layer over the
-// queries and plans that flow through the OBDA pipeline. It provides
-//
-//   - a type-inference pass deriving per-variable types for conjunctive
-//     queries from the OWL 2 QL ontology (class membership via class
-//     atoms, domain/range axioms of property atoms, IRI-vs-literal
-//     positions) — see InferTypes;
-//   - a per-transform verifier checking structural invariants of each
-//     intermediate representation (CQ/UCQ well-formedness, preservation
-//     of the certain answer variables, SQL schema well-formedness,
-//     column provenance against the relational catalog, NOT NULL guard
-//     accounting for the constraint-driven unfolding) — see Verifier;
-//   - static pruning of provably empty work: unsatisfiable CQ disjuncts
-//     (disjoint classes, disjoint properties) and contradictory filter
-//     bound sets are deleted before they reach the unfolder — see
-//     PruneUCQ and UnsatisfiableBounds.
+// Package planck is the plan checker: a per-transform verifier over the
+// queries and plans that flow through the OBDA pipeline. It checks the
+// structural invariants of each intermediate representation — CQ/UCQ
+// well-formedness, preservation of the certain answer variables, SQL
+// schema well-formedness, column provenance against the relational
+// catalog, and NOT NULL guard accounting for the constraint-driven
+// unfolding — see Verifier.
 //
 // Every check fails fast with a structured Violation naming the pipeline
 // stage that produced the offending plan, so a broken transform is caught
@@ -34,7 +25,7 @@ import (
 // the offending construct.
 type Violation struct {
 	// Stage is the transform that produced the checked plan
-	// ("translate", "rewrite", "static-prune", "unfold", ...).
+	// ("translate", "rewrite", "unfold", ...).
 	Stage string
 	// Check identifies the invariant ("answer-preserved", "column-exists",
 	// "projection-shape", ...).

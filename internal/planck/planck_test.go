@@ -1,12 +1,10 @@
 package planck
 
 import (
-	"strings"
 	"testing"
 
 	"npdbench/internal/analyze"
 	"npdbench/internal/owl"
-	"npdbench/internal/rdf"
 	"npdbench/internal/rewrite"
 	"npdbench/internal/sqldb"
 )
@@ -45,154 +43,6 @@ func objAtom(p, s, o string) rewrite.Atom {
 
 func dataAtom(p, s, o string) rewrite.Atom {
 	return rewrite.Atom{Kind: rewrite.DataPropAtom, Pred: ns + p, S: rewrite.Term{Var: s}, O: rewrite.Term{Var: o}}
-}
-
-func TestInferTypesDisjointClassConflict(t *testing.T) {
-	onto := testOntology()
-	cq := &rewrite.CQ{
-		Atoms:  []rewrite.Atom{classAtom("Wellbore", "x"), classAtom("Company", "x")},
-		Answer: []string{"x"},
-	}
-	c := InferTypes(cq, onto).Conflict(onto)
-	if c == nil {
-		t.Fatal("expected disjoint-class conflict for ?x")
-	}
-	if c.Var != "x" || !strings.Contains(c.Reason, "disjoint") {
-		t.Fatalf("unexpected conflict: %v", c)
-	}
-}
-
-func TestInferTypesRangeVsClassConflict(t *testing.T) {
-	onto := testOntology()
-	// ?y is in the range of drilledBy (⊑ Company) and asserted a Wellbore:
-	// the domain/range axioms make ∃drilledBy⁻ ⊑ Company, disjoint with
-	// Wellbore.
-	cq := &rewrite.CQ{
-		Atoms:  []rewrite.Atom{objAtom("drilledBy", "x", "y"), classAtom("Wellbore", "y")},
-		Answer: []string{"x"},
-	}
-	if c := InferTypes(cq, onto).Conflict(onto); c == nil {
-		t.Fatal("expected range-vs-class conflict for ?y")
-	}
-	// The satisfiable variant must pass.
-	sat := &rewrite.CQ{
-		Atoms:  []rewrite.Atom{objAtom("drilledBy", "x", "y"), classAtom("Company", "y")},
-		Answer: []string{"x"},
-	}
-	if c := InferTypes(sat, onto).Conflict(onto); c != nil {
-		t.Fatalf("satisfiable CQ flagged: %v", c)
-	}
-}
-
-func TestInferTypesIRILiteralConflict(t *testing.T) {
-	onto := testOntology()
-	// ?y is an object-property object (IRI) and a data-property object
-	// (literal) at once.
-	cq := &rewrite.CQ{
-		Atoms:  []rewrite.Atom{objAtom("drilledBy", "x", "y"), dataAtom("name", "z", "y")},
-		Answer: []string{"x"},
-	}
-	c := InferTypes(cq, onto).Conflict(onto)
-	if c == nil || c.Var != "y" {
-		t.Fatalf("expected IRI/literal conflict for ?y, got %v", c)
-	}
-}
-
-func TestUnsatCQDisjointProperties(t *testing.T) {
-	onto := testOntology()
-	cq := &rewrite.CQ{
-		Atoms:  []rewrite.Atom{objAtom("inFacility", "x", "y"), objAtom("outFacility", "x", "y")},
-		Answer: []string{"x"},
-	}
-	if reason := UnsatCQ(cq, onto); reason == "" {
-		t.Fatal("expected disjoint-property contradiction")
-	}
-	// Different term pairs: no contradiction.
-	sat := &rewrite.CQ{
-		Atoms:  []rewrite.Atom{objAtom("inFacility", "x", "y"), objAtom("outFacility", "x", "z")},
-		Answer: []string{"x"},
-	}
-	if reason := UnsatCQ(sat, onto); reason != "" {
-		t.Fatalf("satisfiable CQ flagged: %s", reason)
-	}
-}
-
-func TestPruneUCQ(t *testing.T) {
-	onto := testOntology()
-	bad := &rewrite.CQ{
-		Atoms:  []rewrite.Atom{classAtom("ExplorationWellbore", "x"), classAtom("DevelopmentWellbore", "x")},
-		Answer: []string{"x"},
-	}
-	good := &rewrite.CQ{
-		Atoms:  []rewrite.Atom{classAtom("Wellbore", "x")},
-		Answer: []string{"x"},
-	}
-	res := PruneUCQ(rewrite.UCQ{bad, good}, onto)
-	if res.Dropped != 1 || len(res.Kept) != 1 || res.Kept[0] != good {
-		t.Fatalf("dropped=%d kept=%d", res.Dropped, len(res.Kept))
-	}
-	if len(res.Reasons) != 1 || !strings.Contains(res.Reasons[0], "disjoint") {
-		t.Fatalf("reasons: %v", res.Reasons)
-	}
-}
-
-func intLit(s string) rdf.Term  { return rdf.NewTypedLiteral(s, rdf.XSDInteger) }
-func dateLit(s string) rdf.Term { return rdf.NewTypedLiteral(s, rdf.XSDDate) }
-
-func TestUnsatisfiableBounds(t *testing.T) {
-	cases := []struct {
-		name   string
-		bounds []Bound
-		unsat  bool
-	}{
-		{"conflicting equalities", []Bound{
-			{Var: "x", Op: "=", Val: intLit("1")},
-			{Var: "x", Op: "=", Val: intLit("2")},
-		}, true},
-		{"equality vs disequality", []Bound{
-			{Var: "x", Op: "=", Val: intLit("5")},
-			{Var: "x", Op: "!=", Val: intLit("5")},
-		}, true},
-		{"equality above upper bound", []Bound{
-			{Var: "x", Op: "=", Val: intLit("10")},
-			{Var: "x", Op: "<", Val: intLit("10")},
-		}, true},
-		{"empty numeric range", []Bound{
-			{Var: "x", Op: ">", Val: intLit("7")},
-			{Var: "x", Op: "<", Val: intLit("3")},
-		}, true},
-		{"empty date range", []Bound{
-			{Var: "d", Op: ">=", Val: dateLit("2010-01-01")},
-			{Var: "d", Op: "<=", Val: dateLit("2009-01-01")},
-		}, true},
-		{"touching closed bounds are satisfiable", []Bound{
-			{Var: "x", Op: ">=", Val: intLit("3")},
-			{Var: "x", Op: "<=", Val: intLit("3")},
-		}, false},
-		{"touching half-open bounds are empty", []Bound{
-			{Var: "x", Op: ">", Val: intLit("3")},
-			{Var: "x", Op: "<=", Val: intLit("3")},
-		}, true},
-		{"independent variables do not interact", []Bound{
-			{Var: "x", Op: ">", Val: intLit("7")},
-			{Var: "y", Op: "<", Val: intLit("3")},
-		}, false},
-		{"mixed families are left to runtime", []Bound{
-			{Var: "x", Op: "=", Val: intLit("1")},
-			{Var: "x", Op: "=", Val: rdf.NewLiteral("one")},
-		}, false},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			reason := UnsatisfiableBounds(tc.bounds)
-			if tc.unsat && reason == "" {
-				t.Fatal("expected contradiction")
-			}
-			if !tc.unsat && reason != "" {
-				t.Fatalf("unexpected contradiction: %s", reason)
-			}
-		})
-	}
 }
 
 func TestCheckCQViolations(t *testing.T) {

@@ -51,7 +51,6 @@ func testEngine(t *testing.T, parallelism int, reg *obs.Registry) *core.Engine {
 		TMappings:   true,
 		Existential: true,
 		Constraints: true,
-		StaticPrune: true,
 		PlanCache:   true,
 		Parallelism: parallelism,
 		Obs:         observer,

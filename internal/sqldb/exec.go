@@ -566,10 +566,11 @@ func distinctRows(r *relation) *relation {
 // sortRelation sorts rows by the given key functions, writing the new
 // order into r's row slice in place: callers own r's backing array
 // (orderRelation freshens it first, exactly because the slice can alias a
-// base table via the star fast path).
+// base table via the star fast path). Key j reads input[i] instead of
+// row i when fromInput[j] is set.
 //
 //lint:mutates r
-func sortRelation(r *relation, keys []evalFn, desc []bool) error {
+func sortRelation(r *relation, keys []evalFn, desc, fromInput []bool, input []Row) error {
 	type keyed struct {
 		row  Row
 		keys []Value
@@ -578,7 +579,11 @@ func sortRelation(r *relation, keys []evalFn, desc []bool) error {
 	for i, row := range r.rows {
 		kv := make([]Value, len(keys))
 		for j, f := range keys {
-			v, err := f(row)
+			src := row
+			if fromInput[j] {
+				src = input[i]
+			}
+			v, err := f(src)
 			if err != nil {
 				return err
 			}

@@ -3,7 +3,6 @@ package sqldb
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -812,8 +811,9 @@ func projectItems(items []SelectItem, input *relation) (*relation, []Row, error)
 	return out, input.rows, nil
 }
 
-// orderRelation sorts out by the ORDER BY items; keys resolve against the
-// output columns first, then against the aligned input rows.
+// orderRelation sorts out by the ORDER BY items. Each key binds once: to
+// the output columns when it resolves there, otherwise to the aligned
+// input rows.
 func orderRelation(order []OrderItem, out *relation, inCols []colMeta, inputAligned []Row) error {
 	// Sorting happens in place, and out can alias a base table's rows
 	// (star fast path): reordering those would corrupt the table for every
@@ -822,7 +822,7 @@ func orderRelation(order []OrderItem, out *relation, inCols []colMeta, inputAlig
 	out.rows = append(make([]Row, 0, len(out.rows)), out.rows...)
 	keys := make([]evalFn, len(order))
 	desc := make([]bool, len(order))
-	useInput := false
+	fromInput := make([]bool, len(order))
 	for i, o := range order {
 		desc[i] = o.Desc
 		if fn, err := bindExpr(o.Expr, out.cols); err == nil {
@@ -832,68 +832,14 @@ func orderRelation(order []OrderItem, out *relation, inCols []colMeta, inputAlig
 		if inputAligned == nil {
 			return fmt.Errorf("sqldb: cannot resolve ORDER BY expression %s", o.Expr)
 		}
+		if len(inputAligned) != len(out.rows) {
+			return fmt.Errorf("sqldb: internal: ORDER BY alignment lost")
+		}
 		fn, err := bindExpr(o.Expr, inCols)
 		if err != nil {
 			return err
 		}
-		useInput = true
-		slot := i
-		inner := fn
-		_ = slot
-		keys[i] = inner // marked: evaluated against input row
+		keys[i], fromInput[i] = fn, true
 	}
-	if !useInput {
-		return sortRelation(out, keys, desc)
-	}
-	// Sort output and aligned input rows together using per-item source.
-	type pair struct {
-		out, in Row
-		keys    []Value
-	}
-	if len(inputAligned) != len(out.rows) {
-		return fmt.Errorf("sqldb: internal: ORDER BY alignment lost")
-	}
-	ps := make([]pair, len(out.rows))
-	for i := range out.rows {
-		kv := make([]Value, len(order))
-		for j, o := range order {
-			var src Row
-			if fn, err := bindExpr(o.Expr, out.cols); err == nil {
-				src = out.rows[i]
-				v, err := fn(src)
-				if err != nil {
-					return err
-				}
-				kv[j] = v
-				continue
-			}
-			fn, err := bindExpr(o.Expr, inCols)
-			if err != nil {
-				return err
-			}
-			v, err := fn(inputAligned[i])
-			if err != nil {
-				return err
-			}
-			kv[j] = v
-		}
-		ps[i] = pair{out.rows[i], inputAligned[i], kv}
-	}
-	sort.SliceStable(ps, func(a, b int) bool {
-		for j := range desc {
-			c, err := Compare(ps[a].keys[j], ps[b].keys[j])
-			if err != nil || c == 0 {
-				continue
-			}
-			if desc[j] {
-				return c > 0
-			}
-			return c < 0
-		}
-		return false
-	})
-	for i := range ps {
-		out.rows[i] = ps[i].out
-	}
-	return nil
+	return sortRelation(out, keys, desc, fromInput, inputAligned)
 }

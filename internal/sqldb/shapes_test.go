@@ -99,6 +99,7 @@ var shapeQueries = []string{
 	"SELECT DISTINCT n FROM TTyped ORDER BY n",
 	"SELECT s, COUNT(*), SUM(n), MIN(f), MAX(d) FROM TTyped GROUP BY s ORDER BY s",
 	"SELECT a.k, b.k FROM TTyped a JOIN TTyped b ON a.s = b.s WHERE a.k < b.k ORDER BY a.k, b.k",
+	"SELECT name FROM TEmployee ORDER BY branch DESC, name",
 }
 
 // TestShapesGolden runs every shape query at both profiles and compares

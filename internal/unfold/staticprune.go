@@ -1,18 +1,15 @@
 package unfold
 
 import (
-	"strings"
-
 	"npdbench/internal/analyze"
 	"npdbench/internal/r2rml"
 	"npdbench/internal/rewrite"
-	"npdbench/internal/sqldb"
 )
 
-// Static candidate pruning (the planck payoff inside the unfolder): before
-// the combinatorial candidate walk, delete mapping-assertion candidates
-// that provably cannot participate in any viable combination. Two sources
-// of proof:
+// Static candidate pruning, run by every unfolding: before the
+// combinatorial candidate walk, delete mapping-assertion candidates that
+// provably cannot participate in any viable combination. Two sources of
+// proof:
 //
 //   - own-constant incompatibility: the candidate's term map cannot
 //     produce the atom's constant term;
@@ -145,121 +142,4 @@ func pruneCandidatesStatic(cq *rewrite.CQ, cands [][]candidate, cons *analyze.Co
 		}
 	}
 	return dropped, false
-}
-
-// contradictoryConds proves that a conjunction of arm conditions is
-// unsatisfiable: two equality constraints pinning the same column to
-// different constants (hoisted from different fragment views during
-// key-based self-join merging), an equality contradicting a disequality,
-// or an equality lying outside a range bound on the same column. Only
-// comparisons between a column reference and a literal participate; a
-// comparison whose values are not mutually comparable is ignored.
-func contradictoryConds(conds []sqldb.Expr) bool {
-	type colBounds struct {
-		eq    *sqldb.Value
-		nes   []sqldb.Value
-		lo    *sqldb.Value
-		loStr bool
-		hi    *sqldb.Value
-		hiStr bool
-	}
-	bounds := map[string]*colBounds{}
-	at := func(c *sqldb.ColRef) *colBounds {
-		k := strings.ToLower(c.Table + "." + c.Name)
-		b := bounds[k]
-		if b == nil {
-			b = &colBounds{}
-			bounds[k] = b
-		}
-		return b
-	}
-	cmp := func(a, b sqldb.Value) (int, bool) {
-		c, err := sqldb.Compare(a, b)
-		return c, err == nil
-	}
-	for _, cond := range conds {
-		bo, ok := cond.(*sqldb.BinOp)
-		if !ok {
-			continue
-		}
-		col, okc := bo.L.(*sqldb.ColRef)
-		lit, okl := bo.R.(*sqldb.Lit)
-		op := bo.Op
-		if !okc || !okl {
-			// literal on the left: flip
-			if lit2, okl2 := bo.L.(*sqldb.Lit); okl2 {
-				if col2, okc2 := bo.R.(*sqldb.ColRef); okc2 {
-					col, lit = col2, lit2
-					switch op {
-					case sqldb.OpLt:
-						op = sqldb.OpGt
-					case sqldb.OpLe:
-						op = sqldb.OpGe
-					case sqldb.OpGt:
-						op = sqldb.OpLt
-					case sqldb.OpGe:
-						op = sqldb.OpLe
-					}
-					okc, okl = true, true
-				}
-			}
-			if !okc || !okl {
-				continue
-			}
-		}
-		if lit.Val.IsNull() {
-			continue
-		}
-		b := at(col)
-		v := lit.Val
-		switch op {
-		case sqldb.OpEq:
-			if b.eq != nil {
-				if c, comparable := cmp(*b.eq, v); comparable && c != 0 {
-					return true
-				}
-			} else {
-				b.eq = &v
-			}
-		case sqldb.OpNe:
-			b.nes = append(b.nes, v)
-		case sqldb.OpLt, sqldb.OpLe:
-			if b.hi == nil {
-				b.hi, b.hiStr = &v, op == sqldb.OpLt
-			} else if c, comparable := cmp(v, *b.hi); comparable && (c < 0 || (c == 0 && op == sqldb.OpLt)) {
-				b.hi, b.hiStr = &v, op == sqldb.OpLt
-			}
-		case sqldb.OpGt, sqldb.OpGe:
-			if b.lo == nil {
-				b.lo, b.loStr = &v, op == sqldb.OpGt
-			} else if c, comparable := cmp(v, *b.lo); comparable && (c > 0 || (c == 0 && op == sqldb.OpGt)) {
-				b.lo, b.loStr = &v, op == sqldb.OpGt
-			}
-		}
-	}
-	for _, b := range bounds {
-		if b.eq != nil {
-			for _, ne := range b.nes {
-				if c, comparable := cmp(*b.eq, ne); comparable && c == 0 {
-					return true
-				}
-			}
-			if b.lo != nil {
-				if c, comparable := cmp(*b.eq, *b.lo); comparable && (c < 0 || (c == 0 && b.loStr)) {
-					return true
-				}
-			}
-			if b.hi != nil {
-				if c, comparable := cmp(*b.eq, *b.hi); comparable && (c > 0 || (c == 0 && b.hiStr)) {
-					return true
-				}
-			}
-		}
-		if b.lo != nil && b.hi != nil {
-			if c, comparable := cmp(*b.lo, *b.hi); comparable && (c > 0 || (c == 0 && (b.loStr || b.hiStr))) {
-				return true
-			}
-		}
-	}
-	return false
 }

@@ -1,13 +1,13 @@
 package unfold
 
 import (
+	"slices"
 	"testing"
 
 	"npdbench/internal/analyze"
 	"npdbench/internal/r2rml"
 	"npdbench/internal/rdf"
 	"npdbench/internal/rewrite"
-	"npdbench/internal/sqldb"
 )
 
 // disjointTemplateMapping maps two properties whose object templates can
@@ -36,6 +36,46 @@ source    SELECT id, mate FROM fans
 `)
 }
 
+// prunedWalk walks cq's mapping candidates twice: over the unpruned lists
+// and over the lists pruneCandidatesStatic leaves. Pruning is sound only if
+// both walks emit the same arms with the same SQL; prunedWalk fails the
+// test otherwise. It returns the stats of both walks (the pruned one stays
+// zero when pruning proves the CQ empty) and the number of candidates
+// pruning deleted.
+func prunedWalk(t *testing.T, cq *rewrite.CQ, mp *r2rml.Mapping, cons *analyze.Constraints) (full, pruned cqStats, dropped int, empty bool) {
+	t.Helper()
+	cands := make([][]candidate, len(cq.Atoms))
+	kept := make([][]candidate, len(cq.Atoms))
+	for i, atom := range cq.Atoms {
+		cands[i] = candidatesFor(atom, mp)
+		kept[i] = slices.Clone(cands[i])
+	}
+	fullArms, full, _, err := walkCandidates(cq, cands, nil, cons)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dropped, empty = pruneCandidatesStatic(cq, kept, cons)
+	var keptSQL []string
+	if !empty {
+		keptArms, st, _, err := walkCandidates(cq, kept, nil, cons)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pruned = st
+		for _, a := range keptArms {
+			keptSQL = append(keptSQL, a.String())
+		}
+	}
+	var fullSQL []string
+	for _, a := range fullArms {
+		fullSQL = append(fullSQL, a.String())
+	}
+	if !slices.Equal(fullSQL, keptSQL) {
+		t.Fatalf("pruning changed the arms:\nunpruned: %q\npruned:   %q", fullSQL, keptSQL)
+	}
+	return full, pruned, dropped, empty
+}
+
 func TestStaticPruneArcConsistency(t *testing.T) {
 	// ?y is sold (always t:prod/{p}) and likes-linked; the likes2 candidate
 	// produces t:emp/{mate} for ?y, which can never unify with any sells
@@ -47,28 +87,26 @@ func TestStaticPruneArcConsistency(t *testing.T) {
 		},
 		Answer: []string{"x", "y"},
 	}
-	mp := disjointTemplateMapping()
-	off, err := Unfold(rewrite.UCQ{cq}, mp, nil, Opts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	on, err := Unfold(rewrite.UCQ{cq}, mp, nil, Opts{StaticPrune: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if on.StaticPrunedCands == 0 {
-		t.Fatal("expected statically pruned candidates")
-	}
-	if off.Arms != on.Arms {
-		t.Fatalf("pruning changed the emitted arms: %d vs %d", off.Arms, on.Arms)
-	}
-	if off.Stmt.String() != on.Stmt.String() {
-		t.Fatalf("pruning changed the SQL:\noff: %s\non:  %s", off.Stmt, on.Stmt)
+	full, pruned, dropped, empty := prunedWalk(t, cq, disjointTemplateMapping(), nil)
+	if dropped == 0 || empty {
+		t.Fatalf("expected statically pruned candidates and a non-empty CQ, got %d dropped, empty=%v", dropped, empty)
 	}
 	// The walk-time prune counter shrinks accordingly: the work moved from
 	// enumeration to static analysis.
-	if on.PrunedArms >= off.PrunedArms {
-		t.Fatalf("static pruning did not reduce walk-time pruning: %d vs %d", on.PrunedArms, off.PrunedArms)
+	if pruned.pruned >= full.pruned {
+		t.Fatalf("static pruning did not reduce walk-time pruning: %d vs %d", pruned.pruned, full.pruned)
+	}
+	// Candidates with a partner for every shared variable all stay: both
+	// likes mappings join worksWith on the emp/{id} subject.
+	viable := &rewrite.CQ{
+		Atoms: []rewrite.Atom{
+			propAtom("likes", vt("x"), vt("y")),
+			propAtom("worksWith", vt("x"), vt("z")),
+		},
+		Answer: []string{"x", "y", "z"},
+	}
+	if _, _, dropped, empty := prunedWalk(t, viable, disjointTemplateMapping(), nil); dropped != 0 || empty {
+		t.Fatalf("viable candidates pruned: %d dropped, empty=%v", dropped, empty)
 	}
 }
 
@@ -83,15 +121,15 @@ func TestStaticPruneEmptyCQ(t *testing.T) {
 		},
 		Answer: []string{"x", "y"},
 	}
-	un, err := Unfold(rewrite.UCQ{cq}, disjointTemplateMapping(), nil, Opts{StaticPrune: true})
+	if _, _, dropped, empty := prunedWalk(t, cq, disjointTemplateMapping(), nil); !empty || dropped == 0 {
+		t.Fatalf("expected a statically empty CQ, got %d dropped, empty=%v", dropped, empty)
+	}
+	un, err := Unfold(rewrite.UCQ{cq}, disjointTemplateMapping(), nil, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if un.Stmt != nil || un.Arms != 0 {
-		t.Fatalf("expected statically empty result, got %d arms", un.Arms)
-	}
-	if un.StaticPrunedCands == 0 {
-		t.Fatal("expected statically pruned candidates")
+	if un.Stmt != nil || un.Arms != 0 || un.StaticPrunedCands == 0 {
+		t.Fatalf("expected statically empty result, got %d arms, %d pruned", un.Arms, un.StaticPrunedCands)
 	}
 }
 
@@ -102,127 +140,7 @@ func TestStaticPruneConstantMismatch(t *testing.T) {
 		Atoms:  []rewrite.Atom{propAtom("sells", ct(rdf.NewIRI("http://t/prod/9")), vt("y"))},
 		Answer: []string{"y"},
 	}
-	un, err := Unfold(rewrite.UCQ{cq}, disjointTemplateMapping(), nil, Opts{StaticPrune: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if un.Stmt != nil || un.StaticPrunedCands == 0 {
-		t.Fatalf("expected constant-mismatch prune, got %d arms, %d pruned",
-			un.Arms, un.StaticPrunedCands)
-	}
-}
-
-func TestContradictoryConds(t *testing.T) {
-	col := func(name string) sqldb.Expr { return &sqldb.ColRef{Table: "t1", Name: name} }
-	lit := func(v sqldb.Value) sqldb.Expr { return &sqldb.Lit{Val: v} }
-	bin := func(op sqldb.BinOpKind, l, r sqldb.Expr) sqldb.Expr { return &sqldb.BinOp{Op: op, L: l, R: r} }
-	cases := []struct {
-		name  string
-		conds []sqldb.Expr
-		want  bool
-	}{
-		{"conflicting equalities", []sqldb.Expr{
-			bin(sqldb.OpEq, col("kind"), lit(sqldb.NewString("exploration"))),
-			bin(sqldb.OpEq, col("kind"), lit(sqldb.NewString("development"))),
-		}, true},
-		{"equality vs disequality", []sqldb.Expr{
-			bin(sqldb.OpEq, col("kind"), lit(sqldb.NewString("a"))),
-			bin(sqldb.OpNe, col("kind"), lit(sqldb.NewString("a"))),
-		}, true},
-		{"equality outside range", []sqldb.Expr{
-			bin(sqldb.OpEq, col("year"), lit(sqldb.NewInt(1990))),
-			bin(sqldb.OpGt, col("year"), lit(sqldb.NewInt(2000))),
-		}, true},
-		{"empty range", []sqldb.Expr{
-			bin(sqldb.OpGe, col("year"), lit(sqldb.NewInt(2010))),
-			bin(sqldb.OpLe, col("year"), lit(sqldb.NewInt(2000))),
-		}, true},
-		{"flipped literal side", []sqldb.Expr{
-			bin(sqldb.OpGt, lit(sqldb.NewInt(2000)), col("year")), // 2000 > year, i.e. year < 2000
-			bin(sqldb.OpGt, col("year"), lit(sqldb.NewInt(2010))),
-		}, true},
-		{"same equality twice is fine", []sqldb.Expr{
-			bin(sqldb.OpEq, col("kind"), lit(sqldb.NewString("a"))),
-			bin(sqldb.OpEq, col("kind"), lit(sqldb.NewString("a"))),
-		}, false},
-		{"different columns do not interact", []sqldb.Expr{
-			bin(sqldb.OpEq, col("kind"), lit(sqldb.NewString("a"))),
-			bin(sqldb.OpEq, col("name"), lit(sqldb.NewString("b"))),
-		}, false},
-		{"satisfiable range", []sqldb.Expr{
-			bin(sqldb.OpGe, col("year"), lit(sqldb.NewInt(2000))),
-			bin(sqldb.OpLe, col("year"), lit(sqldb.NewInt(2010))),
-		}, false},
-		{"incomparable kinds are skipped", []sqldb.Expr{
-			bin(sqldb.OpEq, col("kind"), lit(sqldb.NewString("a"))),
-			bin(sqldb.OpEq, col("kind"), lit(sqldb.NewInt(1))),
-		}, false},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			if got := contradictoryConds(tc.conds); got != tc.want {
-				t.Fatalf("contradictoryConds = %v, want %v", got, tc.want)
-			}
-		})
-	}
-}
-
-// exactPredicateMapping exposes the paper-style pattern where saturation
-// hoists fragment filters: one table maps to two classes through disjoint
-// WHERE fragments on the same column.
-func TestStaticContradictionArm(t *testing.T) {
-	mp := r2rml.MustParseMapping(`
-[PrefixDeclaration]
-t: http://t/
-
-[MappingDeclaration]
-mappingId expl
-target    t:well/{id} a t:Exploration .
-source    SELECT id FROM wellbore WHERE kind = 'exploration'
-
-mappingId dev
-target    t:well/{id} a t:Development .
-source    SELECT id FROM wellbore WHERE kind = 'development'
-`)
-	db := sqldb.NewDatabase("t")
-	if _, err := db.CreateTable(&sqldb.TableDef{
-		Name: "wellbore",
-		Columns: []sqldb.Column{
-			{Name: "id", Type: sqldb.TInt, NotNull: true},
-			{Name: "kind", Type: sqldb.TText, NotNull: true},
-		},
-		PrimaryKey: []int{0},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	cons := analyze.DeriveConstraints(db)
-	// Both classes over the same subject: the key-merge hoists the two
-	// fragment filters onto one table instance, where kind='exploration'
-	// AND kind='development' is a static contradiction.
-	cq := &rewrite.CQ{
-		Atoms: []rewrite.Atom{
-			classAtom("Exploration", vt("x")),
-			classAtom("Development", vt("x")),
-		},
-		Answer: []string{"x"},
-	}
-	off, err := Unfold(rewrite.UCQ{cq}, mp, nil, Opts{Cons: cons})
-	if err != nil {
-		t.Fatal(err)
-	}
-	on, err := Unfold(rewrite.UCQ{cq}, mp, nil, Opts{Cons: cons, StaticPrune: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if on.StaticContradictions == 0 {
-		t.Fatal("expected a contradictory arm to be deleted")
-	}
-	if on.Arms != 0 || on.Stmt != nil {
-		t.Fatalf("expected no arms after contradiction pruning, got %d", on.Arms)
-	}
-	// The unpruned unfolding keeps the contradictory arm (the database
-	// would evaluate it to zero rows).
-	if off.Arms == 0 {
-		t.Fatal("fixture did not produce the contradictory arm")
+	if _, _, dropped, empty := prunedWalk(t, cq, disjointTemplateMapping(), nil); !empty || dropped == 0 {
+		t.Fatalf("expected constant-mismatch prune, got %d dropped, empty=%v", dropped, empty)
 	}
 }

@@ -6,7 +6,9 @@
 //   - IRI-template compatibility pruning: a union arm whose join or
 //     constant unification is impossible at the template level is dropped
 //     before reaching the database (with constraints, placeholders over
-//     INT/DATE columns are known to expand to [0-9-]* only);
+//     INT/DATE columns are known to expand to [0-9-]* only); template arc
+//     consistency deletes the candidates no combination can use before
+//     the walk starts;
 //   - self-join elimination: atoms over the same logical table joined on
 //     the same subject template collapse into a single table instance
 //     (essential for OBDA mappings, where each data property of a wide
@@ -68,13 +70,8 @@ type Unfolded struct {
 	SubsumedArms int
 	// StaticPrunedCands counts mapping-assertion candidates deleted by the
 	// pre-walk static analysis (own-constant and arc-consistency proofs)
-	// before the combinatorial candidate walk ran (requires
-	// Opts.StaticPrune).
+	// before the combinatorial candidate walk ran.
 	StaticPrunedCands int
-	// StaticContradictions counts arms whose compiled WHERE conjunction was
-	// proved unsatisfiable (contradictory exact predicates hoisted from
-	// merged fragment views) and deleted (requires Opts.StaticPrune).
-	StaticContradictions int
 	// FiltersPushed[i] reports whether filters[i] was translated into SQL
 	// in every emitted arm. Callers that skip re-checking filters on the
 	// translated results (e.g. aggregate pushdown) must require true.
@@ -166,29 +163,20 @@ type Opts struct {
 	//     equals another's and whose conditions are a superset is dropped
 	//     (sound under the engine's set semantics).
 	Cons *analyze.Constraints
-	// StaticPrune enables the pre-walk static candidate deletion
-	// (own-constant and arc-consistency proofs over IRI-template structure)
-	// and the post-compilation contradictory-condition arm deletion. Both
-	// are pure strength reductions: they remove only work the candidate
-	// walk or the database would discard anyway.
-	StaticPrune bool
 }
 
 // Unfold translates the UCQ into SQL over the mapping. The zero Opts
-// applies no constraint-driven or static optimization.
+// applies no constraint-driven optimization.
 func Unfold(ucq rewrite.UCQ, mp *r2rml.Mapping, filters []PushFilter, o Opts) (*Unfolded, error) {
 	res := &Unfolded{}
 	if len(ucq) == 0 {
 		return nil, fmt.Errorf("unfold: empty UCQ")
 	}
 	res.Vars = append([]string{}, ucq[0].Answer...)
-	res.FiltersPushed = make([]bool, len(filters))
-	for i := range res.FiltersPushed {
-		res.FiltersPushed[i] = true
-	}
+	res.FiltersPushed = allTrue(len(filters))
 	var arms []*sqldb.SelectStmt
 	for _, cq := range ucq {
-		cqArms, st, pushed, err := unfoldCQ(cq, mp, filters, o)
+		cqArms, st, pushed, err := unfoldCQ(cq, mp, filters, o.Cons)
 		if err != nil {
 			return nil, err
 		}
@@ -196,7 +184,6 @@ func Unfold(ucq rewrite.UCQ, mp *r2rml.Mapping, filters []PushFilter, o Opts) (*
 		res.PrunedArms += st.pruned
 		res.SelfJoinsEliminated += st.selfJoins
 		res.StaticPrunedCands += st.staticCands
-		res.StaticContradictions += st.contradictions
 		for i := range res.FiltersPushed {
 			res.FiltersPushed[i] = res.FiltersPushed[i] && pushed[i]
 		}
@@ -231,34 +218,46 @@ func Unfold(ucq rewrite.UCQ, mp *r2rml.Mapping, filters []PushFilter, o Opts) (*
 
 // cqStats aggregates the per-CQ unfolding counters.
 type cqStats struct {
-	pruned         int // walk-time template-compatibility prunes
-	selfJoins      int
-	staticCands    int // pre-walk statically deleted candidates
-	contradictions int // arms deleted for contradictory WHERE conjunctions
+	pruned      int // walk-time template-compatibility prunes
+	selfJoins   int
+	staticCands int // pre-walk statically deleted candidates
 }
 
 // unfoldCQ enumerates mapping-assertion combinations for the CQ's atoms and
-// compiles each viable combination into one SPJ arm.
-func unfoldCQ(cq *rewrite.CQ, mp *r2rml.Mapping, filters []PushFilter, o Opts) (arms []*sqldb.SelectStmt, st cqStats, pushedAll []bool, err error) {
-	cons := o.Cons
-	pushedAll = make([]bool, len(filters))
-	for i := range pushedAll {
-		pushedAll[i] = true
-	}
+// compiles each viable combination into one SPJ arm. Candidates that
+// pruneCandidatesStatic proves cannot take part in any viable combination
+// are deleted before the walk.
+func unfoldCQ(cq *rewrite.CQ, mp *r2rml.Mapping, filters []PushFilter, cons *analyze.Constraints) (arms []*sqldb.SelectStmt, st cqStats, pushedAll []bool, err error) {
 	cands := make([][]candidate, len(cq.Atoms))
 	for i, atom := range cq.Atoms {
 		cands[i] = candidatesFor(atom, mp)
 		if len(cands[i]) == 0 {
-			return nil, st, pushedAll, nil // some atom has no mapping: CQ is empty
+			return nil, st, allTrue(len(filters)), nil // some atom has no mapping: CQ is empty
 		}
 	}
-	if o.StaticPrune {
-		dropped, empty := pruneCandidatesStatic(cq, cands, cons)
-		st.staticCands += dropped
-		if empty {
-			return nil, st, pushedAll, nil // statically empty CQ
-		}
+	dropped, empty := pruneCandidatesStatic(cq, cands, cons)
+	if empty {
+		return nil, cqStats{staticCands: dropped}, allTrue(len(filters)), nil // statically empty CQ
 	}
+	arms, st, pushedAll, err = walkCandidates(cq, cands, filters, cons)
+	st.staticCands = dropped
+	return arms, st, pushedAll, err
+}
+
+// allTrue returns n true flags.
+func allTrue(n int) []bool {
+	out := make([]bool, n)
+	for i := range out {
+		out[i] = true
+	}
+	return out
+}
+
+// walkCandidates enumerates every combination that picks one candidate per
+// atom from cands and compiles each viable one into an SPJ arm. pushedAll[i]
+// reports whether filters[i] reached SQL in every emitted arm.
+func walkCandidates(cq *rewrite.CQ, cands [][]candidate, filters []PushFilter, cons *analyze.Constraints) (arms []*sqldb.SelectStmt, st cqStats, pushedAll []bool, err error) {
+	pushedAll = allTrue(len(filters))
 	pick := make([]candidate, len(cq.Atoms))
 	var walk func(i int) error
 	walk = func(i int) error {
@@ -269,10 +268,6 @@ func unfoldCQ(cq *rewrite.CQ, mp *r2rml.Mapping, filters []PushFilter, o Opts) (
 			}
 			if !ok {
 				st.pruned++
-				return nil
-			}
-			if o.StaticPrune && arm.Where != nil && contradictoryConds(sqldb.Conjuncts(arm.Where)) {
-				st.contradictions++
 				return nil
 			}
 			st.selfJoins += merged

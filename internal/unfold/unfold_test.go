@@ -106,7 +106,7 @@ func TestUnfoldTemplateMismatchPrunes(t *testing.T) {
 	if un.Arms != 0 {
 		t.Fatalf("arms = %d, want 0 (template mismatch)", un.Arms)
 	}
-	if un.PrunedArms == 0 {
+	if un.PrunedArms+un.StaticPrunedCands == 0 {
 		t.Fatal("pruning not recorded")
 	}
 	if un.Stmt != nil {
@@ -316,9 +316,9 @@ func TestUnfoldConstantSubjectWithPicks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if un2.Arms != 0 || un2.PrunedArms == 0 {
-		t.Fatalf("arms = %d, pruned = %d; want 0 arms and pruning recorded",
-			un2.Arms, un2.PrunedArms)
+	if un2.Arms != 0 || un2.PrunedArms+un2.StaticPrunedCands == 0 {
+		t.Fatalf("arms = %d, pruned = %d + %d static; want 0 arms and pruning recorded",
+			un2.Arms, un2.PrunedArms, un2.StaticPrunedCands)
 	}
 }
 
@@ -584,13 +584,15 @@ func TestUnfoldTypedTemplateDisjointness(t *testing.T) {
 	// Over INT keys wellbore/{id} never contains "/core/": the walk prunes
 	// the pair, and so does static arc consistency.
 	intCons := analyze.DeriveConstraints(coreDatabase(t, sqldb.TInt))
-	for _, staticPrune := range []bool{false, true} {
-		on, err := Unfold(u, coreMapping(), nil, Opts{Cons: intCons, StaticPrune: staticPrune})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if on.Arms != 0 || on.Stmt != nil || on.PrunedArms+on.StaticPrunedCands == 0 {
-			t.Fatalf("static=%v: INT keys must prune the pair, got %d arms:\n%v", staticPrune, on.Arms, on.Stmt)
-		}
+	full, _, dropped, empty := prunedWalk(t, u[0], coreMapping(), intCons)
+	if full.pruned == 0 || dropped == 0 || !empty {
+		t.Fatalf("INT keys must prune the pair: walk pruned %d, arc consistency dropped %d (empty=%v)", full.pruned, dropped, empty)
+	}
+	on, err := Unfold(u, coreMapping(), nil, Opts{Cons: intCons})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if on.Arms != 0 || on.Stmt != nil {
+		t.Fatalf("INT keys must prune the pair, got %d arms:\n%v", on.Arms, on.Stmt)
 	}
 }

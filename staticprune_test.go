@@ -1,6 +1,7 @@
 package npdbench
 
 import (
+	"crypto/sha256"
 	"flag"
 	"fmt"
 	"os"
@@ -34,8 +35,18 @@ func renderRows(a *core.Answer) []string {
 	return out
 }
 
-func pruneEngines(t testing.TB) (on, off *core.Engine) {
-	t.Helper()
+// sqlDigest is the first 16 hex digits of the SHA-256 of an unfolded SQL
+// text: enough to pin the statement byte for byte in a readable golden.
+func sqlDigest(sql string) string {
+	return fmt.Sprintf("%x", sha256.Sum256([]byte(sql)))[:16]
+}
+
+// TestStaticPruneGoldenNPD pins, for each of the 21 NPD queries, the
+// mapping candidates unfold's template arc consistency deletes, the union
+// arms, and digests of the unfolded SQL under DefaultOptions and under the
+// bench oracle's reference configuration (no constraints, no plan cache,
+// sequential). Regenerate with: go test . -run StaticPruneGolden -update
+func TestStaticPruneGoldenNPD(t *testing.T) {
 	db, err := npd.NewSeededDatabase(npd.SeedConfig{Scale: 0.15, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
@@ -44,82 +55,31 @@ func pruneEngines(t testing.TB) (on, off *core.Engine) {
 		Onto: npd.NewOntology(), Mapping: npd.NewMapping(),
 		DB: db, Prefixes: npd.Prefixes(),
 	}
-	base := core.Options{
-		TMappings: true, Existential: true, Constraints: true,
-		VerifyPlans: core.VerifyOn,
-	}
-	withPrune := base
-	withPrune.StaticPrune = true
-	on, err = core.NewEngine(spec, withPrune)
+	def := core.DefaultOptions()
+	def.VerifyPlans = core.VerifyOn
+	ref := core.Options{TMappings: true, Existential: true, Parallelism: 1, VerifyPlans: core.VerifyOn}
+	engDef, err := core.NewEngine(spec, def)
 	if err != nil {
 		t.Fatal(err)
 	}
-	off, err = core.NewEngine(spec, base)
+	engRef, err := core.NewEngine(spec, ref)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return on, off
-}
-
-// TestStaticPruneSoundNPD runs every NPD query through two engines that
-// differ only in Options.StaticPrune, both with the planck verifier forced
-// on. Static pruning must (a) verify cleanly at every pipeline stage,
-// (b) produce identical answer sets, and (c) statically delete work on at
-// least one query.
-func TestStaticPruneSoundNPD(t *testing.T) {
-	engOn, engOff := pruneEngines(t)
-	totalPruned := 0
-	for _, q := range npd.Queries() {
-		parsed, err := engOn.ParseQuery(q.SPARQL)
-		if err != nil {
-			t.Fatal(err)
-		}
-		aOn, err := engOn.Answer(parsed)
-		if err != nil {
-			t.Fatalf("%s (static pruning on): %v", q.ID, err)
-		}
-		aOff, err := engOff.Answer(parsed)
-		if err != nil {
-			t.Fatalf("%s (static pruning off): %v", q.ID, err)
-		}
-		rOn, rOff := renderRows(aOn), renderRows(aOff)
-		if len(rOn) != len(rOff) {
-			t.Errorf("%s: answers diverge — %d rows pruned, %d unpruned", q.ID, len(rOn), len(rOff))
-			continue
-		}
-		for i := range rOn {
-			if rOn[i] != rOff[i] {
-				t.Errorf("%s: row %d diverges:\npruned:   %s\nunpruned: %s", q.ID, i, rOn[i], rOff[i])
-				break
-			}
-		}
-		st := aOn.Stats
-		pruned := st.StaticPrunedCQs + st.StaticPrunedArms + st.StaticUnsatFilters
-		totalPruned += pruned
-		if pruned > 0 {
-			t.Logf("%s: statically pruned %d CQs, %d candidates/arms, %d filter sets (arms %d)",
-				q.ID, st.StaticPrunedCQs, st.StaticPrunedArms, st.StaticUnsatFilters, st.UnionArms)
-		}
-	}
-	if totalPruned == 0 {
-		t.Error("no NPD query had any statically pruned work; the ablation is vacuous")
-	}
-}
-
-// TestStaticPruneGoldenNPD pins the per-query static-pruning counts for the
-// 21 NPD queries. Regenerate with: go test . -run StaticPruneGolden -update
-func TestStaticPruneGoldenNPD(t *testing.T) {
-	engOn, _ := pruneEngines(t)
 	var sb strings.Builder
-	sb.WriteString("query\tstatic_cqs\tstatic_arms\tstatic_filters\tunion_arms\n")
+	sb.WriteString("query\tstatic_arms\tunion_arms\tsql_default\tsql_reference\n")
 	for _, q := range npd.Queries() {
-		ans, err := engOn.Query(q.SPARQL)
+		ans, err := engDef.Query(q.SPARQL)
 		if err != nil {
 			t.Fatalf("%s: %v", q.ID, err)
 		}
+		refAns, err := engRef.Query(q.SPARQL)
+		if err != nil {
+			t.Fatalf("%s (reference): %v", q.ID, err)
+		}
 		st := ans.Stats
-		fmt.Fprintf(&sb, "%s\t%d\t%d\t%d\t%d\n",
-			q.ID, st.StaticPrunedCQs, st.StaticPrunedArms, st.StaticUnsatFilters, st.UnionArms)
+		fmt.Fprintf(&sb, "%s\t%d\t%d\t%s\t%s\n", q.ID, st.StaticPrunedArms, st.UnionArms,
+			sqlDigest(st.UnfoldedSQL), sqlDigest(refAns.Stats.UnfoldedSQL))
 	}
 	got := sb.String()
 	path := filepath.Join("testdata", "static_prune.golden")
@@ -136,6 +96,6 @@ func TestStaticPruneGoldenNPD(t *testing.T) {
 		t.Fatalf("read golden: %v (generate with -update)", err)
 	}
 	if got != string(want) {
-		t.Errorf("static-pruning counts drifted from golden; review and regenerate with -update\ngot:\n%s\nwant:\n%s", got, want)
+		t.Errorf("static-pruning counts or unfolded SQL drifted from golden; review and regenerate with -update\ngot:\n%s\nwant:\n%s", got, want)
 	}
 }

@@ -68,8 +68,8 @@ func (p *compiledPlan) addTo(st *PhaseStats) {
 // spans for answerBGP, children of the aggregate-pushdown span for the
 // aggregate path). A hit still emits the compile-stage spans — marked
 // cached, like the parse span of a pre-parsed query — so every trace
-// carries the full taxonomy and a cached execution stays visible in the
-// JSONL run log.
+// carries the full taxonomy and a cached execution stays visible in
+// -explain and the slow-query log.
 func (e *Engine) compiledPlanFor(bgp *sparql.BGP, push []unfold.PushFilter, st *PhaseStats, spawn func(string) *obs.Span) (*compiledPlan, error) {
 	if e.cache == nil {
 		return e.compileBGP(bgp, push, st, spawn)

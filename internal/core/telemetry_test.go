@@ -131,8 +131,8 @@ func TestSampledTraceRetention(t *testing.T) {
 
 // TestConcurrentAnswerTelemetry runs concurrent queries against one
 // engine with the full telemetry stack on, while HTTP clients poll the
-// metrics and slowlog endpoints — exactly the serving posture of
-// `mixer -http`. The -race run in ci.sh is the real assertion.
+// metrics and slowlog endpoints — the serving posture of obdaqd. The
+// -race run in ci.sh is the real assertion.
 func TestConcurrentAnswerTelemetry(t *testing.T) {
 	reg := obs.NewRegistry()
 	slowlog := obs.NewSlowLog(8)
@@ -146,8 +146,6 @@ func TestConcurrentAnswerTelemetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	rc := obs.NewRuntimeCollector(reg)
-	rc.Start(time.Millisecond)
-	defer rc.Stop()
 	metricsSrv := httptest.NewServer(reg.Handler())
 	defer metricsSrv.Close()
 	slowSrv := httptest.NewServer(slowlog.Handler())
@@ -173,6 +171,7 @@ func TestConcurrentAnswerTelemetry(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 40; i++ {
+				rc.Collect() // as obdaqd does on every scrape
 				for _, url := range []string{metricsSrv.URL, slowSrv.URL} {
 					resp, err := metricsSrv.Client().Get(url)
 					if err != nil {

@@ -11,8 +11,7 @@ import (
 // and the package-global http.DefaultServeMux (any imported package can
 // register handlers on it; net/http/pprof does exactly that on import).
 // Long-running endpoints must build an explicit *http.Server over an
-// explicit *http.ServeMux. The rule guards the upcoming SPARQL endpoint
-// the same way it fixed cmd/mixer's metrics listener.
+// explicit *http.ServeMux, as cmd/obdaqd's SPARQL endpoint does.
 func passSrvHygiene() *Pass {
 	p := &Pass{
 		Name: "srvhygiene",

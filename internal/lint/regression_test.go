@@ -10,8 +10,8 @@ import (
 
 // TestDeletedFixFailsTheBuild reverts three fixes the engine's passes
 // drove into the real tree — the insertUnchecked index-maintenance lock
-// (lockguard), the orderRelation pre-sort freshen (sharedmut), and the
-// mixer's configured http.Server (srvhygiene) — in a scratch copy of the
+// (lockguard), the orderRelation pre-sort freshen (sharedmut), and
+// obdaqd's configured http.Server (srvhygiene) — in a scratch copy of the
 // repository, and asserts each regression is reported. Deleting a fix
 // must fail the build.
 func TestDeletedFixFailsTheBuild(t *testing.T) {
@@ -36,11 +36,11 @@ func TestDeletedFixFailsTheBuild(t *testing.T) {
 	patch(t, filepath.Join(tmp, "internal", "sqldb", "plan.go"),
 		"\tout.rows = append(make([]Row, 0, len(out.rows)), out.rows...)\n",
 		"")
-	// srvhygiene: serve the metrics listener bare again (alongside the
+	// srvhygiene: serve the SPARQL endpoint bare again (alongside the
 	// drained server.StartHTTP path, so every identifier stays used).
-	patch(t, filepath.Join(tmp, "cmd", "mixer", "main.go"),
-		"addr, stopHTTP, err := server.StartHTTP(srv)",
-		"go func() { _ = http.ListenAndServe(srv.Addr, mux) }()\n\t\taddr, stopHTTP, err := server.StartHTTP(srv)")
+	patch(t, filepath.Join(tmp, "cmd", "obdaqd", "main.go"),
+		"addr, stop, err := server.StartHTTP(hs)",
+		"go func() { _ = http.ListenAndServe(hs.Addr, hs.Handler) }()\n\taddr, stop, err := server.StartHTTP(hs)")
 
 	mod, err := LoadModule(tmp)
 	if err != nil {
@@ -50,7 +50,7 @@ func TestDeletedFixFailsTheBuild(t *testing.T) {
 	wants := []struct{ file, msg string }{
 		{"internal/sqldb/table.go", "(guarded by mu) accessed without holding t.mu"},
 		{"internal/sqldb/plan.go", "sortRelation mutates r in place"},
-		{"cmd/mixer/main.go", "bare http.ListenAndServe has no timeouts"},
+		{"cmd/obdaqd/main.go", "bare http.ListenAndServe has no timeouts"},
 	}
 	for _, w := range wants {
 		found := false

@@ -50,23 +50,6 @@ type Config struct {
 	// Parallelism is the engine's intra-query worker cap (0 = NumCPU,
 	// 1 = sequential). Results are identical at every setting.
 	Parallelism int
-	// RunLog, when non-nil, receives one JSONL record per measured query
-	// execution (trace id, stage timings, row counts). Enabling it turns on
-	// engine tracing so each record carries a real trace id.
-	RunLog *obs.RunLog
-	// Metrics, when non-nil, receives the engine's process-wide counters
-	// and histograms (served by cmd/mixer -http).
-	Metrics *obs.Registry
-	// Sampler, when non-nil, makes the per-query trace retention decision
-	// instead of all-or-nothing tracing (probabilistic head sampling plus
-	// promote-on-slow).
-	Sampler *obs.Sampler
-	// SlowLog, when non-nil, captures the slowest queries with span tree
-	// and usage block (served by cmd/mixer -http at /debug/slowlog).
-	SlowLog *obs.SlowLog
-	// Budget sets per-query soft resource limits; exceeding one marks the
-	// run's usage block and bumps npdbench_budget_exceeded_total.
-	Budget obs.QueryBudget
 }
 
 // DefaultConfig returns a laptop-friendly configuration.
@@ -84,13 +67,12 @@ func DefaultConfig() Config {
 }
 
 // engineOptions is the engine the mixer measures: the shipped
-// core.DefaultOptions, with only the paper's existential toggle, the
-// worker cap and the observer taken from cfg.
-func engineOptions(cfg Config, observer *obs.Observer) core.Options {
+// core.DefaultOptions, with only the paper's existential toggle and the
+// worker cap taken from cfg.
+func engineOptions(cfg Config) core.Options {
 	opts := core.DefaultOptions()
 	opts.Existential = cfg.Existential
 	opts.Parallelism = cfg.Parallelism
-	opts.Obs = observer
 	return opts
 }
 
@@ -179,19 +161,7 @@ func Run(cfg Config) (*Report, error) {
 		}
 		db.Profile = cfg.Profile
 		spec := core.Spec{Onto: onto, Mapping: mapping, DB: db, Prefixes: npd.Prefixes()}
-		var observer *obs.Observer
-		if cfg.RunLog != nil || cfg.Metrics != nil || cfg.Sampler != nil || cfg.SlowLog != nil {
-			observer = &obs.Observer{
-				// Plain tracing forces full retention; with a sampler
-				// installed the retention decision is delegated to it.
-				Tracing: cfg.RunLog != nil && cfg.Sampler == nil,
-				Metrics: cfg.Metrics,
-				Sampler: cfg.Sampler,
-				SlowLog: cfg.SlowLog,
-				Budget:  cfg.Budget,
-			}
-		}
-		eng, err := core.NewEngine(spec, engineOptions(cfg, observer))
+		eng, err := core.NewEngine(spec, engineOptions(cfg))
 		if err != nil {
 			return nil, err
 		}
@@ -212,7 +182,7 @@ func Run(cfg Config) (*Report, error) {
 		}
 		var mixTime time.Duration
 		for _, q := range queries {
-			qm, err := measureQuery(eng, q, cfg, k)
+			qm, err := measureQuery(eng, q, cfg)
 			if err != nil {
 				return nil, fmt.Errorf("mixer: NPD%g %s: %w", k, q.ID, err)
 			}
@@ -261,7 +231,7 @@ type runResult struct {
 	done  bool
 }
 
-func measureQuery(eng *core.Engine, q npd.BenchQuery, cfg Config, scale float64) (QueryMeasure, error) {
+func measureQuery(eng *core.Engine, q npd.BenchQuery, cfg Config) (QueryMeasure, error) {
 	parsed, err := eng.ParseQuery(q.SPARQL)
 	if err != nil {
 		return QueryMeasure{}, err
@@ -293,12 +263,10 @@ func measureQuery(eng *core.Engine, q npd.BenchQuery, cfg Config, scale float64)
 				slot.done = true
 				if err != nil {
 					slot.err = err
-					logRun(cfg, q.ID, scale, client, i, nil, err)
 					return
 				}
 				slot.stats = ans.Stats
 				slot.rows = ans.Len()
-				logRun(cfg, q.ID, scale, client, i, ans, nil)
 			}
 		}(c)
 	}
@@ -364,43 +332,4 @@ func aggregateRuns(queryID string, results []runResult) (QueryMeasure, error) {
 	qm.P95Total = time.Duration(obs.Percentile(samples, 95))
 	qm.P99Total = time.Duration(obs.Percentile(samples, 99))
 	return qm, nil
-}
-
-// logRun appends one execution to the configured JSONL run log.
-func logRun(cfg Config, queryID string, scale float64, client, run int, ans *core.Answer, runErr error) {
-	if cfg.RunLog == nil {
-		return
-	}
-	rec := obs.RunRecord{
-		Schema:  obs.RunLogSchemaVersion,
-		TraceID: "untraced",
-		Query:   queryID,
-		Scale:   scale,
-		Profile: cfg.Profile.String(),
-		Client:  client,
-		Run:     run,
-	}
-	if runErr != nil {
-		rec.Error = runErr.Error()
-	}
-	if ans != nil {
-		if ans.Trace != nil {
-			rec.TraceID = ans.Trace.ID
-		}
-		rec.RewriteUS = ans.Stats.RewriteTime.Microseconds()
-		rec.UnfoldUS = ans.Stats.UnfoldTime.Microseconds()
-		rec.ExecUS = ans.Stats.ExecTime.Microseconds()
-		rec.TranslateUS = ans.Stats.TranslateTime.Microseconds()
-		rec.TotalUS = ans.Stats.TotalTime.Microseconds()
-		rec.AbandonedUS = ans.Stats.PushdownAbandoned.Microseconds()
-		rec.Rows = ans.Len()
-		rec.CQs = ans.Stats.CQCount
-		rec.UnionArms = ans.Stats.UnionArms
-		rec.CacheHits = ans.Stats.PlanCacheHits
-		rec.CacheMisses = ans.Stats.PlanCacheMisses
-		rec.Usage = ans.Stats.Usage
-	}
-	// Write failures must not abort a measurement run; the validator in
-	// ci.sh catches a truncated log.
-	_ = cfg.RunLog.Write(rec)
 }

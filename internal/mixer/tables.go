@@ -299,7 +299,7 @@ func StoreComparison(cfg Config) (string, error) {
 		}
 		db.Profile = cfg.Profile
 		spec := core.Spec{Onto: onto, Mapping: mapping, DB: db, Prefixes: npd.Prefixes()}
-		eng, err := core.NewEngine(spec, engineOptions(cfg, nil))
+		eng, err := core.NewEngine(spec, engineOptions(cfg))
 		if err != nil {
 			return "", err
 		}

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"bytes"
 	"encoding/json"
 	"math"
 	"strings"
@@ -88,10 +87,6 @@ func TestNilSafety(t *testing.T) {
 	var o *Observer
 	if o.StartTrace("q") != nil || o.Profiling() || o.Registry() != nil {
 		t.Fatal("nil observer must be fully off")
-	}
-	var l *RunLog
-	if err := l.Write(RunRecord{}); err != nil || l.Count() != 0 || l.Flush() != nil {
-		t.Fatal("nil runlog must swallow writes")
 	}
 }
 
@@ -278,55 +273,5 @@ func TestRegistryJSON(t *testing.T) {
 	}
 	if m["h"]["type"] != "histogram" || m["h"]["count"].(float64) != 1 {
 		t.Fatalf("histogram json = %v", m["h"])
-	}
-}
-
-// ---------------------------------------------------------------- run log
-
-func TestRunLog(t *testing.T) {
-	var buf bytes.Buffer
-	l := NewRunLog(&buf)
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			for j := 0; j < 10; j++ {
-				if err := l.Write(RunRecord{
-					TraceID: "t", Query: "q6", Client: i, Run: j, TotalUS: 12, Rows: 3,
-				}); err != nil {
-					t.Error(err)
-				}
-			}
-		}(i)
-	}
-	wg.Wait()
-	if err := l.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if l.Count() != 40 {
-		t.Fatalf("count = %d", l.Count())
-	}
-	n, err := ValidateRunLog(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 40 {
-		t.Fatalf("validated %d records, want 40", n)
-	}
-}
-
-func TestValidateRunLogRejects(t *testing.T) {
-	cases := map[string]string{
-		"empty":         "",
-		"malformed":     "{not json}\n",
-		"no trace id":   `{"query":"q1","total_us":1}` + "\n",
-		"no query":      `{"trace_id":"t","total_us":1}` + "\n",
-		"negative time": `{"trace_id":"t","query":"q1","total_us":-1}` + "\n",
-	}
-	for name, in := range cases {
-		if _, err := ValidateRunLog(strings.NewReader(in)); err == nil {
-			t.Errorf("%s: validation should fail", name)
-		}
 	}
 }

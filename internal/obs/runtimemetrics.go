@@ -4,14 +4,15 @@ import (
 	"math"
 	"runtime/metrics"
 	"sync"
-	"time"
 )
 
 // RuntimeCollector bridges the runtime/metrics package into a Registry,
 // so one Prometheus scrape of /metrics shows engine health (query rates,
 // stage latencies, cache hits) and runtime health (heap, GC, goroutines,
-// scheduler latency) side by side. Collect is a cheap one-shot read;
-// Start runs it on a ticker for serving processes.
+// scheduler latency) side by side. Collect is a cheap one-shot read: a
+// serving process calls it on each scrape, a command once before printing.
+// Keep one collector per registry — it feeds the GC counter the delta
+// since its own previous pass.
 //
 // Exported family (all under npdbench_runtime_*):
 //
@@ -37,9 +38,6 @@ type RuntimeCollector struct {
 	collects   *Counter
 
 	lastGCCycles uint64
-
-	stopOnce sync.Once
-	stop     chan struct{}
 }
 
 // Indices into RuntimeCollector.samples (must match newRuntimeSamples).
@@ -82,7 +80,6 @@ func NewRuntimeCollector(reg *Registry) *RuntimeCollector {
 		schedP50:   reg.Gauge(`npdbench_runtime_sched_latency_us{q="0.5"}`),
 		schedP99:   reg.Gauge(`npdbench_runtime_sched_latency_us{q="0.99"}`),
 		collects:   reg.Counter("npdbench_runtime_collections_total"),
-		stop:       make(chan struct{}),
 	}
 	reg.Help("npdbench_runtime_heap_bytes", "Live heap memory (runtime/metrics objects class).")
 	reg.Help("npdbench_runtime_goroutines", "Current number of goroutines.")
@@ -128,39 +125,6 @@ func (c *RuntimeCollector) Collect() {
 		c.schedP99.Set(int64(histQuantile(h, 0.99) * 1e6))
 	}
 	c.collects.Inc()
-}
-
-// Start launches a ticker goroutine collecting every interval until Stop.
-// Uses the sanctioned obs clock; the goroutine observes the stop channel.
-func (c *RuntimeCollector) Start(interval time.Duration) {
-	if c == nil {
-		return
-	}
-	if interval <= 0 {
-		interval = 10 * time.Second
-	}
-	c.Collect() // prime the gauges before the first tick
-	go func() {
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-c.stop:
-				return
-			case <-t.C:
-				c.Collect()
-			}
-		}
-	}()
-}
-
-// Stop halts the ticker goroutine. Safe to call multiple times, and safe
-// when Start was never called.
-func (c *RuntimeCollector) Stop() {
-	if c == nil {
-		return
-	}
-	c.stopOnce.Do(func() { close(c.stop) })
 }
 
 // histQuantile estimates the q-quantile of a runtime/metrics histogram.

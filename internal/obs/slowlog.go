@@ -73,16 +73,6 @@ func (l *SlowLog) Offer(e *SlowEntry) bool {
 	return true
 }
 
-// Offered returns the total number of entries offered, admitted or not.
-func (l *SlowLog) Offered() int64 {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.offered
-}
-
 // Len returns the number of captured entries.
 func (l *SlowLog) Len() int {
 	if l == nil {

@@ -9,7 +9,7 @@ import (
 // QueryBudget holds per-query soft resource limits. Zero fields mean
 // "unlimited". Exceeding a limit never aborts the query — it raises a
 // one-shot "budget exceeded" event on the Usage tracker, which surfaces as
-// a span attribute, an EXPLAIN ANALYZE line, a run-log field, and a
+// a span attribute, an EXPLAIN ANALYZE line, a slow-log field, and a
 // labelled counter in the registry. Hard enforcement (killing the query)
 // is a serving-layer policy decision and stays out of the engine.
 type QueryBudget struct {
@@ -151,7 +151,7 @@ func (u *Usage) Snapshot() *UsageSnapshot {
 }
 
 // UsageSnapshot is the frozen usage block emitted into spans, EXPLAIN
-// ANALYZE, the slow-query log and the JSONL run log (schema v2).
+// ANALYZE and the slow-query log.
 type UsageSnapshot struct {
 	RowsScanned       int64    `json:"rows_scanned"`
 	RowsProduced      int64    `json:"rows_produced"`

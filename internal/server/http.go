@@ -12,8 +12,8 @@ import (
 // function that drains gracefully: Shutdown stops accepting, waits for
 // in-flight requests up to the stop context's deadline, and the serve
 // goroutine's exit is always collected — the helper can never leave a
-// listener or a serving goroutine behind. Both obdaqd's SIGTERM path and
-// `mixer -http` drain through this one helper.
+// listener or a serving goroutine behind. obdaqd's SIGTERM path drains
+// through it.
 func StartHTTP(srv *http.Server) (addr string, stop func(ctx context.Context) error, err error) {
 	ln, err := net.Listen("tcp", srv.Addr)
 	if err != nil {

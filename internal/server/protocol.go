@@ -8,8 +8,8 @@ import (
 	"strings"
 )
 
-// maxQueryBytes bounds a POSTed query document; SPARQL text beyond this is
-// a malformed request, not a workload.
+// maxQueryBytes bounds a POSTed body, raw query or form alike; a longer
+// one is refused with 413, never cut short and run.
 const maxQueryBytes = 1 << 20
 
 // protocolRequest is one parsed SPARQL-protocol operation.
@@ -27,13 +27,14 @@ type protocolRequest struct {
 //
 // plus an optional "label" parameter naming the query for the slow log
 // (the NPD mix sends q1..q21 so captures stay attributable).
-func parseProtocolRequest(r *http.Request) (*protocolRequest, error) {
+func parseProtocolRequest(w http.ResponseWriter, r *http.Request) (*protocolRequest, error) {
 	req := &protocolRequest{format: negotiateFormat(r.Header.Get("Accept"))}
 	switch r.Method {
 	case http.MethodGet:
 		req.query = r.URL.Query().Get("query")
 		req.label = r.URL.Query().Get("label")
 	case http.MethodPost:
+		r.Body = http.MaxBytesReader(w, r.Body, maxQueryBytes)
 		ct := r.Header.Get("Content-Type")
 		mt, _, err := mime.ParseMediaType(ct)
 		if ct != "" && err != nil {
@@ -41,7 +42,7 @@ func parseProtocolRequest(r *http.Request) (*protocolRequest, error) {
 		}
 		switch mt {
 		case "application/sparql-query":
-			body, err := io.ReadAll(io.LimitReader(r.Body, maxQueryBytes))
+			body, err := io.ReadAll(r.Body)
 			if err != nil {
 				return nil, fmt.Errorf("reading query body: %w", err)
 			}

@@ -61,6 +61,7 @@ type Server struct {
 	timeouts  *obs.Counter
 	reloads   *obs.Counter
 	seconds   *obs.Histogram
+	runtime   *obs.RuntimeCollector // refreshed on every /metrics scrape
 }
 
 // New wraps an engine in a serving layer.
@@ -80,6 +81,7 @@ func New(eng *core.Engine, cfg Config) *Server {
 		s.timeouts = reg.Counter("npdbench_server_timeouts_total")
 		s.reloads = reg.Counter("npdbench_server_reloads_total")
 		s.seconds = reg.Histogram("npdbench_server_request_seconds", obs.DefDurationBuckets)
+		s.runtime = obs.NewRuntimeCollector(reg)
 	}
 	return s
 }
@@ -97,8 +99,10 @@ func (s *Server) Handler() http.Handler {
 		reg := s.cfg.Obs.Metrics
 		mux.Handle("/metrics", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			// Refresh the runtime family on every scrape so goroutine and
-			// heap gauges describe the moment of the request.
-			obs.NewRuntimeCollector(reg).Collect()
+			// heap gauges describe the moment of the request. The one
+			// collector carries the GC count between scrapes, so the
+			// counter grows by the cycles since the last scrape.
+			s.runtime.Collect()
 			reg.Handler().ServeHTTP(w, r)
 		}))
 	}
@@ -141,7 +145,7 @@ func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request) {
 	if s.requests != nil {
 		s.requests.Inc()
 	}
-	req, err := parseProtocolRequest(r)
+	req, err := parseProtocolRequest(w, r)
 	if err != nil {
 		s.clientError(w, err)
 		return
@@ -199,12 +203,18 @@ func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// clientError reports a malformed request (400).
+// clientError reports a malformed request (400), or a body past
+// maxQueryBytes (413).
 func (s *Server) clientError(w http.ResponseWriter, err error) {
 	if s.errors != nil {
 		s.errors.Inc()
 	}
-	http.Error(w, err.Error(), http.StatusBadRequest)
+	status := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	http.Error(w, err.Error(), status)
 }
 
 // answerError maps an engine failure onto the protocol: deadline → 503

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -185,6 +186,12 @@ func TestProtocolTSV(t *testing.T) {
 
 func TestProtocolErrors(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
+	// A valid query padded with a comment to n bytes: past maxQueryBytes
+	// it must be refused with 413, not cut short and run.
+	padded := func(prefix string, n int) string {
+		return prefix + strings.Repeat("x", n-len(prefix))
+	}
+	rawQuery, form := "application/sparql-query", "application/x-www-form-urlencoded"
 	for name, tc := range map[string]struct {
 		method, path, ct, body string
 		want                   int
@@ -193,6 +200,12 @@ func TestProtocolErrors(t *testing.T) {
 		"bad sparql":       {http.MethodGet, "/sparql?query=NOT+SPARQL", "", "", http.StatusBadRequest},
 		"bad method":       {http.MethodDelete, "/sparql?query=x", "", "", http.StatusBadRequest},
 		"bad content type": {http.MethodPost, "/sparql", "application/xml", "<q/>", http.StatusBadRequest},
+		"raw at limit": {http.MethodPost, "/sparql", rawQuery,
+			padded(testQuery+"\n#", maxQueryBytes), http.StatusOK},
+		"raw over limit": {http.MethodPost, "/sparql", rawQuery,
+			padded(testQuery+"\n#", maxQueryBytes+1), http.StatusRequestEntityTooLarge},
+		"form over limit": {http.MethodPost, "/sparql", form,
+			padded("query="+url.QueryEscape(testQuery+"\n#"), maxQueryBytes+1), http.StatusRequestEntityTooLarge},
 	} {
 		req, _ := http.NewRequest(tc.method, ts.URL+tc.path, strings.NewReader(tc.body))
 		if tc.ct != "" {
@@ -206,6 +219,31 @@ func TestProtocolErrors(t *testing.T) {
 		if resp.StatusCode != tc.want {
 			t.Errorf("%s: status %d, want %d", name, resp.StatusCode, tc.want)
 		}
+	}
+}
+
+// TestMetricsCountsEachGCOnce scrapes /metrics twice after forced
+// collections: the GC counter must grow by the cycles since the previous
+// scrape, so it can never exceed the process's own cycle count.
+func TestMetricsCountsEachGCOnce(t *testing.T) {
+	reg := obs.NewRegistry()
+	_, ts := newTestServer(t, Config{Obs: &obs.Observer{Metrics: reg}})
+	for i := 0; i < 3; i++ {
+		runtime.GC()
+	}
+	for i := 0; i < 2; i++ {
+		resp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+	}
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	got := reg.Counter("npdbench_runtime_gc_cycles_total").Value()
+	if got < 3 || got > int64(ms.NumGC) {
+		t.Fatalf("npdbench_runtime_gc_cycles_total = %d, want between 3 and NumGC = %d", got, ms.NumGC)
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 
 	"npdbench/internal/obs"
 	"npdbench/internal/rdf"
@@ -60,12 +61,6 @@ func (e *Engine) tryAggregatePushdown(q *sparql.Query, qc *queryCtx) (rs *sparql
 		return nil, false, nil
 	}
 	// Select items: plain group variables or simple aggregates over vars.
-	type aggItem struct {
-		outVar   string
-		name     string
-		argVar   string // "" for COUNT(*)
-		distinct bool
-	}
 	var aggs []aggItem
 	groupSet := map[string]bool{}
 	for _, g := range q.GroupBy {
@@ -109,7 +104,7 @@ func (e *Engine) tryAggregatePushdown(q *sparql.Query, qc *queryCtx) (rs *sparql
 		return nil, false, err
 	}
 	plan.addTo(st)
-	if plan.stmt == nil {
+	if plan.prep == nil {
 		// Unsatisfiable filter bounds, an empty UCQ, or every arm pruned:
 		// aggregate over a provably empty solution set.
 		return emptyAggregate(q), true, nil
@@ -144,44 +139,47 @@ func (e *Engine) tryAggregatePushdown(q *sparql.Query, qc *queryCtx) (rs *sparql
 		}
 	}
 
-	// distinct-solutions subquery
-	inner := &sqldb.SubqueryTable{Query: plan.stmt, Alias: "u"}
-	middle := sqldb.NewSelect()
-	middle.Distinct = true
-	middle.Items = []sqldb.SelectItem{{Star: true}}
-	middle.From = []sqldb.TableRef{inner}
-
-	outer := sqldb.NewSelect()
-	outer.From = []sqldb.TableRef{&sqldb.SubqueryTable{Query: middle, Alias: "d"}}
-	// group columns: the variable's (lex, tag, dt) triple
+	// The wrapper reads only answer variables of the plan.
 	for _, g := range q.GroupBy {
 		if !containsStr(plan.vars, g) {
 			return nil, false, nil
 		}
-		for _, suffix := range []string{"", "_t", "_dt"} {
-			col := "v_" + g + suffix
-			outer.Items = append(outer.Items, sqldb.SelectItem{
-				Expr: &sqldb.ColRef{Table: "d", Name: col}, Alias: col,
-			})
-			outer.GroupBy = append(outer.GroupBy, &sqldb.ColRef{Table: "d", Name: col})
+	}
+	for _, a := range aggs {
+		if a.argVar != "" && !containsStr(plan.vars, a.argVar) {
+			return nil, false, nil
 		}
 	}
-	for i, a := range aggs {
-		f := &sqldb.FuncExpr{Name: a.name, Distinct: a.distinct}
-		if a.argVar == "" {
-			f.Star = true
-		} else {
-			if !containsStr(plan.vars, a.argVar) {
-				return nil, false, nil
-			}
-			f.Args = []sqldb.Expr{&sqldb.ColRef{Table: "d", Name: "v_" + a.argVar}}
+	w, err := plan.aggWrapper(aggShape(q.GroupBy, aggs), func() (*aggWrapper, error) {
+		// The plan keeps the union prepared and as text, not as an AST, so
+		// the wrapper is built around a placeholder that stands for the
+		// union in binding, rendering and metrics alike.
+		union := sqldb.NewSelect()
+		union.Items = []sqldb.SelectItem{{Star: true}}
+		union.From = []sqldb.TableRef{&sqldb.BaseTable{Name: "u"}}
+		outer := aggregateSQL(union, q.GroupBy, aggs)
+		prep, err := sqldb.PrepareWith(e.spec.DB, outer, union, plan.prep)
+		if err != nil {
+			return nil, err
 		}
-		outer.Items = append(outer.Items, sqldb.SelectItem{Expr: f, Alias: fmt.Sprintf("agg_%d", i)})
+		placeholder := "(" + union.String() + ") AS u"
+		sql := strings.Replace(outer.String(), placeholder, "("+plan.sql+") AS u", 1)
+		m := outer.Metrics()
+		m.Joins += plan.sqlMetrics.Joins
+		m.LeftJoins += plan.sqlMetrics.LeftJoins
+		m.Unions += plan.sqlMetrics.Unions
+		m.InnerQueries += plan.sqlMetrics.InnerQueries
+		return &aggWrapper{prep: prep, sql: sql, metrics: m}, nil
+	})
+	if err != nil {
+		// SQL that does not bind is a fallback condition, like SQL that
+		// fails to execute (below).
+		return nil, false, nil
 	}
 
 	exSpan := ag.StartChild("execute")
 	exStart := obs.Now()
-	res, err := e.execStmt(outer, qc, exSpan)
+	res, err := e.execStmt(w.prep, qc, exSpan)
 	exSpan.End()
 	if err != nil {
 		// Cancellation is not a fallback condition: re-running the query
@@ -196,11 +194,10 @@ func (e *Engine) tryAggregatePushdown(q *sparql.Query, qc *queryCtx) (rs *sparql
 	}
 	st.ExecTime += obs.Since(exStart)
 	exSpan.SetInt("rows", len(res.Rows))
-	st.UnfoldedSQL = outer.String()
-	m := outer.Metrics()
-	st.SQL.Joins += m.Joins
-	st.SQL.Unions += m.Unions
-	st.SQL.InnerQueries += m.InnerQueries
+	st.UnfoldedSQL = w.sql
+	st.SQL.Joins += w.metrics.Joins
+	st.SQL.Unions += w.metrics.Unions
+	st.SQL.InnerQueries += w.metrics.InnerQueries
 
 	// Translate rows to bindings: 3 columns per group var, then one per agg.
 	asSpan := ag.StartChild("assemble")
@@ -244,6 +241,68 @@ func (e *Engine) tryAggregatePushdown(q *sparql.Query, qc *queryCtx) (rs *sparql
 		return nil, false, err
 	}
 	return rs, true, nil
+}
+
+// aggItem is one aggregate of the SELECT list.
+type aggItem struct {
+	outVar   string
+	name     string
+	argVar   string // "" for COUNT(*)
+	distinct bool
+}
+
+// aggShape keys the wrapper of one (GROUP BY, aggregates) shape over a
+// plan: everything aggregateSQL reads besides the plan's statement.
+func aggShape(groupBy []string, aggs []aggItem) string {
+	var sb strings.Builder
+	for _, g := range groupBy {
+		sb.WriteString(g)
+		sb.WriteByte(0)
+	}
+	for _, a := range aggs {
+		sb.WriteByte(1)
+		sb.WriteString(a.name)
+		sb.WriteByte(0)
+		sb.WriteString(a.argVar)
+		if a.distinct {
+			sb.WriteByte(2)
+		}
+	}
+	return sb.String()
+}
+
+// aggregateSQL builds the pushdown statement over the unfolded union:
+//
+//	SELECT g…, AGG(…) FROM (SELECT DISTINCT * FROM (<union>) AS u) AS d GROUP BY g…
+//
+// Each group variable contributes its (lex, tag, dt) column triple.
+func aggregateSQL(union *sqldb.SelectStmt, groupBy []string, aggs []aggItem) *sqldb.SelectStmt {
+	middle := sqldb.NewSelect()
+	middle.Distinct = true
+	middle.Items = []sqldb.SelectItem{{Star: true}}
+	middle.From = []sqldb.TableRef{&sqldb.SubqueryTable{Query: union, Alias: "u"}}
+
+	outer := sqldb.NewSelect()
+	outer.From = []sqldb.TableRef{&sqldb.SubqueryTable{Query: middle, Alias: "d"}}
+	for _, g := range groupBy {
+		for _, suffix := range []string{"", "_t", "_dt"} {
+			col := "v_" + g + suffix
+			outer.Items = append(outer.Items, sqldb.SelectItem{
+				Expr: &sqldb.ColRef{Table: "d", Name: col}, Alias: col,
+			})
+			outer.GroupBy = append(outer.GroupBy, &sqldb.ColRef{Table: "d", Name: col})
+		}
+	}
+	for i, a := range aggs {
+		f := &sqldb.FuncExpr{Name: a.name, Distinct: a.distinct}
+		if a.argVar == "" {
+			f.Star = true
+		} else {
+			f.Args = []sqldb.Expr{&sqldb.ColRef{Table: "d", Name: "v_" + a.argVar}}
+		}
+		outer.Items = append(outer.Items, sqldb.SelectItem{Expr: f, Alias: fmt.Sprintf("agg_%d", i)})
+	}
+	return outer
 }
 
 // aggregateTerm converts a SQL aggregate value into an RDF literal.

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"npdbench/internal/obs"
 	"npdbench/internal/rewrite"
@@ -11,15 +12,17 @@ import (
 	"npdbench/internal/unfold"
 )
 
-// compiledPlan is the immutable result of compiling one BGP (with its
-// pushed filters) through rewrite → unfold → plan. It is what the plan
-// cache stores and what concurrent clients share: the executor never
-// mutates a SelectStmt, so one plan serves any number of simultaneous
-// executions.
+// compiledPlan is the result of compiling one BGP (with its pushed
+// filters) through rewrite → unfold → plan. It is what the plan cache
+// stores and what concurrent clients share: the executor never mutates a
+// Prepared, so one plan serves any number of simultaneous executions. Only
+// the aggregate-pushdown wrappers are added later, under aggMu. The plan
+// keeps the unfolded statement prepared and as text, not as an AST.
 type compiledPlan struct {
-	// stmt is the unfolded SQL statement; nil means the BGP is provably
-	// empty (every arm pruned).
-	stmt *sqldb.SelectStmt
+	// prep is the unfolded SQL statement prepared against the engine's
+	// database: names resolved once, executed on every answer. nil means
+	// the BGP is provably empty (every arm pruned).
+	prep *sqldb.Prepared
 	// vars lists the answer variables; output columns come in (v, v_t,
 	// v_dt) triples in this order.
 	vars []string
@@ -45,6 +48,44 @@ type compiledPlan struct {
 	// varInfos summarizes tag/datatype uniformity per answer variable
 	// (aggregate pushdown's MIN/MAX/SUM faithfulness check).
 	varInfos map[string]unfold.VarInfo
+
+	aggMu sync.Mutex
+	aggs  map[string]*aggWrapper // guarded by aggMu; keyed by aggregate shape
+}
+
+// aggWrapper is the aggregate-pushdown statement of one aggregate shape
+// over a plan: built, rendered and prepared once, executed on every
+// answer.
+type aggWrapper struct {
+	prep    *sqldb.Prepared
+	sql     string
+	metrics sqldb.SQLMetrics
+}
+
+// aggWrapper returns the wrapper cached under key, building it with build
+// on first use. build runs outside the lock; of two racing builds the
+// first stored wins.
+func (p *compiledPlan) aggWrapper(key string, build func() (*aggWrapper, error)) (*aggWrapper, error) {
+	p.aggMu.Lock()
+	w, ok := p.aggs[key]
+	p.aggMu.Unlock()
+	if ok {
+		return w, nil
+	}
+	w, err := build()
+	if err != nil {
+		return nil, err
+	}
+	p.aggMu.Lock()
+	defer p.aggMu.Unlock()
+	if prev, ok := p.aggs[key]; ok {
+		return prev, nil
+	}
+	if p.aggs == nil {
+		p.aggs = make(map[string]*aggWrapper)
+	}
+	p.aggs[key] = w
+	return w, nil
 }
 
 // addTo replays the plan-shape measures into the per-query stats.
@@ -197,13 +238,19 @@ func (e *Engine) compileBGP(bgp *sparql.BGP, push []unfold.PushFilter, st *Phase
 	}
 
 	// The plan stage covers everything between unfolding and running the
-	// SQL: invariant verification, plan-shape metrics, statement text.
+	// SQL: invariant verification, preparing the statement, plan-shape
+	// metrics, statement text.
 	plSpan := spawn("plan")
 	if err := e.verifySQL("unfold", un.Stmt, un.Vars); err != nil {
 		plSpan.End()
 		return nil, err
 	}
-	plan.stmt = un.Stmt
+	prep, err := sqldb.Prepare(e.spec.DB, un.Stmt)
+	if err != nil {
+		plSpan.End()
+		return nil, fmt.Errorf("core: preparing unfolded SQL: %w", err)
+	}
+	plan.prep = prep
 	plan.vars = un.Vars
 	plan.sqlMetrics = un.Metrics()
 	plan.sql = un.Stmt.String()

@@ -18,6 +18,7 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"runtime"
 	"strings"
@@ -776,7 +777,7 @@ func (e *Engine) answerBGP(bgp *sparql.BGP, push []unfold.PushFilter, qc *queryC
 		return nil, err
 	}
 	plan.addTo(st)
-	if plan.stmt == nil {
+	if plan.prep == nil {
 		// Every union arm pruned: provably no answers.
 		return nil, nil
 	}
@@ -786,7 +787,7 @@ func (e *Engine) answerBGP(bgp *sparql.BGP, push []unfold.PushFilter, qc *queryC
 
 	exSpan := qc.tr.StartSpan("execute")
 	exStart := obs.Now()
-	res, err := e.execStmt(plan.stmt, qc, exSpan)
+	res, err := e.execStmt(plan.prep, qc, exSpan)
 	if err != nil {
 		exSpan.End()
 		return nil, fmt.Errorf("core: executing unfolded SQL: %w", err)
@@ -809,12 +810,12 @@ func (e *Engine) answerBGP(bgp *sparql.BGP, push []unfold.PushFilter, qc *queryC
 	return bindings, nil
 }
 
-// execStmt runs one unfolded SQL statement under the engine's execution
+// execStmt runs one prepared SQL statement under the engine's execution
 // options: intra-query parallelism from the shared worker pool, EXPLAIN
 // ANALYZE profile collection when enabled, and per-statement parallel
 // counters folded into the phase stats, the execute span, and the
 // npdbench_exec_parallel_* metric family.
-func (e *Engine) execStmt(stmt *sqldb.SelectStmt, qc *queryCtx, span *obs.Span) (*sqldb.Result, error) {
+func (e *Engine) execStmt(prep *sqldb.Prepared, qc *queryCtx, span *obs.Span) (*sqldb.Result, error) {
 	opt := sqldb.ExecOptions{Parallelism: e.par, Pool: e.pool, Usage: qc.usage, Ctx: qc.ctx}
 	var stats *sqldb.ExecStats
 	if e.par > 1 {
@@ -825,12 +826,12 @@ func (e *Engine) execStmt(stmt *sqldb.SelectStmt, qc *queryCtx, span *obs.Span) 
 	var err error
 	if e.opts.Obs.Profiling() {
 		var prof *sqldb.OpProfile
-		res, prof, err = e.spec.DB.ProfileSelectOpts(stmt, opt)
+		res, prof, err = prep.ExecuteProfiled(opt)
 		if prof != nil {
 			qc.profiles = append(qc.profiles, prof)
 		}
 	} else {
-		res, err = e.spec.DB.ExecSelectOpts(stmt, opt)
+		res, err = prep.Execute(opt)
 	}
 	if stats != nil {
 		e.publishParallel(qc.st, span, stats)
@@ -916,22 +917,52 @@ func derivedDatatype(v sqldb.Value) string {
 	return rdf.XSDString
 }
 
+// dedupeBindings keeps the first of every set of bindings whose vars
+// render the same terms. A binding's key is its terms' encodings appended
+// into one reused buffer; a key string is allocated only for a binding not
+// seen before.
 func dedupeBindings(bs []sparql.Binding, vars []string) []sparql.Binding {
-	seen := make(map[string]bool, len(bs))
+	seen := make(map[string]struct{}, len(bs))
 	out := bs[:0]
+	var key []byte
 	for _, b := range bs {
-		var sb strings.Builder
+		key = key[:0]
 		for _, v := range vars {
-			t := b[v]
-			s := t.String()
-			fmt.Fprintf(&sb, "%d:%s", len(s), s)
+			key = appendTermKey(key, b[v])
 		}
-		k := sb.String()
-		if seen[k] {
+		if _, dup := seen[string(key)]; dup {
 			continue
 		}
-		seen[k] = true
+		seen[string(key)] = struct{}{}
 		out = append(out, b)
 	}
 	return out
+}
+
+// appendTermKey appends an encoding of t that two terms share exactly when
+// their N-Triples renderings (Term.String) are equal: a missing term
+// renders like the empty IRI, a literal's language tag hides its datatype,
+// xsd:string is the plain literal's datatype, and every unknown kind
+// renders as "?". Strings are length-prefixed, so the concatenated keys
+// of several terms stay unambiguous.
+func appendTermKey(buf []byte, t rdf.Term) []byte {
+	tag, value, extra := byte('?'), "", ""
+	switch t.Kind {
+	case rdf.IRI:
+		tag, value = 'I', t.Value
+	case rdf.Blank:
+		tag, value = 'B', t.Value
+	case rdf.Literal:
+		tag, value = 'S', t.Value
+		if t.Lang != "" {
+			tag, extra = 'L', t.Lang
+		} else if t.Datatype != "" && t.Datatype != rdf.XSDString {
+			tag, extra = 'T', t.Datatype
+		}
+	}
+	buf = append(buf, tag)
+	buf = binary.AppendUvarint(buf, uint64(len(value)))
+	buf = append(buf, value...)
+	buf = binary.AppendUvarint(buf, uint64(len(extra)))
+	return append(buf, extra...)
 }

@@ -1,20 +1,30 @@
 package owl
 
-import "sort"
+import (
+	"slices"
+	"sort"
+	"strings"
+)
 
 // classification caches the reflexive-transitive closure of the concept and
 // property hierarchies, the pieces every query-rewriting step consumes.
+// Each closure is a sorted slice, the order the accessors return it in: a
+// fraction of the memory of one set per concept, and membership is a
+// binary search. Concepts are numbered in conceptCmp order, so a concept
+// closure is a sorted list of small ids.
 type classification struct {
-	// subConcepts[c] is the set of basic concepts subsumed by c (including
-	// c itself).
-	subConcepts map[Concept]map[Concept]bool
-	// superConcepts is the converse relation.
-	superConcepts map[Concept]map[Concept]bool
-	// subProps[p] is the set of (possibly inverted) object properties
-	// subsumed by p, including p.
-	subProps map[PropRef]map[PropRef]bool
-	// subDataProps[u] similarly for data properties (no inverses).
-	subDataProps map[string]map[string]bool
+	// concepts lists every basic concept in conceptCmp order; a concept's
+	// id is its index in it.
+	concepts []Concept
+	ids      map[Concept]int32
+	// sub[id] lists the ids of the basic concepts subsumed by concept id
+	// (including itself), ascending; super is the converse relation.
+	sub, super [][]int32
+	// subProps[p] lists the (possibly inverted) object properties
+	// subsumed by p, including p, in propCmp order.
+	subProps map[PropRef][]PropRef
+	// subDataProps[u] similarly for data properties (no inverses), sorted.
+	subDataProps map[string][]string
 }
 
 func (o *Ontology) classify() *classification {
@@ -22,10 +32,8 @@ func (o *Ontology) classify() *classification {
 		return o.cls
 	}
 	c := &classification{
-		subConcepts:   make(map[Concept]map[Concept]bool),
-		superConcepts: make(map[Concept]map[Concept]bool),
-		subProps:      make(map[PropRef]map[PropRef]bool),
-		subDataProps:  make(map[string]map[string]bool),
+		subProps:     make(map[PropRef][]PropRef),
+		subDataProps: make(map[string][]string),
 	}
 
 	// --- property hierarchy (with inverses) ---
@@ -51,7 +59,7 @@ func (o *Ontology) classify() *classification {
 	for prop := range o.objProps {
 		for _, orient := range []bool{false, true} {
 			root := PropRef{Prop: prop, Inverse: orient}
-			c.subProps[root] = reachableInverse(pEdges, root)
+			c.subProps[root] = sortedKeys(reachableInverse(pEdges, root), propCmp)
 		}
 	}
 
@@ -63,7 +71,7 @@ func (o *Ontology) classify() *classification {
 		}
 	}
 	for prop := range o.dataProps {
-		c.subDataProps[prop] = reachableInverseStr(dEdges, prop)
+		c.subDataProps[prop] = sortedKeys(reachableInverseStr(dEdges, prop), strings.Compare)
 	}
 
 	// --- concept hierarchy ---
@@ -81,7 +89,7 @@ func (o *Ontology) classify() *classification {
 	for prop := range o.objProps {
 		for _, orient := range []bool{false, true} {
 			p := PropRef{Prop: prop, Inverse: orient}
-			for sub := range c.subProps[p] {
+			for _, sub := range c.subProps[p] {
 				if sub == p {
 					continue
 				}
@@ -92,7 +100,7 @@ func (o *Ontology) classify() *classification {
 	}
 	// ...plus U ⊑ V for data props implies ∃U ⊑ ∃V.
 	for prop := range o.dataProps {
-		for sub := range c.subDataProps[prop] {
+		for _, sub := range c.subDataProps[prop] {
 			if sub == prop {
 				continue
 			}
@@ -126,9 +134,16 @@ func (o *Ontology) classify() *classification {
 			rev[sup] = append(rev[sup], sub)
 		}
 	}
-	for concept := range all {
-		c.subConcepts[concept] = reachableConcepts(rev, concept)
-		c.superConcepts[concept] = reachableConcepts(cEdges, concept)
+	c.concepts = sortedKeys(all, conceptCmp)
+	c.ids = make(map[Concept]int32, len(c.concepts))
+	for id, concept := range c.concepts {
+		c.ids[concept] = int32(id)
+	}
+	c.sub = make([][]int32, len(c.concepts))
+	c.super = make([][]int32, len(c.concepts))
+	for id, concept := range c.concepts {
+		c.sub[id] = c.idList(reachableConcepts(rev, concept))
+		c.super[id] = c.idList(reachableConcepts(cEdges, concept))
 	}
 
 	o.cls = c
@@ -196,74 +211,91 @@ func reachableInverseStr(edges map[string][]string, root string) map[string]bool
 	return seen
 }
 
+// idList returns the ids of a set of known concepts, ascending.
+func (cl *classification) idList(set map[Concept]bool) []int32 {
+	out := make([]int32, 0, len(set))
+	for concept := range set {
+		out = append(out, cl.ids[concept])
+	}
+	slices.Sort(out)
+	return out
+}
+
+// closure returns the concepts of one closure of c (sub or super), or just
+// c for a concept the ontology does not mention.
+func (cl *classification) closure(rel [][]int32, c Concept) []Concept {
+	id, ok := cl.ids[c]
+	if !ok {
+		return []Concept{c}
+	}
+	out := make([]Concept, len(rel[id]))
+	for i, j := range rel[id] {
+		out[i] = cl.concepts[j]
+	}
+	return out
+}
+
+// in reports whether concept x is in the closure rel of concept c.
+func (cl *classification) in(rel [][]int32, c, x Concept) bool {
+	id, ok := cl.ids[c]
+	if !ok {
+		return false
+	}
+	xid, ok := cl.ids[x]
+	if !ok {
+		return false
+	}
+	_, found := slices.BinarySearch(rel[id], xid)
+	return found
+}
+
 // SubConceptsOf returns all basic concepts subsumed by c (including c),
 // sorted deterministically.
 func (o *Ontology) SubConceptsOf(c Concept) []Concept {
-	m := o.classify().subConcepts[c]
-	if m == nil {
-		return []Concept{c}
-	}
-	return sortConcepts(m)
+	cl := o.classify()
+	return cl.closure(cl.sub, c)
 }
 
 // SuperConceptsOf returns all basic concepts subsuming c (including c).
 func (o *Ontology) SuperConceptsOf(c Concept) []Concept {
-	m := o.classify().superConcepts[c]
-	if m == nil {
-		return []Concept{c}
-	}
-	return sortConcepts(m)
+	cl := o.classify()
+	return cl.closure(cl.super, c)
 }
 
 // SubPropertiesOf returns the (possibly inverted) object properties
 // subsumed by p, including p itself.
 func (o *Ontology) SubPropertiesOf(p PropRef) []PropRef {
-	m := o.classify().subProps[p]
-	if m == nil {
+	s := o.classify().subProps[p]
+	if s == nil {
 		return []PropRef{p}
 	}
-	out := make([]PropRef, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Prop != out[j].Prop {
-			return out[i].Prop < out[j].Prop
-		}
-		return !out[i].Inverse && out[j].Inverse
-	})
-	return out
+	return slices.Clone(s)
 }
 
 // SubDataPropertiesOf returns the data properties subsumed by u, including
 // u itself.
 func (o *Ontology) SubDataPropertiesOf(u string) []string {
-	m := o.classify().subDataProps[u]
-	if m == nil {
+	s := o.classify().subDataProps[u]
+	if s == nil {
 		return []string{u}
 	}
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
+	return slices.Clone(s)
 }
 
 // Subsumes reports whether sup subsumes sub (sub ⊑* sup).
 func (o *Ontology) Subsumes(sup, sub Concept) bool {
-	m := o.classify().subConcepts[sup]
-	return m != nil && m[sub]
+	cl := o.classify()
+	return cl.in(cl.sub, sup, sub)
 }
 
 // GeneratingAxioms returns the existential axioms applicable to instances of
 // concept c: every ExistAxiom whose Sub subsumes-or-equals some
 // super-concept of c. These drive tree-witness detection.
 func (o *Ontology) GeneratingAxioms(c Concept) []ExistAxiom {
-	supers := o.classify().superConcepts[c]
+	cl := o.classify()
 	var out []ExistAxiom
 	for _, ax := range o.Existentials {
-		if supers[ax.Sub] || ax.Sub == c {
+		if cl.in(cl.super, c, ax.Sub) || ax.Sub == c {
 			out = append(out, ax)
 		}
 	}
@@ -273,12 +305,13 @@ func (o *Ontology) GeneratingAxioms(c Concept) []ExistAxiom {
 // UnsatisfiableClasses returns named classes that can have no instances in
 // any model: classes subsumed by two declared-disjoint concepts.
 func (o *Ontology) UnsatisfiableClasses() []string {
+	cl := o.classify()
 	var out []string
-	for cl := range o.classes {
-		supers := o.classify().superConcepts[NamedConcept(cl)]
+	for class := range o.classes {
+		c := NamedConcept(class)
 		for _, d := range o.Disjoints {
-			if supers[d.A] && supers[d.B] {
-				out = append(out, cl)
+			if cl.in(cl.super, c, d.A) && cl.in(cl.super, c, d.B) {
+				out = append(out, class)
 				break
 			}
 		}
@@ -287,23 +320,46 @@ func (o *Ontology) UnsatisfiableClasses() []string {
 	return out
 }
 
-func sortConcepts(m map[Concept]bool) []Concept {
-	out := make([]Concept, 0, len(m))
+// sortedKeys returns the keys of a set in cmp order.
+func sortedKeys[K comparable](m map[K]bool, cmp func(a, b K) int) []K {
+	out := make([]K, 0, len(m))
 	for k := range m {
 		out = append(out, k)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Class != b.Class {
-			return a.Class < b.Class
-		}
-		if a.Prop != b.Prop {
-			return a.Prop < b.Prop
-		}
-		if a.Inverse != b.Inverse {
-			return !a.Inverse
-		}
-		return !a.IsData && b.IsData
-	})
+	slices.SortFunc(out, cmp)
 	return out
+}
+
+// conceptCmp orders concepts by class, property, then direct before
+// inverse and object before data.
+func conceptCmp(a, b Concept) int {
+	if c := strings.Compare(a.Class, b.Class); c != 0 {
+		return c
+	}
+	if c := strings.Compare(a.Prop, b.Prop); c != 0 {
+		return c
+	}
+	if c := boolCmp(a.Inverse, b.Inverse); c != 0 {
+		return c
+	}
+	return boolCmp(a.IsData, b.IsData)
+}
+
+// propCmp orders properties by IRI, direct before inverse.
+func propCmp(a, b PropRef) int {
+	if c := strings.Compare(a.Prop, b.Prop); c != 0 {
+		return c
+	}
+	return boolCmp(a.Inverse, b.Inverse)
+}
+
+// boolCmp orders false before true.
+func boolCmp(a, b bool) int {
+	switch {
+	case a == b:
+		return 0
+	case a:
+		return 1
+	}
+	return -1
 }

@@ -12,7 +12,7 @@ package owl
 
 import (
 	"fmt"
-	"sort"
+	"strings"
 )
 
 // Concept is a basic concept: a named class or an (un)qualified existential.
@@ -159,22 +159,13 @@ func (o *Ontology) HasObjectProperty(iri string) bool { return o.objProps[iri] }
 func (o *Ontology) HasDataProperty(iri string) bool { return o.dataProps[iri] }
 
 // ClassNames returns the sorted class IRIs.
-func (o *Ontology) ClassNames() []string { return sortedKeys(o.classes) }
+func (o *Ontology) ClassNames() []string { return sortedKeys(o.classes, strings.Compare) }
 
 // ObjectPropertyNames returns the sorted object property IRIs.
-func (o *Ontology) ObjectPropertyNames() []string { return sortedKeys(o.objProps) }
+func (o *Ontology) ObjectPropertyNames() []string { return sortedKeys(o.objProps, strings.Compare) }
 
 // DataPropertyNames returns the sorted data property IRIs.
-func (o *Ontology) DataPropertyNames() []string { return sortedKeys(o.dataProps) }
-
-func sortedKeys(m map[string]bool) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
+func (o *Ontology) DataPropertyNames() []string { return sortedKeys(o.dataProps, strings.Compare) }
 
 // AddSubClass asserts Sub ⊑ Sup; both concepts' vocabulary is auto-declared.
 func (o *Ontology) AddSubClass(sub, sup Concept) {

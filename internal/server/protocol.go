@@ -61,12 +61,20 @@ func parseProtocolRequest(w http.ResponseWriter, r *http.Request) (*protocolRequ
 			return nil, fmt.Errorf("unsupported Content-Type %q", mt)
 		}
 	default:
-		return nil, fmt.Errorf("method %s not allowed (use GET or POST)", r.Method)
+		return nil, &methodError{r.Method}
 	}
 	if strings.TrimSpace(req.query) == "" {
 		return nil, fmt.Errorf("missing query parameter")
 	}
 	return req, nil
+}
+
+// methodError reports a request method the query operation does not
+// serve; it is answered with 405 and an Allow header.
+type methodError struct{ method string }
+
+func (e *methodError) Error() string {
+	return fmt.Sprintf("method %s not allowed (use GET or POST)", e.method)
 }
 
 // resultFormat is a negotiated result serialization.

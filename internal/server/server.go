@@ -203,16 +203,21 @@ func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// clientError reports a malformed request (400), or a body past
-// maxQueryBytes (413).
+// clientError reports a malformed request (400), a body past
+// maxQueryBytes (413), or a method other than GET and POST (405).
 func (s *Server) clientError(w http.ResponseWriter, err error) {
 	if s.errors != nil {
 		s.errors.Inc()
 	}
 	status := http.StatusBadRequest
 	var tooLarge *http.MaxBytesError
-	if errors.As(err, &tooLarge) {
+	var badMethod *methodError
+	switch {
+	case errors.As(err, &tooLarge):
 		status = http.StatusRequestEntityTooLarge
+	case errors.As(err, &badMethod):
+		status = http.StatusMethodNotAllowed
+		w.Header().Set("Allow", "GET, POST")
 	}
 	http.Error(w, err.Error(), status)
 }

@@ -198,7 +198,7 @@ func TestProtocolErrors(t *testing.T) {
 	}{
 		"missing query":    {http.MethodGet, "/sparql", "", "", http.StatusBadRequest},
 		"bad sparql":       {http.MethodGet, "/sparql?query=NOT+SPARQL", "", "", http.StatusBadRequest},
-		"bad method":       {http.MethodDelete, "/sparql?query=x", "", "", http.StatusBadRequest},
+		"bad method":       {http.MethodDelete, "/sparql?query=x", "", "", http.StatusMethodNotAllowed},
 		"bad content type": {http.MethodPost, "/sparql", "application/xml", "<q/>", http.StatusBadRequest},
 		"raw at limit": {http.MethodPost, "/sparql", rawQuery,
 			padded(testQuery+"\n#", maxQueryBytes), http.StatusOK},
@@ -218,6 +218,9 @@ func TestProtocolErrors(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != tc.want {
 			t.Errorf("%s: status %d, want %d", name, resp.StatusCode, tc.want)
+		}
+		if allow := resp.Header.Get("Allow"); tc.want == http.StatusMethodNotAllowed && allow != "GET, POST" {
+			t.Errorf("%s: Allow %q, want %q", name, allow, "GET, POST")
 		}
 	}
 }

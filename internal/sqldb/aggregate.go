@@ -2,74 +2,87 @@ package sqldb
 
 import (
 	"fmt"
-	"strings"
 )
 
-// evalAggregate executes the grouping/aggregation path of a SELECT block.
-func (db *Database) evalAggregate(s *SelectStmt, input *relation) (*relation, error) {
-	// Group rows.
-	keyFns := make([]evalFn, len(s.GroupBy))
+// aggPlan is the bound grouping/aggregation path of a SELECT block.
+type aggPlan struct {
+	keys   []evalFn
+	having groupFn // nil without HAVING
+	items  []groupFn
+}
+
+// groupFn computes an expression over one group's rows.
+type groupFn func(rows []Row) (Value, error)
+
+// bindAggregate binds GROUP BY keys, HAVING and the SELECT list of an
+// aggregating block against the input layout cols.
+func bindAggregate(s *SelectStmt, cols []colMeta) (*aggPlan, []colMeta, error) {
+	a := &aggPlan{keys: make([]evalFn, len(s.GroupBy))}
 	for i, g := range s.GroupBy {
-		fn, err := bindExpr(g, input.cols)
+		fn, err := bindExpr(g, cols)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		keyFns[i] = fn
+		a.keys[i] = fn
 	}
+	out := make([]colMeta, 0, len(s.Items))
+	for _, it := range s.Items {
+		if it.Star {
+			return nil, nil, fmt.Errorf("sqldb: SELECT * is not allowed with aggregation")
+		}
+		out = append(out, itemCol(it))
+	}
+	if s.Having != nil {
+		var err error
+		if a.having, err = bindGroupExpr(s.Having, cols); err != nil {
+			return nil, nil, err
+		}
+	}
+	a.items = make([]groupFn, len(s.Items))
+	for i, it := range s.Items {
+		fn, err := bindGroupExpr(it.Expr, cols)
+		if err != nil {
+			return nil, nil, err
+		}
+		a.items[i] = fn
+	}
+	return a, out, nil
+}
+
+// eval groups the input rows (groups in order of first appearance) and
+// computes one output row per group that passes HAVING.
+func (a *aggPlan) eval(input *relation) (*relation, error) {
 	type group struct {
 		rows []Row
 	}
 	groups := make(map[string]*group)
-	var orderKeys []string
+	var order []*group
+	var kb []byte
 	for _, row := range input.rows {
-		var kb strings.Builder
-		for _, fn := range keyFns {
+		kb = kb[:0]
+		for _, fn := range a.keys {
 			v, err := fn(row)
 			if err != nil {
 				return nil, err
 			}
-			k := v.Key()
-			kb.WriteString(fmt.Sprintf("%d:", len(k)))
-			kb.WriteString(k)
+			kb = appendCell(kb, v)
 		}
-		k := kb.String()
-		g, ok := groups[k]
+		g, ok := groups[string(kb)]
 		if !ok {
 			g = &group{}
-			groups[k] = g
-			orderKeys = append(orderKeys, k)
+			groups[string(kb)] = g
+			order = append(order, g)
 		}
 		g.rows = append(g.rows, row)
 	}
 	// Aggregates with no GROUP BY over an empty input still yield one group.
-	if len(s.GroupBy) == 0 && len(orderKeys) == 0 {
-		groups[""] = &group{}
-		orderKeys = append(orderKeys, "")
+	if len(a.keys) == 0 && len(order) == 0 {
+		order = append(order, &group{})
 	}
-
-	// Output layout.
-	var outCols []colMeta
-	for _, it := range s.Items {
-		if it.Star {
-			return nil, fmt.Errorf("sqldb: SELECT * is not allowed with aggregation")
-		}
-		name := strings.ToLower(it.Alias)
-		table := ""
-		if name == "" {
-			if cr, ok := it.Expr.(*ColRef); ok {
-				name = strings.ToLower(cr.Name)
-				table = strings.ToLower(cr.Table)
-			} else {
-				name = strings.ToLower(it.Expr.String())
-			}
-		}
-		outCols = append(outCols, colMeta{table: table, name: name})
-	}
-	out := &relation{cols: outCols}
-	for _, k := range orderKeys {
-		g := groups[k]
-		if s.Having != nil {
-			hv, err := evalWithGroup(s.Having, g.rows, input.cols)
+	out := &relation{}
+	for _, g := range order {
+		if a.having != nil {
+			hv, err := a.having(g.rows)
 			if err != nil {
 				return nil, err
 			}
@@ -77,9 +90,9 @@ func (db *Database) evalAggregate(s *SelectStmt, input *relation) (*relation, er
 				continue
 			}
 		}
-		nr := make(Row, len(s.Items))
-		for i, it := range s.Items {
-			v, err := evalWithGroup(it.Expr, g.rows, input.cols)
+		nr := make(Row, len(a.items))
+		for i, fn := range a.items {
+			v, err := fn(g.rows)
 			if err != nil {
 				return nil, err
 			}
@@ -90,75 +103,111 @@ func (db *Database) evalAggregate(s *SelectStmt, input *relation) (*relation, er
 	return out, nil
 }
 
-// evalWithGroup evaluates an expression in grouped context: aggregate calls
+// bindGroupExpr binds an expression for grouped context: aggregate calls
 // consume the whole group; everything else is evaluated on the group's
 // first row (queries are expected to group by the non-aggregated columns,
 // as all NPD benchmark queries do).
-func evalWithGroup(e Expr, rows []Row, cols []colMeta) (Value, error) {
+func bindGroupExpr(e Expr, cols []colMeta) (groupFn, error) {
 	if f, ok := e.(*FuncExpr); ok && isAggregateName(f.Name) {
-		return computeAggregate(f, rows, cols)
+		return bindAggregateCall(f, cols)
 	}
 	if !exprHasAggregate(e) {
-		if len(rows) == 0 {
-			return Null, nil
-		}
 		fn, err := bindExpr(e, cols)
 		if err != nil {
-			return Null, err
+			return nil, err
 		}
-		return fn(rows[0])
+		return func(rows []Row) (Value, error) {
+			if len(rows) == 0 {
+				return Null, nil
+			}
+			return fn(rows[0])
+		}, nil
 	}
 	switch x := e.(type) {
 	case *BinOp:
-		lv, err := evalWithGroup(x.L, rows, cols)
+		l, err := bindGroupExpr(x.L, cols)
 		if err != nil {
-			return Null, err
+			return nil, err
 		}
-		rv, err := evalWithGroup(x.R, rows, cols)
+		r, err := bindGroupExpr(x.R, cols)
 		if err != nil {
-			return Null, err
+			return nil, err
 		}
-		return applyBinOp(x.Op, constFn(lv), constFn(rv), nil)
+		op := x.Op
+		return func(rows []Row) (Value, error) {
+			lv, err := l(rows)
+			if err != nil {
+				return Null, err
+			}
+			rv, err := r(rows)
+			if err != nil {
+				return Null, err
+			}
+			return applyBinOp(op, constFn(lv), constFn(rv), nil)
+		}, nil
 	case *NotExpr:
-		v, err := evalWithGroup(x.E, rows, cols)
+		inner, err := bindGroupExpr(x.E, cols)
 		if err != nil {
-			return Null, err
+			return nil, err
 		}
-		if v.IsNull() {
-			return Null, nil
-		}
-		return NewBool(!v.Bool()), nil
+		return func(rows []Row) (Value, error) {
+			v, err := inner(rows)
+			if err != nil {
+				return Null, err
+			}
+			if v.IsNull() {
+				return Null, nil
+			}
+			return NewBool(!v.Bool()), nil
+		}, nil
 	case *IsNullExpr:
-		v, err := evalWithGroup(x.E, rows, cols)
+		inner, err := bindGroupExpr(x.E, cols)
 		if err != nil {
-			return Null, err
+			return nil, err
 		}
-		return NewBool(v.IsNull() != x.Negate), nil
+		neg := x.Negate
+		return func(rows []Row) (Value, error) {
+			v, err := inner(rows)
+			if err != nil {
+				return Null, err
+			}
+			return NewBool(v.IsNull() != neg), nil
+		}, nil
 	}
-	return Null, fmt.Errorf("sqldb: unsupported aggregate expression %s", e)
+	return nil, fmt.Errorf("sqldb: unsupported aggregate expression %s", e)
 }
 
 func constFn(v Value) evalFn {
 	return func(Row) (Value, error) { return v, nil }
 }
 
-// computeAggregate evaluates COUNT/SUM/AVG/MIN/MAX (with DISTINCT and *).
-func computeAggregate(f *FuncExpr, rows []Row, cols []colMeta) (Value, error) {
+// bindAggregateCall binds COUNT/SUM/AVG/MIN/MAX (with DISTINCT and *).
+func bindAggregateCall(f *FuncExpr, cols []colMeta) (groupFn, error) {
 	if f.Star {
 		if f.Name != "COUNT" {
-			return Null, fmt.Errorf("sqldb: %s(*) is not valid", f.Name)
+			return nil, fmt.Errorf("sqldb: %s(*) is not valid", f.Name)
 		}
-		return NewInt(int64(len(rows))), nil
+		return func(rows []Row) (Value, error) { return NewInt(int64(len(rows))), nil }, nil
 	}
 	if len(f.Args) != 1 {
-		return Null, fmt.Errorf("sqldb: %s expects one argument", f.Name)
+		return nil, fmt.Errorf("sqldb: %s expects one argument", f.Name)
 	}
 	argFn, err := bindExpr(f.Args[0], cols)
 	if err != nil {
-		return Null, err
+		return nil, err
 	}
+	return func(rows []Row) (Value, error) {
+		return computeAggregate(f.Name, f.Distinct, argFn, rows)
+	}, nil
+}
+
+// computeAggregate evaluates one aggregate over a group's rows.
+func computeAggregate(name string, distinct bool, argFn evalFn, rows []Row) (Value, error) {
 	var vals []Value
-	seen := map[string]bool{}
+	var seen map[string]bool
+	if distinct {
+		seen = map[string]bool{}
+	}
 	for _, row := range rows {
 		v, err := argFn(row)
 		if err != nil {
@@ -167,7 +216,7 @@ func computeAggregate(f *FuncExpr, rows []Row, cols []colMeta) (Value, error) {
 		if v.IsNull() {
 			continue
 		}
-		if f.Distinct {
+		if distinct {
 			k := v.Key()
 			if seen[k] {
 				continue
@@ -176,7 +225,7 @@ func computeAggregate(f *FuncExpr, rows []Row, cols []colMeta) (Value, error) {
 		}
 		vals = append(vals, v)
 	}
-	switch f.Name {
+	switch name {
 	case "COUNT":
 		return NewInt(int64(len(vals))), nil
 	case "SUM", "AVG":
@@ -195,11 +244,11 @@ func computeAggregate(f *FuncExpr, rows []Row, cols []colMeta) (Value, error) {
 			allInt = false
 			fv, ok := v.AsFloat()
 			if !ok {
-				return Null, fmt.Errorf("sqldb: %s over non-numeric value", f.Name)
+				return Null, fmt.Errorf("sqldb: %s over non-numeric value", name)
 			}
 			ff += fv
 		}
-		if f.Name == "SUM" {
+		if name == "SUM" {
 			if allInt {
 				return NewInt(fi), nil
 			}
@@ -216,11 +265,11 @@ func computeAggregate(f *FuncExpr, rows []Row, cols []colMeta) (Value, error) {
 			if err != nil {
 				return Null, err
 			}
-			if (f.Name == "MIN" && c < 0) || (f.Name == "MAX" && c > 0) {
+			if (name == "MIN" && c < 0) || (name == "MAX" && c > 0) {
 				best = v
 			}
 		}
 		return best, nil
 	}
-	return Null, fmt.Errorf("sqldb: unknown aggregate %s", f.Name)
+	return Null, fmt.Errorf("sqldb: unknown aggregate %s", name)
 }

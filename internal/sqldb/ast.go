@@ -17,8 +17,6 @@ type Expr interface {
 type ColRef struct {
 	Table string // optional qualifier
 	Name  string
-	// resolved slot within the executor's row layout; set by binding.
-	slot int
 }
 
 // Lit is a literal value.

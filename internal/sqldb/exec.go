@@ -2,30 +2,29 @@ package sqldb
 
 import (
 	"fmt"
-	"slices"
+	"hash/maphash"
 	"sort"
 )
 
 // relation is a materialized intermediate result. Base-table scans share the
 // table's row storage (rows are never mutated in place by the executor).
+//
+// A relation carries no column names: Prepare resolves every name to a
+// slot, and the output names come from the prepared statement.
 type relation struct {
-	cols []colMeta
 	// rows may alias a base table's storage (star fast path) or another
 	// relation's backing array; the sharedmut lint pass enforces that it is
 	// freshened with an owned copy before any in-place mutation.
 	rows []Row //lint:shared may alias base-table storage
 }
 
-// filterRelation keeps rows where pred evaluates to TRUE, one driver task
-// per fixed-size morsel: a task appends its morsel's survivors to its
-// worker's buffer, and the morsels' stretches concatenate in morsel order —
-// the same output at every worker count. evalFns close only over immutable
-// bind-time state, so one bound predicate serves all workers.
-func filterRelation(ctx *execCtx, r *relation, pred Expr) (*relation, error) {
-	f, err := bindExpr(pred, r.cols)
-	if err != nil {
-		return nil, err
-	}
+// filterRelation keeps rows where the bound predicate f evaluates to TRUE,
+// one driver task per fixed-size morsel: a task appends its morsel's
+// survivors to its worker's buffer, and the morsels' stretches concatenate
+// in morsel order — the same output at every worker count. evalFns close
+// only over immutable bind-time state, so one bound predicate serves all
+// workers.
+func filterRelation(ctx *execCtx, r *relation, f evalFn) (*relation, error) {
 	n := len(r.rows)
 	m := numMorsels(n)
 	fan := ctx.par.fanOut(m, n)
@@ -53,7 +52,7 @@ func filterRelation(ctx *execCtx, r *relation, pred Expr) (*relation, error) {
 		ctx.par.stats.Morsels.Add(int64(m))
 		ctx.setParNote(fmt.Sprintf(" [morsels=%d workers=%d]", m, workers))
 	}
-	return &relation{cols: r.cols, rows: kept.concat()}, nil
+	return &relation{rows: kept.concat()}, nil
 }
 
 func concatRows(a, b Row) Row {
@@ -83,56 +82,60 @@ func keySlots(keys []equiKey, buildRight bool) (build, probe []int) {
 	return build, probe
 }
 
-// extractEquiKeys splits conjuncts into equi-join keys between l and r and
-// residual predicates. Conjuncts referring only to one side are also
-// returned as residual (callers push those down before joining).
-func extractEquiKeys(conjuncts []Expr, l, r *relation) (keys []equiKey, residual []Expr) {
-	for _, c := range conjuncts {
-		if b, ok := c.(*BinOp); ok && b.Op == OpEq {
-			lc, lok := b.L.(*ColRef)
-			rc, rok := b.R.(*ColRef)
-			if lok && rok {
-				ls := findCol(l.cols, lc.Table, lc.Name)
-				rs := findCol(r.cols, rc.Table, rc.Name)
-				if ls >= 0 && rs >= 0 && findCol(r.cols, lc.Table, lc.Name) < 0 && findCol(l.cols, rc.Table, rc.Name) < 0 {
-					keys = append(keys, equiKey{ls, rs})
-					continue
-				}
-				// try swapped orientation
-				ls2 := findCol(l.cols, rc.Table, rc.Name)
-				rs2 := findCol(r.cols, lc.Table, lc.Name)
-				if ls2 >= 0 && rs2 >= 0 && findCol(r.cols, rc.Table, rc.Name) < 0 && findCol(l.cols, lc.Table, lc.Name) < 0 {
-					keys = append(keys, equiKey{ls2, rs2})
-					continue
-				}
-			}
-		}
-		residual = append(residual, c)
+// joinSeed seeds every equi-join key hash. A table is only ever walked
+// per probe key, so the seed never shows in any output order.
+var joinSeed = maphash.MakeSeed()
+
+// joinKeyHash hashes the typed key values of row at cols: their Key()
+// encodings appended into buf, which the caller reuses across rows.
+// Values with equal keys (1 and 1.0 included) hash equally; candidates
+// with equal hashes are confirmed with joinKeysEq.
+func joinKeyHash(buf []byte, row Row, cols []int) ([]byte, uint64) {
+	buf = buf[:0]
+	for _, c := range cols {
+		buf = row[c].appendKey(buf)
 	}
-	return keys, residual
+	return buf, maphash.Bytes(joinSeed, buf)
 }
 
-// hashJoin performs an inner equi-join; residual conjuncts are checked on
-// each candidate pair. Three driver runs, each split over the pool when
-// the join fans out: build-side key extraction per morsel ("" marks a NULL
-// key, which can never join); one hash table per partition, whose task
-// scans the build side in row order keeping the rows with hash%P == p, so
-// per-key row lists keep build order without locking (a join that does not
-// fan out builds its one table the same way); and the probe per morsel,
-// each task appending its matches to its worker's buffer. The morsels'
-// stretches concatenate in probe order, so the output is the same at every
-// worker count, and a residual error surfaces from the earliest failing
-// probe morsel.
-func hashJoin(ctx *execCtx, l, r *relation, keys []equiKey, residual Expr) (*relation, error) {
-	out := &relation{cols: slices.Concat(l.cols, r.cols)}
-	var resFn evalFn
-	if residual != nil {
-		var err error
-		resFn, err = bindExpr(residual, out.cols)
-		if err != nil {
-			return nil, err
+// joinKeysEq reports whether a's key values at acols equal b's at bcols
+// under Key() equality. Both rows must have non-NULL keys: NULLs would
+// compare equal here, but a NULL key never joins.
+func joinKeysEq(a Row, acols []int, b Row, bcols []int) bool {
+	for i, c := range acols {
+		if !a[c].keyEq(b[bcols[i]]) {
+			return false
 		}
 	}
+	return true
+}
+
+// chainRow links build row j into the chain of hash h. Callers walk the
+// build side backwards, so each chain lists its rows in build order; -1
+// ends a chain.
+func chainRow(head map[uint64]int32, next []int32, h uint64, j int) {
+	if c, ok := head[h]; ok {
+		next[j] = c
+	} else {
+		next[j] = -1
+	}
+	head[h] = int32(j)
+}
+
+// hashJoin performs an inner equi-join; the residual is checked on each
+// candidate pair. Three driver runs, each
+// split over the pool when the join fans out: build-side key hashing per
+// morsel (a NULL key can never join); one table per partition, whose task
+// walks the build side keeping the rows with hash%P == p and chains them
+// per hash in build order (a join that does not fan out builds its one
+// table the same way); and the probe per morsel, each task appending its
+// matches to its worker's buffer. Keys are typed values hashed out of a
+// buffer each worker reuses, so neither side builds a string per row. The
+// morsels' stretches concatenate in probe order, so the output is the same
+// at every worker count, and a residual error surfaces from the earliest
+// failing probe morsel.
+func hashJoin(ctx *execCtx, l, r *relation, keys []equiKey, resFn evalFn) (*relation, error) {
+	out := &relation{}
 	// Build on the smaller side.
 	build, probe := r, l
 	buildRight := true
@@ -147,38 +150,40 @@ func hashJoin(ctx *execCtx, l, r *relation, keys []equiKey, residual Expr) (*rel
 	if !fan {
 		parts = 1
 	}
-	type buildKey struct {
-		key  string // "" marks a NULL key
-		hash uint64
-	}
-	buildKeys := make([]buildKey, nb)
+	bufs := make([][]byte, ctx.par.slots(fan))
+	hashes := make([]uint64, nb)
+	nulls := make([]bool, nb)
 	mb := numMorsels(nb)
-	if _, err := ctx.par.run(fan, mb, func(_, i int) error {
+	if _, err := ctx.par.run(fan, mb, func(w, i int) error {
 		for j := i * morselRows; j < min(i*morselRows+morselRows, nb); j++ {
-			if !hasNullAt(build.rows[j], buildCols) {
-				k := RowKey(build.rows[j], buildCols)
-				buildKeys[j] = buildKey{k, hashString(k)}
+			if hasNullAt(build.rows[j], buildCols) {
+				nulls[j] = true
+				continue
 			}
+			bufs[w], hashes[j] = joinKeyHash(bufs[w], build.rows[j], buildCols)
 		}
 		return nil
 	}); err != nil {
 		return nil, err
 	}
-	tables := make([]map[string][]Row, parts)
+	// Every build row lands in one partition, so the partition tasks
+	// write disjoint entries of next.
+	next := make([]int32, nb)
+	heads := make([]map[uint64]int32, parts)
 	if _, err := ctx.par.run(fan, parts, func(_, p int) error {
-		ht := make(map[string][]Row, nb/parts+1)
-		for j, k := range buildKeys {
+		head := make(map[uint64]int32, nb/parts+1)
+		for j := nb - 1; j >= 0; j-- {
 			if j&pollMask == 0 {
 				if err := ctx.cancelled(); err != nil {
 					return err
 				}
 			}
-			if k.key == "" || int(k.hash%uint64(parts)) != p {
+			if nulls[j] || int(hashes[j]%uint64(parts)) != p {
 				continue
 			}
-			ht[k.key] = append(ht[k.key], build.rows[j])
+			chainRow(head, next, hashes[j], j)
 		}
-		tables[p] = ht
+		heads[p] = head
 		return nil
 	}); err != nil {
 		return nil, err
@@ -190,11 +195,20 @@ func hashJoin(ctx *execCtx, l, r *relation, keys []equiKey, residual Expr) (*rel
 	workers, err := ctx.par.run(fan, mp, func(w, i int) error {
 		start := len(joined.bufs[w])
 		for _, prow := range probe.rows[i*morselRows : min(i*morselRows+morselRows, np)] {
-			if hasNullAt(prow, probeCols) {
+			if nb == 0 || hasNullAt(prow, probeCols) {
 				continue
 			}
-			k := RowKey(prow, probeCols)
-			for _, brow := range tables[hashString(k)%uint64(parts)][k] {
+			var h uint64
+			bufs[w], h = joinKeyHash(bufs[w], prow, probeCols)
+			j, ok := heads[h%uint64(parts)][h]
+			if !ok {
+				continue
+			}
+			for ; j >= 0; j = next[j] {
+				brow := build.rows[j]
+				if !joinKeysEq(brow, buildCols, prow, probeCols) {
+					continue
+				}
 				lrow, rrow := prow, brow
 				if !buildRight {
 					lrow, rrow = brow, prow
@@ -231,28 +245,12 @@ func hashJoin(ctx *execCtx, l, r *relation, keys []equiKey, residual Expr) (*rel
 // keys and residual conjuncts are verified per pair. It reproduces the
 // "PostgreSQL-like" profile behaviour (sort-merge machinery). ctx may be
 // nil (standalone join without a statement's sort-order cache).
-func mergeJoin(ctx *execCtx, l, r *relation, keys []equiKey, residual Expr) (*relation, error) {
+func mergeJoin(ctx *execCtx, l, r *relation, keys []equiKey, resFn evalFn) (*relation, error) {
 	if len(keys) == 0 {
-		return nestedLoopJoin(ctx, l, r, residual)
+		return nestedLoopJoin(ctx, l, r, resFn)
 	}
-	out := &relation{cols: append(append([]colMeta{}, l.cols...), r.cols...)}
-	var resFn evalFn
+	out := &relation{}
 	rest := keys[1:]
-	checks := residual
-	if residual != nil || len(rest) > 0 {
-		var conj []Expr
-		if residual != nil {
-			conj = append(conj, residual)
-		}
-		_ = checks
-		var err error
-		if len(conj) > 0 {
-			resFn, err = bindExpr(AndAll(conj), out.cols)
-			if err != nil {
-				return nil, err
-			}
-		}
-	}
 	k0 := keys[0]
 	li := ctx.sortedOrder(l, k0.lSlot)
 	ri := ctx.sortedOrder(r, k0.rSlot)
@@ -351,16 +349,8 @@ func computeSortedOrder(r *relation, slot int) []int {
 
 // nestedLoopJoin joins with an arbitrary predicate (nil = cross join).
 // ctx may be nil (standalone join without cancellation).
-func nestedLoopJoin(ctx *execCtx, l, r *relation, pred Expr) (*relation, error) {
-	out := &relation{cols: append(append([]colMeta{}, l.cols...), r.cols...)}
-	var f evalFn
-	if pred != nil {
-		var err error
-		f, err = bindExpr(pred, out.cols)
-		if err != nil {
-			return nil, err
-		}
-	}
+func nestedLoopJoin(ctx *execCtx, l, r *relation, f evalFn) (*relation, error) {
+	out := &relation{}
 	for _, lrow := range l.rows {
 		if err := ctx.cancelled(); err != nil {
 			return nil, err
@@ -382,35 +372,26 @@ func nestedLoopJoin(ctx *execCtx, l, r *relation, pred Expr) (*relation, error) 
 	return out, nil
 }
 
-// leftJoin performs a left outer join with predicate on. Equi components of
-// the predicate are used for hashing; the full predicate decides matching.
-// ctx may be nil (standalone join without cancellation).
-func leftJoin(ctx *execCtx, l, r *relation, on Expr) (*relation, error) {
-	out := &relation{cols: append(append([]colMeta{}, l.cols...), r.cols...)}
-	conjuncts := Conjuncts(on)
-	keys, residual := extractEquiKeys(conjuncts, l, r)
-	var resFn evalFn
-	if res := AndAll(residual); res != nil {
-		var err error
-		resFn, err = bindExpr(res, out.cols)
-		if err != nil {
-			return nil, err
-		}
-	}
-	nullPad := make(Row, len(r.cols))
+// leftJoin performs a left outer join; unmatched left rows are padded with
+// rWidth NULLs. With equi keys, the right side is hashed on them and pred
+// is the residual that decides matching; without, pred is the whole ON
+// predicate, tested on every pair. ctx may be nil (standalone join without
+// cancellation).
+func leftJoin(ctx *execCtx, l, r *relation, keys []equiKey, pred evalFn, rWidth int) (*relation, error) {
+	out := &relation{}
+	nullPad := make(Row, rWidth)
 	if len(keys) > 0 {
-		rCols := make([]int, len(keys))
-		lCols := make([]int, len(keys))
-		for i, k := range keys {
-			rCols[i], lCols[i] = k.rSlot, k.lSlot
-		}
-		ht := make(map[string][]Row, len(r.rows))
-		for _, row := range r.rows {
-			if hasNullAt(row, rCols) {
+		lCols, rCols := keySlots(keys, false)
+		next := make([]int32, len(r.rows))
+		head := make(map[uint64]int32, len(r.rows))
+		var buf []byte
+		for j := len(r.rows) - 1; j >= 0; j-- {
+			if hasNullAt(r.rows[j], rCols) {
 				continue
 			}
-			k := RowKey(row, rCols)
-			ht[k] = append(ht[k], row)
+			var h uint64
+			buf, h = joinKeyHash(buf, r.rows[j], rCols)
+			chainRow(head, next, h, j)
 		}
 		for i, lrow := range l.rows {
 			if i&pollMask == 0 {
@@ -420,10 +401,17 @@ func leftJoin(ctx *execCtx, l, r *relation, on Expr) (*relation, error) {
 			}
 			matched := false
 			if !hasNullAt(lrow, lCols) {
-				for _, rrow := range ht[RowKey(lrow, lCols)] {
+				var h uint64
+				buf, h = joinKeyHash(buf, lrow, lCols)
+				j, ok := head[h]
+				for ; ok && j >= 0; j = next[j] {
+					rrow := r.rows[j]
+					if !joinKeysEq(rrow, rCols, lrow, lCols) {
+						continue
+					}
 					joined := concatRows(lrow, rrow)
-					if resFn != nil {
-						v, err := resFn(joined)
+					if pred != nil {
+						v, err := pred(joined)
 						if err != nil {
 							return nil, err
 						}
@@ -442,14 +430,6 @@ func leftJoin(ctx *execCtx, l, r *relation, on Expr) (*relation, error) {
 		return out, nil
 	}
 	// no equi keys: nested loop
-	var onFn evalFn
-	if on != nil {
-		var err error
-		onFn, err = bindExpr(on, out.cols)
-		if err != nil {
-			return nil, err
-		}
-	}
 	for _, lrow := range l.rows {
 		if err := ctx.cancelled(); err != nil {
 			return nil, err
@@ -457,8 +437,8 @@ func leftJoin(ctx *execCtx, l, r *relation, on Expr) (*relation, error) {
 		matched := false
 		for _, rrow := range r.rows {
 			joined := concatRows(lrow, rrow)
-			if onFn != nil {
-				v, err := onFn(joined)
+			if pred != nil {
+				v, err := pred(joined)
 				if err != nil {
 					return nil, err
 				}
@@ -476,55 +456,10 @@ func leftJoin(ctx *execCtx, l, r *relation, on Expr) (*relation, error) {
 	return out, nil
 }
 
-// naturalJoin joins on all same-named columns and keeps the shared columns
-// once (from the left side), per SQL NATURAL JOIN semantics.
-func naturalJoin(ctx *execCtx, l, r *relation, profile Profile) (*relation, error) {
-	type shared struct{ lSlot, rSlot int }
-	var commons []shared
-	rUsed := make(map[int]bool)
-	for ls, lc := range l.cols {
-		for rs, rc := range r.cols {
-			if rUsed[rs] {
-				continue
-			}
-			if lc.name == rc.name {
-				commons = append(commons, shared{ls, rs})
-				rUsed[rs] = true
-				break
-			}
-		}
-	}
-	var keys []equiKey
-	for _, c := range commons {
-		keys = append(keys, equiKey{c.lSlot, c.rSlot})
-	}
-	var joined *relation
-	var err error
-	if len(keys) == 0 {
-		joined, err = nestedLoopJoin(ctx, l, r, nil)
-	} else if profile == ProfileSortMerge {
-		joined, err = mergeJoin(ctx, l, r, keys, nil)
-	} else {
-		joined, err = hashJoin(ctx, l, r, keys, nil)
-	}
-	if err != nil {
-		return nil, err
-	}
-	// Project away the right-side copies of shared columns.
-	keep := make([]int, 0, len(joined.cols)-len(commons))
-	for i := range l.cols {
-		keep = append(keep, i)
-	}
-	for i := range r.cols {
-		if !rUsed[i] {
-			keep = append(keep, len(l.cols)+i)
-		}
-	}
-	out := &relation{cols: make([]colMeta, len(keep))}
-	for i, s := range keep {
-		out.cols[i] = joined.cols[s]
-	}
-	out.rows = make([]Row, len(joined.rows))
+// keepColumns projects a NATURAL join's output onto the slots in keep
+// (the shared columns once, from the left side).
+func keepColumns(joined *relation, keep []int) *relation {
+	out := &relation{rows: make([]Row, len(joined.rows))}
 	for ri, row := range joined.rows {
 		nr := make(Row, len(keep))
 		for i, s := range keep {
@@ -532,7 +467,7 @@ func naturalJoin(ctx *execCtx, l, r *relation, profile Profile) (*relation, erro
 		}
 		out.rows[ri] = nr
 	}
-	return out, nil
+	return out
 }
 
 // distinctRows removes duplicate rows, preserving first occurrence order.
@@ -541,7 +476,7 @@ func naturalJoin(ctx *execCtx, l, r *relation, profile Profile) (*relation, erro
 // so the dedup path allocates only the surviving-row slice and the bucket
 // map (see BenchmarkDistinct for the before/after).
 func distinctRows(r *relation) *relation {
-	out := &relation{cols: r.cols, rows: make([]Row, 0, len(r.rows))}
+	out := &relation{rows: make([]Row, 0, len(r.rows))}
 	buckets := make(map[uint64][]int, len(r.rows))
 	var buf []byte
 	for _, row := range r.rows {

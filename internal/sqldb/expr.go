@@ -31,18 +31,19 @@ func findCol(cols []colMeta, table, name string) int {
 // evalFn computes an expression over a row.
 type evalFn func(Row) (Value, error)
 
-// bindExpr compiles an expression against a relation layout.
+// bindExpr compiles an expression against a relation layout: it resolves
+// every column reference to a slot and returns the evaluator the *Eval
+// constructors below build, which reads rows only.
 func bindExpr(e Expr, cols []colMeta) (evalFn, error) {
 	switch x := e.(type) {
 	case *Lit:
-		v := x.Val
-		return func(Row) (Value, error) { return v, nil }, nil
+		return litEval(x), nil
 	case *ColRef:
 		slot := findCol(cols, x.Table, x.Name)
 		if slot < 0 {
 			return nil, fmt.Errorf("sqldb: unknown column %s", x)
 		}
-		return func(r Row) (Value, error) { return r[slot], nil }, nil
+		return slotEval(slot), nil
 	case *BinOp:
 		l, err := bindExpr(x.L, cols)
 		if err != nil {
@@ -52,38 +53,19 @@ func bindExpr(e Expr, cols []colMeta) (evalFn, error) {
 		if err != nil {
 			return nil, err
 		}
-		op := x.Op
-		return func(row Row) (Value, error) {
-			return applyBinOp(op, l, r, row)
-		}, nil
+		return binOpEval(x.Op, l, r), nil
 	case *NotExpr:
 		inner, err := bindExpr(x.E, cols)
 		if err != nil {
 			return nil, err
 		}
-		return func(row Row) (Value, error) {
-			v, err := inner(row)
-			if err != nil {
-				return Null, err
-			}
-			if v.IsNull() {
-				return Null, nil
-			}
-			return NewBool(!v.Bool()), nil
-		}, nil
+		return notEval(inner), nil
 	case *IsNullExpr:
 		inner, err := bindExpr(x.E, cols)
 		if err != nil {
 			return nil, err
 		}
-		neg := x.Negate
-		return func(row Row) (Value, error) {
-			v, err := inner(row)
-			if err != nil {
-				return Null, err
-			}
-			return NewBool(v.IsNull() != neg), nil
-		}, nil
+		return isNullEval(inner, x.Negate), nil
 	case *InExpr:
 		inner, err := bindExpr(x.E, cols)
 		if err != nil {
@@ -97,34 +79,7 @@ func bindExpr(e Expr, cols []colMeta) (evalFn, error) {
 			}
 			items[i] = f
 		}
-		neg := x.Negate
-		return func(row Row) (Value, error) {
-			v, err := inner(row)
-			if err != nil {
-				return Null, err
-			}
-			if v.IsNull() {
-				return Null, nil
-			}
-			sawNull := false
-			for _, f := range items {
-				iv, err := f(row)
-				if err != nil {
-					return Null, err
-				}
-				if iv.IsNull() {
-					sawNull = true
-					continue
-				}
-				if Equal(v, iv) {
-					return NewBool(!neg), nil
-				}
-			}
-			if sawNull {
-				return Null, nil
-			}
-			return NewBool(neg), nil
-		}, nil
+		return inEval(inner, items, x.Negate), nil
 	case *LikeExpr:
 		inner, err := bindExpr(x.E, cols)
 		if err != nil {
@@ -134,22 +89,7 @@ func bindExpr(e Expr, cols []colMeta) (evalFn, error) {
 		if err != nil {
 			return nil, err
 		}
-		neg := x.Negate
-		return func(row Row) (Value, error) {
-			v, err := inner(row)
-			if err != nil {
-				return Null, err
-			}
-			pv, err := pat(row)
-			if err != nil {
-				return Null, err
-			}
-			if v.IsNull() || pv.IsNull() {
-				return Null, nil
-			}
-			ok := likeMatch(v.String(), pv.String())
-			return NewBool(ok != neg), nil
-		}, nil
+		return likeEval(inner, pat, x.Negate), nil
 	case *FuncExpr:
 		if isAggregateName(x.Name) {
 			return nil, fmt.Errorf("sqldb: aggregate %s not allowed here", x.Name)
@@ -157,6 +97,93 @@ func bindExpr(e Expr, cols []colMeta) (evalFn, error) {
 		return bindScalarFunc(x, cols)
 	}
 	return nil, fmt.Errorf("sqldb: cannot bind expression %T", e)
+}
+
+// litEval reads the immutable literal node, which keeps the closure small:
+// a prepared plan retains one per literal.
+func litEval(x *Lit) evalFn {
+	return func(Row) (Value, error) { return x.Val, nil }
+}
+
+func slotEval(slot int) evalFn {
+	return func(r Row) (Value, error) { return r[slot], nil }
+}
+
+func binOpEval(op BinOpKind, l, r evalFn) evalFn {
+	return func(row Row) (Value, error) {
+		return applyBinOp(op, l, r, row)
+	}
+}
+
+func notEval(inner evalFn) evalFn {
+	return func(row Row) (Value, error) {
+		v, err := inner(row)
+		if err != nil {
+			return Null, err
+		}
+		if v.IsNull() {
+			return Null, nil
+		}
+		return NewBool(!v.Bool()), nil
+	}
+}
+
+func isNullEval(inner evalFn, neg bool) evalFn {
+	return func(row Row) (Value, error) {
+		v, err := inner(row)
+		if err != nil {
+			return Null, err
+		}
+		return NewBool(v.IsNull() != neg), nil
+	}
+}
+
+func inEval(inner evalFn, items []evalFn, neg bool) evalFn {
+	return func(row Row) (Value, error) {
+		v, err := inner(row)
+		if err != nil {
+			return Null, err
+		}
+		if v.IsNull() {
+			return Null, nil
+		}
+		sawNull := false
+		for _, f := range items {
+			iv, err := f(row)
+			if err != nil {
+				return Null, err
+			}
+			if iv.IsNull() {
+				sawNull = true
+				continue
+			}
+			if Equal(v, iv) {
+				return NewBool(!neg), nil
+			}
+		}
+		if sawNull {
+			return Null, nil
+		}
+		return NewBool(neg), nil
+	}
+}
+
+func likeEval(inner, pat evalFn, neg bool) evalFn {
+	return func(row Row) (Value, error) {
+		v, err := inner(row)
+		if err != nil {
+			return Null, err
+		}
+		pv, err := pat(row)
+		if err != nil {
+			return Null, err
+		}
+		if v.IsNull() || pv.IsNull() {
+			return Null, nil
+		}
+		ok := likeMatch(v.String(), pv.String())
+		return NewBool(ok != neg), nil
+	}
 }
 
 func applyBinOp(op BinOpKind, l, r evalFn, row Row) (Value, error) {

@@ -9,7 +9,7 @@ import (
 // OpProfile is one node of the EXPLAIN ANALYZE operator tree: the executor
 // records, per physical operator, its output cardinality, input
 // cardinalities, and the algorithm-specific work measures (hash-build
-// sizes, probe counts, rows examined). Collected by Database.ProfileSelect;
+// sizes, probe counts, rows examined). Collected by Prepared.ExecuteProfiled;
 // rendered by Render. All setters are nil-receiver-safe so instrumentation
 // sites need no profiling-enabled branches.
 type OpProfile struct {
@@ -222,20 +222,13 @@ func (db *Database) ProfileSelect(s *SelectStmt) (*Result, *OpProfile, error) {
 	return db.ProfileSelectOpts(s, ExecOptions{})
 }
 
-// ProfileSelectOpts is ProfileSelect under the given execution options;
-// with parallelism enabled the profile additionally carries per-arm wall
-// times and workers=/morsels=/partitions= annotations.
+// ProfileSelectOpts prepares a parsed SELECT statement and executes it
+// once under the given execution options with profiling on (see
+// Prepared.ExecuteProfiled).
 func (db *Database) ProfileSelectOpts(s *SelectStmt, opt ExecOptions) (*Result, *OpProfile, error) {
-	root := newOp("query", "")
-	ctx := newExecCtx(opt, root)
-	rel, err := db.evalSelectChain(ctx, s)
+	p, err := Prepare(db, s)
 	if err != nil {
 		return nil, nil, err
 	}
-	root.SetRows(len(rel.rows))
-	res := &Result{Columns: make([]string, len(rel.cols)), Rows: rel.rows}
-	for i, c := range rel.cols {
-		res.Columns[i] = c.name
-	}
-	return res, root, nil
+	return p.ExecuteProfiled(opt)
 }

@@ -243,7 +243,6 @@ func TestPoolTryAcquireBounded(t *testing.T) {
 // values it distinguishes must survive.
 func TestDistinctKeySemantics(t *testing.T) {
 	r := &relation{
-		cols: []colMeta{{name: "v"}},
 		rows: []Row{
 			{NewInt(2)},
 			{NewFloat(2.0)}, // integral float: same key class as int 2
@@ -351,8 +350,8 @@ func TestParallelErrorPropagation(t *testing.T) {
 // legacyDistinctRows is the pre-optimization implementation (per-row key
 // strings through RowKey): kept as the BenchmarkDistinct baseline.
 func legacyDistinctRows(r *relation) *relation {
-	out := &relation{cols: r.cols, rows: make([]Row, 0, len(r.rows))}
-	all := make([]int, len(r.cols))
+	out := &relation{rows: make([]Row, 0, len(r.rows))}
+	all := make([]int, len(r.rows[0]))
 	for i := range all {
 		all[i] = i
 	}
@@ -369,7 +368,7 @@ func legacyDistinctRows(r *relation) *relation {
 }
 
 func benchRelation() *relation {
-	r := &relation{cols: []colMeta{{name: "a"}, {name: "b"}, {name: "c"}}}
+	r := &relation{}
 	for i := 0; i < 8192; i++ {
 		r.rows = append(r.rows, Row{
 			NewInt(int64(i % 1024)),

@@ -4,8 +4,8 @@ import (
 	"context"
 	"fmt"
 	"strconv"
-	"strings"
 	"sync"
+	"time"
 
 	"npdbench/internal/obs"
 )
@@ -16,7 +16,7 @@ type Result struct {
 	Rows    []Row
 }
 
-// Query parses and executes a SELECT statement.
+// Query parses, prepares and executes a SELECT statement.
 func (db *Database) Query(sql string) (*Result, error) {
 	stmt, err := Parse(sql)
 	if err != nil {
@@ -62,24 +62,50 @@ func (db *Database) ExecSelect(s *SelectStmt) (*Result, error) {
 	return db.ExecSelectOpts(s, ExecOptions{})
 }
 
-// ExecSelectOpts executes a parsed SELECT statement under the given
-// execution options (intra-query parallelism).
+// ExecSelectOpts prepares a parsed SELECT statement and executes it once
+// under the given execution options (intra-query parallelism).
 func (db *Database) ExecSelectOpts(s *SelectStmt, opt ExecOptions) (*Result, error) {
-	ctx := newExecCtx(opt, nil)
-	rel, err := db.evalSelectChain(ctx, s)
+	p, err := Prepare(db, s)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Columns: make([]string, len(rel.cols)), Rows: rel.rows}
-	for i, c := range rel.cols {
+	return p.Execute(opt)
+}
+
+// Execute runs the prepared statement against the current table rows.
+func (p *Prepared) Execute(opt ExecOptions) (*Result, error) {
+	return p.run(newExecCtx(opt, nil, p))
+}
+
+// ExecuteProfiled is Execute while collecting the operator-level
+// execution profile (EXPLAIN ANALYZE): per operator, rows in/out, join
+// algorithm, hash-build size and probe count; with parallelism enabled
+// also per-arm wall times and workers=/morsels=/partitions= annotations.
+func (p *Prepared) ExecuteProfiled(opt ExecOptions) (*Result, *OpProfile, error) {
+	root := newOp("query", "")
+	res, err := p.run(newExecCtx(opt, root, p))
+	if err != nil {
+		return nil, nil, err
+	}
+	root.SetRows(len(res.Rows))
+	return res, root, nil
+}
+
+func (p *Prepared) run(ctx *execCtx) (*Result, error) {
+	rel, err := evalChain(ctx, p.chain)
+	if err != nil {
+		return nil, err
+	}
+	res := &Result{Columns: make([]string, len(p.chain.cols)), Rows: rel.rows}
+	for i, c := range p.chain.cols {
 		res.Columns[i] = c.name
 	}
 	return res, nil
 }
 
-// newExecCtx builds the root context of one statement execution.
-func newExecCtx(opt ExecOptions, prof *OpProfile) *execCtx {
-	ctx := &execCtx{cache: newStmtCache(), prof: prof, usage: opt.Usage,
+// newExecCtx builds the root context of one execution of p.
+func newExecCtx(opt ExecOptions, prof *OpProfile, p *Prepared) *execCtx {
+	ctx := &execCtx{cache: &stmtCache{subqueries: make([]subqueryEntry, p.nsubs)}, profile: p.profile, prof: prof, usage: opt.Usage,
 		par: parState{par: 1, stats: opt.Stats, ctx: opt.Ctx}}
 	if opt.Parallelism > 1 {
 		ctx.par.par = opt.Parallelism
@@ -99,6 +125,8 @@ func newExecCtx(opt ExecOptions, prof *OpProfile) *execCtx {
 // included); prof and parNote belong to exactly one goroutine at a time.
 type execCtx struct {
 	cache *stmtCache
+	// profile is the prepared statement's planner profile.
+	profile Profile
 	// prof, when non-nil, is the operator-profile node currently being
 	// built (EXPLAIN ANALYZE collection; see ProfileSelect). Operators
 	// append children via addOp/pushOp, which no-op when prof is nil.
@@ -125,23 +153,16 @@ type execCtx struct {
 
 // stmtCache is the state shared across one statement's evaluation: derived
 // tables that occur in many union arms (OBDA unfoldings repeat the same
-// mapping views) are materialized once, and sorted row orders are computed
-// once per (relation, column) so the sort-merge profile sorts each shared
-// mapping view once per statement, not once per union arm (what a real
-// server's indexes amortize). Entries are singleflighted: when parallel
-// union arms race to the same subquery or sort order, one computes and the
-// rest wait.
+// mapping views) are materialized once, in the slot Prepare numbered them
+// with, and sorted row orders are computed once per (relation, column) so
+// the sort-merge profile sorts each shared mapping view once per statement,
+// not once per union arm (what a real server's indexes amortize). Entries
+// are singleflighted: when parallel union arms race to the same subquery or
+// sort order, one computes and the rest wait.
 type stmtCache struct {
+	subqueries []subqueryEntry
 	mu         sync.Mutex
-	subqueries map[string]*subqueryEntry   // guarded by mu
-	sortOrders map[sortKey]*sortOrderEntry // guarded by mu
-}
-
-func newStmtCache() *stmtCache {
-	return &stmtCache{
-		subqueries: make(map[string]*subqueryEntry),
-		sortOrders: make(map[sortKey]*sortOrderEntry),
-	}
+	sortOrders map[sortKey]*sortOrderEntry // guarded by mu; made on first use
 }
 
 type subqueryEntry struct {
@@ -170,6 +191,9 @@ func (ctx *execCtx) sortedOrder(r *relation, slot int) []int {
 	ctx.cache.mu.Lock()
 	e, ok := ctx.cache.sortOrders[sortKey{r, slot}]
 	if !ok {
+		if ctx.cache.sortOrders == nil {
+			ctx.cache.sortOrders = make(map[sortKey]*sortOrderEntry)
+		}
 		e = &sortOrderEntry{}
 		ctx.cache.sortOrders[sortKey{r, slot}] = e
 	}
@@ -203,9 +227,9 @@ func (ctx *execCtx) accountScan(rows int) {
 // accountRows records one operator's output relation: rows produced plus
 // their estimated materialized bytes. One batched add per operator.
 func (ctx *execCtx) accountRows(rel *relation) {
-	if ctx.usage != nil && rel != nil {
+	if ctx.usage != nil && rel != nil && len(rel.rows) > 0 {
 		n := int64(len(rel.rows))
-		ctx.usage.AddRowsProduced(n, n*int64(len(rel.cols))*approxValueBytes)
+		ctx.usage.AddRowsProduced(n, n*int64(len(rel.rows[0]))*approxValueBytes)
 	}
 }
 
@@ -251,34 +275,26 @@ func (ctx *execCtx) addOpf(op string, format string, args ...any) *OpProfile {
 	return ctx.addOp(op, fmt.Sprintf(format, args...))
 }
 
-func (db *Database) evalSelectChain(ctx *execCtx, s *SelectStmt) (*relation, error) {
-	if s.Union == nil {
-		return db.evalSelect(ctx, s)
+func evalChain(ctx *execCtx, c *prepChain) (*relation, error) {
+	if len(c.arms) == 1 {
+		return evalSelect(ctx, c.arms[0])
 	}
-	op := "union all"
-	if !s.UnionAll {
-		op = "union"
-	}
-	arms := []*SelectStmt{s}
-	for u := s.Union; u != nil; u = u.Union {
-		arms = append(arms, u)
-	}
-	node, restore := ctx.pushOp(op, "")
-	head, workers, err := db.evalUnionArms(ctx, arms)
+	node, restore := ctx.pushOp(c.op, "")
+	head, workers, err := evalUnionArms(ctx, c)
 	restore()
 	if err != nil {
 		return nil, err
 	}
 	ctx.accountRows(head)
 	if node != nil {
-		detail := fmt.Sprintf("%d arms", len(arms))
+		detail := fmt.Sprintf("%d arms", len(c.arms))
 		if workers > 1 {
 			detail += fmt.Sprintf(" [workers=%d]", workers)
 		}
 		node.SetDetail(detail)
 		node.SetRows(len(head.rows))
 	}
-	if !s.UnionAll {
+	if c.distinct {
 		before := len(head.rows)
 		head = distinctRows(head)
 		ctx.accountRows(head)
@@ -295,10 +311,12 @@ func (db *Database) evalSelectChain(ctx *execCtx, s *SelectStmt) (*relation, err
 // each helper builds one child context that shares the statement cache,
 // driver and usage tracker but owns its profile cursor, notes and scratch.
 // Every arm gets its own profile node, created up front in arm order.
-func (db *Database) evalUnionArms(ctx *execCtx, arms []*SelectStmt) (*relation, int, error) {
+func evalUnionArms(ctx *execCtx, c *prepChain) (*relation, int, error) {
+	arms := c.arms
 	fan := ctx.par.fanOut(len(arms), minParallelRows)
-	nodes := make([]*OpProfile, len(arms))
+	var nodes []*OpProfile
 	if ctx.prof != nil {
+		nodes = make([]*OpProfile, len(arms))
 		for i := range arms {
 			nodes[i] = ctx.addOp("arm", fmt.Sprintf("#%d", i+1))
 		}
@@ -313,17 +331,24 @@ func (db *Database) evalUnionArms(ctx *execCtx, arms []*SelectStmt) (*relation, 
 	workers, err := ctx.par.run(fan, len(arms), func(w, i int) error {
 		c := wctx[w]
 		if c == nil {
-			c = &execCtx{cache: ctx.cache, par: ctx.par, usage: ctx.usage}
+			c = &execCtx{cache: ctx.cache, profile: ctx.profile, par: ctx.par, usage: ctx.usage}
 			wctx[w] = c
 		}
-		c.prof = nodes[i]
-		start := obs.Now()
-		rel, err := db.evalSelect(c, arms[i])
-		nodes[i].SetTime(obs.Since(start))
+		var node *OpProfile
+		var start time.Time
+		if nodes != nil {
+			node = nodes[i]
+			start = obs.Now()
+		}
+		c.prof = node
+		rel, err := evalSelect(c, arms[i])
+		if node != nil {
+			node.SetTime(obs.Since(start))
+		}
 		if err != nil {
 			return err
 		}
-		nodes[i].SetRows(len(rel.rows))
+		node.SetRows(len(rel.rows))
 		rels[i] = rel
 		return nil
 	})
@@ -331,7 +356,6 @@ func (db *Database) evalUnionArms(ctx *execCtx, arms []*SelectStmt) (*relation, 
 	if err != nil {
 		return nil, 0, err
 	}
-	head := rels[0]
 	total := 0
 	for _, r := range rels {
 		total += len(r.rows)
@@ -340,21 +364,18 @@ func (db *Database) evalUnionArms(ctx *execCtx, arms []*SelectStmt) (*relation, 
 	// path), so appending into one would write through to shared storage.
 	rows := make([]Row, 0, total)
 	for _, r := range rels {
-		if len(r.cols) != len(head.cols) {
-			return nil, 0, fmt.Errorf("sqldb: UNION arms have %d vs %d columns", len(head.cols), len(r.cols))
-		}
 		rows = append(rows, r.rows...)
 	}
-	return &relation{cols: head.cols, rows: rows}, workers, nil
+	return &relation{rows: rows}, workers, nil
 }
 
 // evalSelect executes a single SELECT block (no union chaining).
-func (db *Database) evalSelect(ctx *execCtx, s *SelectStmt) (*relation, error) {
+func evalSelect(ctx *execCtx, ps *prepSelect) (*relation, error) {
 	if err := ctx.cancelled(); err != nil {
 		return nil, err
 	}
 	node, restore := ctx.pushOp("select", "")
-	out, err := db.evalSelectBody(ctx, s)
+	out, err := evalSelectBody(ctx, ps)
 	restore()
 	if err != nil {
 		return nil, err
@@ -363,50 +384,47 @@ func (db *Database) evalSelect(ctx *execCtx, s *SelectStmt) (*relation, error) {
 	return out, nil
 }
 
-func (db *Database) evalSelectBody(ctx *execCtx, s *SelectStmt) (*relation, error) {
-	input, remaining, err := db.buildFrom(ctx, s.From, Conjuncts(s.Where))
+func evalSelectBody(ctx *execCtx, ps *prepSelect) (*relation, error) {
+	input, p, err := buildFrom(ctx, ps)
 	if err != nil {
 		return nil, err
 	}
-	if rest := AndAll(remaining); rest != nil {
+	if p.rest != nil {
 		before := len(input.rows)
-		input, err = filterRelation(ctx, input, rest)
+		input, err = filterRelation(ctx, input, p.rest)
 		if err != nil {
 			return nil, err
 		}
 		ctx.accountRows(input)
 		note := ctx.takeParNote()
 		if ctx.prof != nil {
-			ctx.addOp("filter", rest.String()+note).SetInOut(before, len(input.rows))
-		}
-	}
-
-	hasAgg := len(s.GroupBy) > 0 || s.Having != nil
-	for _, it := range s.Items {
-		if !it.Star && exprHasAggregate(it.Expr) {
-			hasAgg = true
+			ctx.addOp("filter", p.restExpr.String()+note).SetInOut(before, len(input.rows))
 		}
 	}
 
 	var out *relation
 	var inputAligned []Row // input rows aligned to output rows (for ORDER BY)
-	if hasAgg {
-		out, err = db.evalAggregate(s, input)
+	if p.agg != nil {
+		out, err = p.agg.eval(input)
 		if err != nil {
 			return nil, err
 		}
 		ctx.accountRows(out)
-		ctx.addOpf("aggregate", "%d groups", len(out.rows)).SetInOut(len(input.rows), len(out.rows))
+		if ctx.prof != nil {
+			ctx.addOpf("aggregate", "%d groups", len(out.rows)).SetInOut(len(input.rows), len(out.rows))
+		}
 	} else {
-		out, inputAligned, err = projectItems(s.Items, input)
+		out, inputAligned, err = p.proj.apply(input, len(p.out))
 		if err != nil {
 			return nil, err
 		}
 		ctx.accountRows(out)
-		ctx.addOpf("project", "%d columns", len(out.cols)).SetRows(len(out.rows))
+		if ctx.prof != nil {
+			ctx.addOpf("project", "%d columns", len(p.out)).SetRows(len(out.rows))
+		}
 	}
 
-	if s.Distinct {
+	if ps.distinct {
 		before := len(out.rows)
 		out = distinctRows(out)
 		inputAligned = nil
@@ -414,116 +432,94 @@ func (db *Database) evalSelectBody(ctx *execCtx, s *SelectStmt) (*relation, erro
 		ctx.addOp("distinct", "").SetInOut(before, len(out.rows))
 	}
 
-	if len(s.OrderBy) > 0 {
-		if err := orderRelation(s.OrderBy, out, input.cols, inputAligned); err != nil {
+	if p.sort != nil {
+		if err := orderRelation(p.sort, out, inputAligned); err != nil {
 			return nil, err
 		}
-		ctx.addOpf("sort", "%d keys", len(s.OrderBy)).SetRows(len(out.rows))
+		if ctx.prof != nil {
+			ctx.addOpf("sort", "%d keys", len(p.sort.keys)).SetRows(len(out.rows))
+		}
 	}
 
-	if s.Offset > 0 || (s.Limit >= 0 && s.Limit < len(out.rows)) {
+	if ps.offset > 0 || (ps.limit >= 0 && ps.limit < len(out.rows)) {
 		before := len(out.rows)
-		if s.Offset > 0 {
-			if s.Offset >= len(out.rows) {
+		if ps.offset > 0 {
+			if ps.offset >= len(out.rows) {
 				out.rows = nil
 			} else {
-				out.rows = out.rows[s.Offset:]
+				out.rows = out.rows[ps.offset:]
 			}
 		}
-		if s.Limit >= 0 && s.Limit < len(out.rows) {
-			out.rows = out.rows[:s.Limit]
+		if ps.limit >= 0 && ps.limit < len(out.rows) {
+			out.rows = out.rows[:ps.limit]
 		}
 		ctx.addOp("limit", "").SetInOut(before, len(out.rows))
 	}
 	return out, nil
 }
 
-// buildFrom materializes the FROM clause. WHERE conjuncts are consumed for
-// pushdown and join planning; the unconsumed ones are returned.
-func (db *Database) buildFrom(ctx *execCtx, from []TableRef, conjuncts []Expr) (*relation, []Expr, error) {
-	if len(from) == 0 {
+// buildFrom materializes the FROM clause: it reads every item, applies
+// the pushed-down conjuncts, and joins the items in the plan's order. It
+// returns the joined relation and the plan bound for that order.
+func buildFrom(ctx *execCtx, ps *prepSelect) (*relation, *selectPlan, error) {
+	if len(ps.from) == 0 {
 		// SELECT without FROM: a single empty row.
-		return &relation{rows: []Row{{}}}, conjuncts, nil
+		return &relation{rows: []Row{{}}}, ps.written, nil
 	}
-	rels := make([]*relation, len(from))
-	for i, tr := range from {
-		r, err := db.buildRef(ctx, tr)
+	rels := make([]*relation, len(ps.from))
+	for i, ref := range ps.from {
+		r, err := buildRef(ctx, ref)
 		if err != nil {
 			return nil, nil, err
 		}
 		rels[i] = r
 	}
-	// Push single-relation conjuncts.
-	var pending []Expr
-	for _, c := range conjuncts {
-		placed := false
-		for i, r := range rels {
-			if bindable(c, r.cols) {
-				before := len(r.rows)
-				fr, err := filterRelation(ctx, r, c)
-				if err != nil {
-					return nil, nil, err
-				}
-				ctx.accountRows(fr)
-				ctx.notePushdown(c, before, len(fr.rows))
-				rels[i] = fr
-				placed = true
-				break
-			}
+	for _, c := range ps.pushed {
+		before := len(rels[c.item].rows)
+		fr, err := filterRelation(ctx, rels[c.item], c.fn)
+		if err != nil {
+			return nil, nil, err
 		}
-		if !placed {
-			pending = append(pending, c)
-		}
+		ctx.accountRows(fr)
+		ctx.notePushdown(c.expr, before, len(fr.rows))
+		rels[c.item] = fr
 	}
-	// Join planning.
-	order := make([]int, len(rels))
-	for i := range order {
-		order[i] = i
-	}
-	if db.Profile == ProfileSortMerge {
+	p := ps.written
+	if ps.sm != nil {
 		// Greedy: start from the smallest relation; each step joins in the
 		// smallest relation connected by an equi predicate (else smallest).
-		order = greedyOrder(rels, pending)
+		var err error
+		if p, err = ps.planFor(greedyOrder(rels, ps.sm.links)); err != nil {
+			return nil, nil, err
+		}
 	}
-	cur := rels[order[0]]
-	for step := 1; step < len(order); step++ {
+	cur := rels[p.item(0)]
+	for step, st := range p.steps {
 		if err := ctx.cancelled(); err != nil {
 			return nil, nil, err
 		}
-		next := rels[order[step]]
-		// Conjuncts fully bindable on cur+next become the residual predicate.
-		combinedCols := append(append([]colMeta{}, cur.cols...), next.cols...)
-		var usable, stillPending []Expr
-		for _, c := range pending {
-			if bindable(c, combinedCols) {
-				usable = append(usable, c)
-			} else {
-				stillPending = append(stillPending, c)
-			}
-		}
-		eq, residual := extractEquiKeys(usable, cur, next)
+		next := rels[p.item(step+1)]
 		lrows, rrows := len(cur.rows), len(next.rows)
 		var algo string
 		var err error
 		switch {
-		case len(eq) > 0 && db.Profile == ProfileSortMerge:
+		case len(st.keys) > 0 && ctx.profile == ProfileSortMerge:
 			algo = "merge join"
-			cur, err = mergeJoin(ctx, cur, next, eq, AndAll(residual))
-		case len(eq) > 0:
+			cur, err = mergeJoin(ctx, cur, next, st.keys, st.pred)
+		case len(st.keys) > 0:
 			algo = "hash join"
-			cur, err = hashJoin(ctx, cur, next, eq, AndAll(residual))
+			cur, err = hashJoin(ctx, cur, next, st.keys, st.pred)
 		default:
 			algo = "nested loop"
-			cur, err = nestedLoopJoin(ctx, cur, next, AndAll(residual))
+			cur, err = nestedLoopJoin(ctx, cur, next, st.pred)
 		}
 		if err != nil {
 			return nil, nil, err
 		}
 		ctx.accountRows(cur)
-		ctx.noteJoin(algo, len(eq), lrows, rrows, len(cur.rows))
-		pending = stillPending
+		ctx.noteJoin(algo, len(st.keys), lrows, rrows, len(cur.rows))
 	}
-	return cur, pending, nil
+	return cur, p, nil
 }
 
 // joinBuildRows reports the rows fed into a join's build structure: the
@@ -561,7 +557,7 @@ func joinProbes(algo string, lrows, rrows int) int {
 // greedyOrder returns a join order for the sort-merge profile: smallest
 // relation first, then repeatedly the smallest relation that shares an
 // equality predicate with what has been joined so far.
-func greedyOrder(rels []*relation, conjuncts []Expr) []int {
+func greedyOrder(rels []*relation, links []equiLink) []int {
 	n := len(rels)
 	used := make([]bool, n)
 	order := make([]int, 0, n)
@@ -574,7 +570,6 @@ func greedyOrder(rels []*relation, conjuncts []Expr) []int {
 	}
 	order = append(order, best)
 	used[best] = true
-	curCols := append([]colMeta{}, rels[best].cols...)
 	for len(order) < n {
 		cand := -1
 		candConnected := false
@@ -582,7 +577,7 @@ func greedyOrder(rels []*relation, conjuncts []Expr) []int {
 			if used[i] {
 				continue
 			}
-			connected := hasEquiBetween(conjuncts, curCols, rels[i].cols)
+			connected := linked(links, used, i)
 			if cand == -1 ||
 				(connected && !candConnected) ||
 				(connected == candConnected && len(rels[i].rows) < len(rels[cand].rows)) {
@@ -592,79 +587,51 @@ func greedyOrder(rels []*relation, conjuncts []Expr) []int {
 		}
 		order = append(order, cand)
 		used[cand] = true
-		curCols = append(curCols, rels[cand].cols...)
 	}
 	return order
 }
 
-func hasEquiBetween(conjuncts []Expr, lcols, rcols []colMeta) bool {
-	for _, c := range conjuncts {
-		b, ok := c.(*BinOp)
-		if !ok || b.Op != OpEq {
-			continue
-		}
-		lc, lok := b.L.(*ColRef)
-		rc, rok := b.R.(*ColRef)
-		if !lok || !rok {
-			continue
-		}
-		inL1 := findCol(lcols, lc.Table, lc.Name) >= 0
-		inR1 := findCol(rcols, rc.Table, rc.Name) >= 0
-		inL2 := findCol(lcols, rc.Table, rc.Name) >= 0
-		inR2 := findCol(rcols, lc.Table, lc.Name) >= 0
-		if (inL1 && inR1) || (inL2 && inR2) {
+// linked reports whether some column equality joins FROM item i to the
+// items already used.
+func linked(links []equiLink, used []bool, i int) bool {
+	for _, k := range links {
+		if (k.r[i] && anyUsed(k.l, used)) || (k.l[i] && anyUsed(k.r, used)) {
 			return true
 		}
 	}
 	return false
 }
 
-// bindable reports whether e can be fully bound against cols.
-func bindable(e Expr, cols []colMeta) bool {
-	_, err := bindExpr(e, cols)
-	return err == nil
+func anyUsed(in, used []bool) bool {
+	for j, ok := range in {
+		if ok && used[j] {
+			return true
+		}
+	}
+	return false
 }
 
-func (db *Database) buildRef(ctx *execCtx, tr TableRef) (*relation, error) {
+func buildRef(ctx *execCtx, ref *prepRef) (*relation, error) {
 	if err := ctx.cancelled(); err != nil {
 		return nil, err
 	}
-	switch t := tr.(type) {
-	case *BaseTable:
-		tab := db.Table(t.Name)
-		if tab == nil {
-			return nil, fmt.Errorf("sqldb: unknown table %s", t.Name)
-		}
-		alias := strings.ToLower(t.Alias)
-		if alias == "" {
-			alias = strings.ToLower(t.Name)
-		}
-		cols := make([]colMeta, len(tab.Def.Columns))
-		for i, c := range tab.Def.Columns {
-			cols[i] = colMeta{table: alias, name: strings.ToLower(c.Name)}
-		}
-		ctx.accountScan(len(tab.Rows))
-		node := ctx.addOp("scan", t.Name)
-		node.SetRows(len(tab.Rows))
-		return &relation{cols: cols, rows: tab.Rows}, nil
-	case *SubqueryTable:
+	switch {
+	case ref.table != nil:
+		rows := ref.table.Rows
+		ctx.accountScan(len(rows))
+		ctx.addOp("scan", ref.name).SetRows(len(rows))
+		return &relation{rows: rows}, nil
+	case ref.sub != nil:
 		// Derived tables repeat across the arms of OBDA unfoldings, so
 		// each distinct subquery is materialized once per statement. The
 		// entry is singleflighted: with parallel union arms, the first
 		// arrival computes it and concurrent arrivals wait on the result.
-		key := t.Query.String()
-		ctx.cache.mu.Lock()
-		e, ok := ctx.cache.subqueries[key]
-		if !ok {
-			e = &subqueryEntry{}
-			ctx.cache.subqueries[key] = e
-		}
-		ctx.cache.mu.Unlock()
+		e := &ctx.cache.subqueries[ref.id]
 		computed := false
 		e.once.Do(func() {
 			computed = true
-			node, restore := ctx.pushOp("subquery", t.Alias)
-			e.rel, e.err = db.evalSelectChain(ctx, t.Query)
+			node, restore := ctx.pushOp("subquery", ref.name)
+			e.rel, e.err = evalChain(ctx, ref.sub)
 			restore()
 			if e.err == nil {
 				node.SetRows(len(e.rel.rows))
@@ -678,129 +645,80 @@ func (db *Database) buildRef(ctx *execCtx, tr TableRef) (*relation, error) {
 			if ctx.usage != nil {
 				ctx.usage.AddCacheHits(1)
 			}
-			ctx.addOp("subquery", t.Alias+" (cached)").SetRows(len(inner.rows))
-		}
-		alias := strings.ToLower(t.Alias)
-		cols := make([]colMeta, len(inner.cols))
-		for i, c := range inner.cols {
-			cols[i] = colMeta{table: alias, name: c.name}
+			if ctx.prof != nil {
+				ctx.addOp("subquery", ref.name+" (cached)").SetRows(len(inner.rows))
+			}
 		}
 		// The wrapper shares the cached inner relation's rows, which no
 		// operator mutates in place.
-		return &relation{cols: cols, rows: inner.rows}, nil
-	case *JoinRef:
-		l, err := db.buildRef(ctx, t.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := db.buildRef(ctx, t.R)
-		if err != nil {
-			return nil, err
-		}
-		lrows, rrows := len(l.rows), len(r.rows)
-		record := func(algo string, out *relation, err error) (*relation, error) {
-			if err != nil {
-				return nil, err
-			}
-			ctx.accountRows(out)
-			note := ctx.takeParNote()
-			if ctx.prof != nil {
-				node := ctx.addOp(algo, strings.ToLower(t.Kind.String())+note)
-				node.SetJoin(lrows, rrows, len(out.rows), joinBuildRows(algo, lrows, rrows), joinProbes(algo, lrows, rrows))
-			}
-			return out, nil
-		}
-		switch t.Kind {
-		case JoinCross:
-			out, err := nestedLoopJoin(ctx, l, r, nil)
-			return record("nested loop", out, err)
-		case JoinNatural:
-			algo := "hash join"
-			if db.Profile == ProfileSortMerge {
-				algo = "merge join"
-			}
-			out, err := naturalJoin(ctx, l, r, db.Profile)
-			return record(algo, out, err)
-		case JoinLeft:
-			out, err := leftJoin(ctx, l, r, t.On)
-			return record("left join", out, err)
-		default: // inner
-			conj := Conjuncts(t.On)
-			eq, residual := extractEquiKeys(conj, l, r)
-			if len(eq) == 0 {
-				out, err := nestedLoopJoin(ctx, l, r, t.On)
-				return record("nested loop", out, err)
-			}
-			if db.Profile == ProfileSortMerge {
-				out, err := mergeJoin(ctx, l, r, eq, AndAll(residual))
-				return record("merge join", out, err)
-			}
-			out, err := hashJoin(ctx, l, r, eq, AndAll(residual))
-			return record("hash join", out, err)
-		}
+		return &relation{rows: inner.rows}, nil
 	}
-	return nil, fmt.Errorf("sqldb: unsupported table reference %T", tr)
+	j := ref.join
+	l, err := buildRef(ctx, j.l)
+	if err != nil {
+		return nil, err
+	}
+	r, err := buildRef(ctx, j.r)
+	if err != nil {
+		return nil, err
+	}
+	var out *relation
+	algo := "nested loop"
+	switch {
+	case j.kind == JoinLeft:
+		algo = "left join"
+		out, err = leftJoin(ctx, l, r, j.keys, j.pred, j.rWidth)
+	case len(j.keys) == 0:
+		out, err = nestedLoopJoin(ctx, l, r, j.pred)
+	case ctx.profile == ProfileSortMerge:
+		algo = "merge join"
+		out, err = mergeJoin(ctx, l, r, j.keys, j.pred)
+	default:
+		algo = "hash join"
+		out, err = hashJoin(ctx, l, r, j.keys, j.pred)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if j.kind == JoinNatural {
+		// A natural join is profiled under the profile's equi-join
+		// algorithm even when no column is shared.
+		algo = "hash join"
+		if ctx.profile == ProfileSortMerge {
+			algo = "merge join"
+		}
+		out = keepColumns(out, j.keep)
+	}
+	ctx.accountRows(out)
+	note := ctx.takeParNote()
+	if ctx.prof != nil {
+		lrows, rrows := len(l.rows), len(r.rows)
+		node := ctx.addOp(algo, j.detail+note)
+		node.SetJoin(lrows, rrows, len(out.rows), joinBuildRows(algo, lrows, rrows), joinProbes(algo, lrows, rrows))
+	}
+	return out, nil
 }
 
-// projectItems applies the SELECT list to the input relation. It returns
-// the projected relation and, for non-star projections, the input rows
+// apply evaluates the SELECT list over the input relation, width columns
+// per output row. It returns the projected relation and the input rows
 // aligned with the output rows (for ORDER BY over non-projected columns).
-func projectItems(items []SelectItem, input *relation) (*relation, []Row, error) {
-	// Pure star fast path.
-	if len(items) == 1 && items[0].Star && items[0].Table == "" {
+func (pr *projection) apply(input *relation, width int) (*relation, []Row, error) {
+	if pr.passThrough {
 		return input, input.rows, nil
 	}
-	var outCols []colMeta
-	type producer struct {
-		star  bool
-		slots []int // for star
-		fn    evalFn
-	}
-	var prods []producer
-	for _, it := range items {
-		if it.Star {
-			var slots []int
-			q := strings.ToLower(it.Table)
-			for i, c := range input.cols {
-				if q == "" || c.table == q {
-					outCols = append(outCols, c)
-					slots = append(slots, i)
-				}
-			}
-			if len(slots) == 0 {
-				return nil, nil, fmt.Errorf("sqldb: %s.* matches no columns", it.Table)
-			}
-			prods = append(prods, producer{star: true, slots: slots})
-			continue
-		}
-		fn, err := bindExpr(it.Expr, input.cols)
-		if err != nil {
-			return nil, nil, err
-		}
-		name := strings.ToLower(it.Alias)
-		table := ""
-		if name == "" {
-			if cr, ok := it.Expr.(*ColRef); ok {
-				name = strings.ToLower(cr.Name)
-				table = strings.ToLower(cr.Table)
-			} else {
-				name = strings.ToLower(it.Expr.String())
-			}
-		}
-		outCols = append(outCols, colMeta{table: table, name: name})
-		prods = append(prods, producer{fn: fn})
-	}
-	out := &relation{cols: outCols, rows: make([]Row, 0, len(input.rows))}
+	out := &relation{rows: make([]Row, 0, len(input.rows))}
 	for _, row := range input.rows {
-		nr := make(Row, 0, len(outCols))
-		for _, p := range prods {
-			if p.star {
-				for _, s := range p.slots {
+		nr := make(Row, 0, width)
+		star := 0
+		for _, fn := range pr.fns {
+			if fn == nil {
+				for _, s := range pr.stars[star] {
 					nr = append(nr, row[s])
 				}
+				star++
 				continue
 			}
-			v, err := p.fn(row)
+			v, err := fn(row)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -811,35 +729,17 @@ func projectItems(items []SelectItem, input *relation) (*relation, []Row, error)
 	return out, input.rows, nil
 }
 
-// orderRelation sorts out by the ORDER BY items. Each key binds once: to
-// the output columns when it resolves there, otherwise to the aligned
-// input rows.
-func orderRelation(order []OrderItem, out *relation, inCols []colMeta, inputAligned []Row) error {
+// orderRelation sorts out by the bound ORDER BY keys.
+func orderRelation(sp *sortPlan, out *relation, inputAligned []Row) error {
+	for _, in := range sp.fromInput {
+		if in && len(inputAligned) != len(out.rows) {
+			return fmt.Errorf("sqldb: internal: ORDER BY alignment lost")
+		}
+	}
 	// Sorting happens in place, and out can alias a base table's rows
 	// (star fast path): reordering those would corrupt the table for every
 	// other query — and race with concurrent executions of a shared plan.
 	// Sort a copy of the slice instead.
 	out.rows = append(make([]Row, 0, len(out.rows)), out.rows...)
-	keys := make([]evalFn, len(order))
-	desc := make([]bool, len(order))
-	fromInput := make([]bool, len(order))
-	for i, o := range order {
-		desc[i] = o.Desc
-		if fn, err := bindExpr(o.Expr, out.cols); err == nil {
-			keys[i] = fn
-			continue
-		}
-		if inputAligned == nil {
-			return fmt.Errorf("sqldb: cannot resolve ORDER BY expression %s", o.Expr)
-		}
-		if len(inputAligned) != len(out.rows) {
-			return fmt.Errorf("sqldb: internal: ORDER BY alignment lost")
-		}
-		fn, err := bindExpr(o.Expr, inCols)
-		if err != nil {
-			return err
-		}
-		keys[i], fromInput[i] = fn, true
-	}
-	return sortRelation(out, keys, desc, fromInput, inputAligned)
+	return sortRelation(out, sp.keys, sp.desc, sp.fromInput, inputAligned)
 }

@@ -2,6 +2,7 @@ package sqldb
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 )
 
@@ -12,6 +13,10 @@ import (
 type Table struct {
 	Def  *TableDef
 	Rows []Row
+
+	// lowerCols holds the lower-cased column names, from which Prepare
+	// lays out every scan of the table.
+	lowerCols []string
 
 	pkIndex     *HashIndex            // over PrimaryKey columns, nil if no PK
 	uniqueIdx   []*HashIndex          // parallel to Def.Uniques
@@ -26,7 +31,10 @@ func NewTable(def *TableDef) (*Table, error) {
 	if err := def.Validate(); err != nil {
 		return nil, err
 	}
-	t := &Table{Def: def, secondary: make(map[string]*HashIndex)}
+	t := &Table{Def: def, secondary: make(map[string]*HashIndex), lowerCols: make([]string, len(def.Columns))}
+	for i, c := range def.Columns {
+		t.lowerCols[i] = strings.ToLower(c.Name)
+	}
 	if len(def.PrimaryKey) > 0 {
 		t.pkIndex = NewHashIndex(def.PrimaryKey)
 	}

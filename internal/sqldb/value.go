@@ -385,8 +385,8 @@ func RowKey(r Row, cols []int) string {
 
 // appendKey appends the Key() encoding of v to buf without materializing a
 // string: two values append equal bytes exactly when their Key() strings
-// are equal. The dedup path hashes these bytes out of a reusable buffer
-// instead of building one string per row.
+// are equal. The dedup and hash-join paths hash these bytes out of a
+// reusable buffer instead of building one string per row.
 func (v Value) appendKey(buf []byte) []byte {
 	switch v.Kind {
 	case KindNull:
@@ -499,16 +499,6 @@ func hashBytes(b []byte) uint64 {
 	h := uint64(14695981039346656037)
 	for _, c := range b {
 		h ^= uint64(c)
-		h *= 1099511628211
-	}
-	return h
-}
-
-// hashString is hashBytes over a string without copying it.
-func hashString(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
 		h *= 1099511628211
 	}
 	return h

@@ -55,11 +55,44 @@ func filterRelation(ctx *execCtx, r *relation, f evalFn) (*relation, error) {
 	return &relation{rows: kept.concat()}, nil
 }
 
-func concatRows(a, b Row) Row {
-	out := make(Row, 0, len(a)+len(b))
-	out = append(out, a...)
-	out = append(out, b...)
-	return out
+// pick lists the slots a join reads of a row pair: l of the left input
+// row, then r of the right one.
+type pick struct {
+	l, r []int
+}
+
+// row appends the picked values of the pair (l, r) to dst; a nil r, the
+// right side of an unmatched LEFT JOIN row, gives NULLs. Every join builds
+// its output rows here, in a fresh row of exactly the picked width, and
+// its residual's input rows in a buffer it reuses.
+func (p *pick) row(dst, l, r Row) Row {
+	for _, s := range p.l {
+		dst = append(dst, l[s])
+	}
+	for _, s := range p.r {
+		if r == nil {
+			dst = append(dst, Null)
+		} else {
+			dst = append(dst, r[s])
+		}
+	}
+	return dst
+}
+
+// accepts reports whether the join's residual holds on the pair (l, r).
+// buf is the caller's row for the residual's input, reused across pairs.
+func (j *joinOn) accepts(buf *Row, l, r Row) (bool, error) {
+	if j.pred == nil {
+		return true, nil
+	}
+	*buf = j.check.row((*buf)[:0], l, r)
+	v, err := j.pred(*buf)
+	return err == nil && !v.IsNull() && v.Bool(), err
+}
+
+// emitRow builds the join's output row of the pair (l, r).
+func (j *joinOn) emitRow(l, r Row) Row {
+	return j.emit.row(make(Row, 0, len(j.emit.l)+len(j.emit.r)), l, r)
 }
 
 // equiKey describes one equality column pair between two relations.
@@ -133,8 +166,8 @@ func chainRow(head map[uint64]int32, next []int32, h uint64, j int) {
 // buffer each worker reuses, so neither side builds a string per row. The
 // morsels' stretches concatenate in probe order, so the output is the same
 // at every worker count, and a residual error surfaces from the earliest
-// failing probe morsel.
-func hashJoin(ctx *execCtx, l, r *relation, keys []equiKey, resFn evalFn) (*relation, error) {
+// failing probe morsel. Each output row holds the join's emit pick only.
+func hashJoin(ctx *execCtx, l, r *relation, j *joinOn) (*relation, error) {
 	out := &relation{}
 	// Build on the smaller side.
 	build, probe := r, l
@@ -143,7 +176,7 @@ func hashJoin(ctx *execCtx, l, r *relation, keys []equiKey, resFn evalFn) (*rela
 		build, probe = l, r
 		buildRight = false
 	}
-	buildCols, probeCols := keySlots(keys, buildRight)
+	buildCols, probeCols := keySlots(j.keys, buildRight)
 	nb, np := len(build.rows), len(probe.rows)
 	parts := min(ctx.par.par, maxJoinPartitions)
 	fan := ctx.par.fanOut(parts, nb+np)
@@ -151,6 +184,10 @@ func hashJoin(ctx *execCtx, l, r *relation, keys []equiKey, resFn evalFn) (*rela
 		parts = 1
 	}
 	bufs := make([][]byte, ctx.par.slots(fan))
+	var checks []Row // each worker's residual input row
+	if j.pred != nil {
+		checks = make([]Row, len(bufs))
+	}
 	hashes := make([]uint64, nb)
 	nulls := make([]bool, nb)
 	mb := numMorsels(nb)
@@ -200,12 +237,12 @@ func hashJoin(ctx *execCtx, l, r *relation, keys []equiKey, resFn evalFn) (*rela
 			}
 			var h uint64
 			bufs[w], h = joinKeyHash(bufs[w], prow, probeCols)
-			j, ok := heads[h%uint64(parts)][h]
+			b, ok := heads[h%uint64(parts)][h]
 			if !ok {
 				continue
 			}
-			for ; j >= 0; j = next[j] {
-				brow := build.rows[j]
+			for ; b >= 0; b = next[b] {
+				brow := build.rows[b]
 				if !joinKeysEq(brow, buildCols, prow, probeCols) {
 					continue
 				}
@@ -213,17 +250,15 @@ func hashJoin(ctx *execCtx, l, r *relation, keys []equiKey, resFn evalFn) (*rela
 				if !buildRight {
 					lrow, rrow = brow, prow
 				}
-				row := concatRows(lrow, rrow)
-				if resFn != nil {
-					v, err := resFn(row)
-					if err != nil {
-						return err
-					}
-					if v.IsNull() || !v.Bool() {
+				if j.pred != nil {
+					if ok, err := j.accepts(&checks[w], lrow, rrow); !ok {
+						if err != nil {
+							return err
+						}
 						continue
 					}
 				}
-				joined.add(w, row)
+				joined.add(w, j.emitRow(lrow, rrow))
 			}
 		}
 		joined.mark(w, i, start)
@@ -245,18 +280,19 @@ func hashJoin(ctx *execCtx, l, r *relation, keys []equiKey, resFn evalFn) (*rela
 // keys and residual conjuncts are verified per pair. It reproduces the
 // "PostgreSQL-like" profile behaviour (sort-merge machinery). ctx may be
 // nil (standalone join without a statement's sort-order cache).
-func mergeJoin(ctx *execCtx, l, r *relation, keys []equiKey, resFn evalFn) (*relation, error) {
-	if len(keys) == 0 {
-		return nestedLoopJoin(ctx, l, r, resFn)
+func mergeJoin(ctx *execCtx, l, r *relation, j *joinOn) (*relation, error) {
+	if len(j.keys) == 0 {
+		return nestedLoopJoin(ctx, l, r, j)
 	}
 	out := &relation{}
-	rest := keys[1:]
-	k0 := keys[0]
+	rest := j.keys[1:]
+	k0 := j.keys[0]
+	var check Row
 	li := ctx.sortedOrder(l, k0.lSlot)
 	ri := ctx.sortedOrder(r, k0.rSlot)
-	i, j := 0, 0
+	i, k := 0, 0
 	steps := 0
-	for i < len(li) && j < len(ri) {
+	for i < len(li) && k < len(ri) {
 		if steps&pollMask == 0 {
 			if err := ctx.cancelled(); err != nil {
 				return nil, err
@@ -264,13 +300,13 @@ func mergeJoin(ctx *execCtx, l, r *relation, keys []equiKey, resFn evalFn) (*rel
 		}
 		steps++
 		lv := l.rows[li[i]][k0.lSlot]
-		rv := r.rows[ri[j]][k0.rSlot]
+		rv := r.rows[ri[k]][k0.rSlot]
 		if lv.IsNull() {
 			i++
 			continue
 		}
 		if rv.IsNull() {
-			j++
+			k++
 			continue
 		}
 		c, err := Compare(lv, rv)
@@ -281,7 +317,7 @@ func mergeJoin(ctx *execCtx, l, r *relation, keys []equiKey, resFn evalFn) (*rel
 		case c < 0:
 			i++
 		case c > 0:
-			j++
+			k++
 		default:
 			// find the equal runs
 			i2 := i
@@ -292,16 +328,16 @@ func mergeJoin(ctx *execCtx, l, r *relation, keys []equiKey, resFn evalFn) (*rel
 				}
 				i2++
 			}
-			j2 := j
-			for j2 < len(ri) {
-				v := r.rows[ri[j2]][k0.rSlot]
+			k2 := k
+			for k2 < len(ri) {
+				v := r.rows[ri[k2]][k0.rSlot]
 				if v.IsNull() || !Equal(v, rv) {
 					break
 				}
-				j2++
+				k2++
 			}
 			for a := i; a < i2; a++ {
-				for b := j; b < j2; b++ {
+				for b := k; b < k2; b++ {
 					lrow, rrow := l.rows[li[a]], r.rows[ri[b]]
 					ok := true
 					for _, k := range rest {
@@ -313,20 +349,16 @@ func mergeJoin(ctx *execCtx, l, r *relation, keys []equiKey, resFn evalFn) (*rel
 					if !ok {
 						continue
 					}
-					joined := concatRows(lrow, rrow)
-					if resFn != nil {
-						v, err := resFn(joined)
+					if ok, err := j.accepts(&check, lrow, rrow); !ok {
 						if err != nil {
 							return nil, err
 						}
-						if v.IsNull() || !v.Bool() {
-							continue
-						}
+						continue
 					}
-					out.rows = append(out.rows, joined)
+					out.rows = append(out.rows, j.emitRow(lrow, rrow))
 				}
 			}
-			i, j = i2, j2
+			i, k = i2, k2
 		}
 	}
 	return out, nil
@@ -347,51 +379,56 @@ func computeSortedOrder(r *relation, slot int) []int {
 	return idx
 }
 
-// nestedLoopJoin joins with an arbitrary predicate (nil = cross join).
-// ctx may be nil (standalone join without cancellation).
-func nestedLoopJoin(ctx *execCtx, l, r *relation, f evalFn) (*relation, error) {
+// nestedLoopJoin joins every pair its residual accepts (no residual: a
+// cross join). ctx may be nil (standalone join without cancellation).
+func nestedLoopJoin(ctx *execCtx, l, r *relation, j *joinOn) (*relation, error) {
 	out := &relation{}
+	var check Row
 	for _, lrow := range l.rows {
 		if err := ctx.cancelled(); err != nil {
 			return nil, err
 		}
 		for _, rrow := range r.rows {
-			joined := concatRows(lrow, rrow)
-			if f != nil {
-				v, err := f(joined)
+			if ok, err := j.accepts(&check, lrow, rrow); !ok {
 				if err != nil {
 					return nil, err
 				}
-				if v.IsNull() || !v.Bool() {
-					continue
-				}
+				continue
 			}
-			out.rows = append(out.rows, joined)
+			out.rows = append(out.rows, j.emitRow(lrow, rrow))
 		}
 	}
 	return out, nil
 }
 
-// leftJoin performs a left outer join; unmatched left rows are padded with
-// rWidth NULLs. With equi keys, the right side is hashed on them and pred
-// is the residual that decides matching; without, pred is the whole ON
-// predicate, tested on every pair. ctx may be nil (standalone join without
-// cancellation).
-func leftJoin(ctx *execCtx, l, r *relation, keys []equiKey, pred evalFn, rWidth int) (*relation, error) {
+// leftJoin performs a left outer join; an unmatched left row is emitted
+// with NULLs in the picked right slots. With equi keys, the right side is
+// hashed on them and the residual decides matching; without, the residual
+// is the whole ON predicate, tested on every pair. ctx may be nil
+// (standalone join without cancellation).
+func leftJoin(ctx *execCtx, l, r *relation, j *joinOn) (*relation, error) {
 	out := &relation{}
-	nullPad := make(Row, rWidth)
-	if len(keys) > 0 {
-		lCols, rCols := keySlots(keys, false)
+	var check Row
+	// match emits the pair (lrow, rrow) when the residual accepts it.
+	match := func(lrow, rrow Row) (bool, error) {
+		ok, err := j.accepts(&check, lrow, rrow)
+		if ok {
+			out.rows = append(out.rows, j.emitRow(lrow, rrow))
+		}
+		return ok, err
+	}
+	if len(j.keys) > 0 {
+		lCols, rCols := keySlots(j.keys, false)
 		next := make([]int32, len(r.rows))
 		head := make(map[uint64]int32, len(r.rows))
 		var buf []byte
-		for j := len(r.rows) - 1; j >= 0; j-- {
-			if hasNullAt(r.rows[j], rCols) {
+		for k := len(r.rows) - 1; k >= 0; k-- {
+			if hasNullAt(r.rows[k], rCols) {
 				continue
 			}
 			var h uint64
-			buf, h = joinKeyHash(buf, r.rows[j], rCols)
-			chainRow(head, next, h, j)
+			buf, h = joinKeyHash(buf, r.rows[k], rCols)
+			chainRow(head, next, h, k)
 		}
 		for i, lrow := range l.rows {
 			if i&pollMask == 0 {
@@ -403,28 +440,21 @@ func leftJoin(ctx *execCtx, l, r *relation, keys []equiKey, pred evalFn, rWidth 
 			if !hasNullAt(lrow, lCols) {
 				var h uint64
 				buf, h = joinKeyHash(buf, lrow, lCols)
-				j, ok := head[h]
-				for ; ok && j >= 0; j = next[j] {
-					rrow := r.rows[j]
+				k, ok := head[h]
+				for ; ok && k >= 0; k = next[k] {
+					rrow := r.rows[k]
 					if !joinKeysEq(rrow, rCols, lrow, lCols) {
 						continue
 					}
-					joined := concatRows(lrow, rrow)
-					if pred != nil {
-						v, err := pred(joined)
-						if err != nil {
-							return nil, err
-						}
-						if v.IsNull() || !v.Bool() {
-							continue
-						}
+					hit, err := match(lrow, rrow)
+					if err != nil {
+						return nil, err
 					}
-					out.rows = append(out.rows, joined)
-					matched = true
+					matched = matched || hit
 				}
 			}
 			if !matched {
-				out.rows = append(out.rows, concatRows(lrow, nullPad))
+				out.rows = append(out.rows, j.emitRow(lrow, nil))
 			}
 		}
 		return out, nil
@@ -436,38 +466,17 @@ func leftJoin(ctx *execCtx, l, r *relation, keys []equiKey, pred evalFn, rWidth 
 		}
 		matched := false
 		for _, rrow := range r.rows {
-			joined := concatRows(lrow, rrow)
-			if pred != nil {
-				v, err := pred(joined)
-				if err != nil {
-					return nil, err
-				}
-				if v.IsNull() || !v.Bool() {
-					continue
-				}
+			hit, err := match(lrow, rrow)
+			if err != nil {
+				return nil, err
 			}
-			out.rows = append(out.rows, joined)
-			matched = true
+			matched = matched || hit
 		}
 		if !matched {
-			out.rows = append(out.rows, concatRows(lrow, nullPad))
+			out.rows = append(out.rows, j.emitRow(lrow, nil))
 		}
 	}
 	return out, nil
-}
-
-// keepColumns projects a NATURAL join's output onto the slots in keep
-// (the shared columns once, from the left side).
-func keepColumns(joined *relation, keep []int) *relation {
-	out := &relation{rows: make([]Row, len(joined.rows))}
-	for ri, row := range joined.rows {
-		nr := make(Row, len(keep))
-		for i, s := range keep {
-			nr[i] = row[s]
-		}
-		out.rows[ri] = nr
-	}
-	return out
 }
 
 // distinctRows removes duplicate rows, preserving first occurrence order.

@@ -494,7 +494,8 @@ func buildFrom(ctx *execCtx, ps *prepSelect) (*relation, *selectPlan, error) {
 		}
 	}
 	cur := rels[p.item(0)]
-	for step, st := range p.steps {
+	for step := range p.steps {
+		st := &p.steps[step]
 		if err := ctx.cancelled(); err != nil {
 			return nil, nil, err
 		}
@@ -505,13 +506,13 @@ func buildFrom(ctx *execCtx, ps *prepSelect) (*relation, *selectPlan, error) {
 		switch {
 		case len(st.keys) > 0 && ctx.profile == ProfileSortMerge:
 			algo = "merge join"
-			cur, err = mergeJoin(ctx, cur, next, st.keys, st.pred)
+			cur, err = mergeJoin(ctx, cur, next, st)
 		case len(st.keys) > 0:
 			algo = "hash join"
-			cur, err = hashJoin(ctx, cur, next, st.keys, st.pred)
+			cur, err = hashJoin(ctx, cur, next, st)
 		default:
 			algo = "nested loop"
-			cur, err = nestedLoopJoin(ctx, cur, next, st.pred)
+			cur, err = nestedLoopJoin(ctx, cur, next, st)
 		}
 		if err != nil {
 			return nil, nil, err
@@ -667,15 +668,15 @@ func buildRef(ctx *execCtx, ref *prepRef) (*relation, error) {
 	switch {
 	case j.kind == JoinLeft:
 		algo = "left join"
-		out, err = leftJoin(ctx, l, r, j.keys, j.pred, j.rWidth)
+		out, err = leftJoin(ctx, l, r, &j.joinOn)
 	case len(j.keys) == 0:
-		out, err = nestedLoopJoin(ctx, l, r, j.pred)
+		out, err = nestedLoopJoin(ctx, l, r, &j.joinOn)
 	case ctx.profile == ProfileSortMerge:
 		algo = "merge join"
-		out, err = mergeJoin(ctx, l, r, j.keys, j.pred)
+		out, err = mergeJoin(ctx, l, r, &j.joinOn)
 	default:
 		algo = "hash join"
-		out, err = hashJoin(ctx, l, r, j.keys, j.pred)
+		out, err = hashJoin(ctx, l, r, &j.joinOn)
 	}
 	if err != nil {
 		return nil, err
@@ -687,7 +688,6 @@ func buildRef(ctx *execCtx, ref *prepRef) (*relation, error) {
 		if ctx.profile == ProfileSortMerge {
 			algo = "merge join"
 		}
-		out = keepColumns(out, j.keep)
 	}
 	ctx.accountRows(out)
 	note := ctx.takeParNote()

@@ -14,9 +14,10 @@ import (
 // executing it. Prepare resolves every column reference to a slot, lays
 // out every FROM item's columns, places each WHERE conjunct (on one FROM
 // item, or on the join step that first sees all its columns), records
-// each join step's equi-key slot pairs and residual, builds the evalFns of
-// filters, residuals, SELECT items, ORDER BY keys and aggregates, and
-// numbers the distinct derived tables. Execute reads table rows, runs the
+// each join's equi-key slot pairs, residual and the pick of the columns
+// it emits (those read above it), builds the evalFns of filters,
+// residuals, SELECT items, ORDER BY keys and aggregates, and numbers the
+// distinct derived tables. Execute reads table rows, runs the
 // operators and fills the statement cache; it resolves no name.
 //
 // A Prepared is planned for the database's profile at Prepare time. It is
@@ -71,7 +72,7 @@ type sortMerge struct {
 	layouts [][]colMeta // per FROM item
 	// pending are the conjuncts left to join planning; links describes
 	// their column-equality edges.
-	pending []Expr
+	pending []conjunct
 	links   []equiLink
 
 	mu     sync.Mutex
@@ -85,6 +86,12 @@ type pushedPred struct {
 	expr Expr // profile detail
 }
 
+// conjunct is a WHERE conjunct with the column references it reads.
+type conjunct struct {
+	expr Expr
+	refs []*ColRef
+}
+
 // equiLink is one column-equality conjunct for the greedy join order: the
 // FROM items each of its two columns resolves in.
 type equiLink struct {
@@ -92,11 +99,13 @@ type equiLink struct {
 }
 
 // selectPlan is a SELECT block bound for one join order: the join steps,
-// then everything bound against the joined layout.
+// then everything bound against the joined layout. Each step emits only
+// the columns a later step or the block's tail reads, so the joined
+// layout holds those alone.
 type selectPlan struct {
 	// order lists the FROM items in join order; nil is the written order.
 	order []int
-	steps []joinStep
+	steps []joinOn
 	// rest is the conjunction no join step consumed (only possible without
 	// FROM or with a single FROM item), restExpr its profile detail.
 	rest     evalFn
@@ -116,12 +125,17 @@ func (p *selectPlan) item(k int) int {
 	return p.order[k]
 }
 
-// joinStep joins the next FROM item of the order into the running result.
-type joinStep struct {
+// joinOn is how a join step of the FROM list, or an explicit JOIN, matches
+// and emits row pairs of its left and right inputs.
+type joinOn struct {
 	keys []equiKey
 	// pred is the residual predicate (all usable conjuncts when keys is
-	// empty); nil when there is none.
-	pred evalFn
+	// empty), evaluated on the row check picks; nil when there is none.
+	pred  evalFn
+	check pick
+	// emit picks each output row: the input slots something above the
+	// join reads.
+	emit pick
 }
 
 // projection is a bound SELECT list: one evalFn per computed item, and a
@@ -156,18 +170,13 @@ type prepRef struct {
 	join *prepJoin
 }
 
-// prepJoin is a bound explicit JOIN.
+// prepJoin is a bound explicit JOIN. Its pred is the residual when keys is
+// non-empty, the whole ON predicate otherwise; a LEFT join pads the right
+// slots of emit with NULLs for an unmatched row.
 type prepJoin struct {
 	kind JoinKind
 	l, r *prepRef
-	keys []equiKey
-	// pred is the residual when keys is non-empty, the whole ON predicate
-	// otherwise; nil when there is none.
-	pred evalFn
-	// keep lists the slots a NATURAL join keeps of l's columns then r's.
-	keep []int
-	// rWidth is r's column count, the NULL padding of a LEFT join.
-	rWidth int
+	joinOn
 	detail string
 }
 
@@ -282,27 +291,36 @@ func (b *binder) selectBlock(s *SelectStmt) (*prepSelect, error) {
 	ps := &prepSelect{from: make([]*prepRef, len(s.From)), distinct: s.Distinct, limit: s.Limit, offset: s.Offset}
 	layouts := make([][]colMeta, len(s.From))
 	for i, tr := range s.From {
-		r, cols, err := b.ref(tr)
+		// An explicit JOIN emits only the columns the block can read of it.
+		var need []bool
+		if _, ok := tr.(*JoinRef); ok {
+			full, err := b.layout(tr)
+			if err != nil {
+				return nil, err
+			}
+			need = blockReads(s, full)
+		}
+		r, cols, err := b.ref(tr, need)
 		if err != nil {
 			return nil, err
 		}
 		ps.from[i], layouts[i] = r, cols
 	}
-	// A conjunct that binds on one FROM item filters the first such item
-	// before any join.
-	var pending []Expr
+	// A conjunct whose columns all resolve on one FROM item filters the
+	// first such item before any join.
+	var pending []conjunct
 	for _, c := range Conjuncts(s.Where) {
-		placed := false
-		for i, cols := range layouts {
-			if fn, err := bindExpr(c, cols); err == nil {
-				ps.pushed = append(ps.pushed, pushedPred{item: i, fn: fn, expr: c})
-				placed = true
-				break
-			}
+		refs := ColumnRefs(c)
+		item := slices.IndexFunc(layouts, func(cols []colMeta) bool { return resolves(refs, cols) })
+		if item < 0 {
+			pending = append(pending, conjunct{c, refs})
+			continue
 		}
-		if !placed {
-			pending = append(pending, c)
+		fn, err := bindExpr(c, layouts[item])
+		if err != nil {
+			return nil, err
 		}
+		ps.pushed = append(ps.pushed, pushedPred{item: item, fn: fn, expr: c})
 	}
 	if b.profile == ProfileSortMerge {
 		ps.sm = &sortMerge{stmt: s, layouts: layouts, pending: pending, links: equiLinks(pending, layouts)}
@@ -312,12 +330,58 @@ func (b *binder) selectBlock(s *SelectStmt) (*prepSelect, error) {
 	return ps, err
 }
 
+// blockReads marks the columns of one FROM item's layout that block s can
+// read: the first match of each column reference, and every column a star
+// expands to. Keeping the first match of every name keeps it resolving to
+// the same column whatever else is dropped or joined before it.
+func blockReads(s *SelectStmt, cols []colMeta) []bool {
+	need := make([]bool, len(cols))
+	mark := func(e Expr) {
+		for _, r := range ColumnRefs(e) {
+			if q := findCol(cols, r.Table, r.Name); q >= 0 {
+				need[q] = true
+			}
+		}
+	}
+	mark(s.Where)
+	for _, it := range s.Items {
+		if !it.Star {
+			mark(it.Expr)
+			continue
+		}
+		t := strings.ToLower(it.Table)
+		for q, c := range cols {
+			if t == "" || c.table == t {
+				need[q] = true
+			}
+		}
+	}
+	for _, g := range s.GroupBy {
+		mark(g)
+	}
+	mark(s.Having)
+	for _, o := range s.OrderBy {
+		mark(o.Expr)
+	}
+	return need
+}
+
+// resolves reports whether every column reference resolves in cols.
+func resolves(refs []*ColRef, cols []colMeta) bool {
+	for _, r := range refs {
+		if findCol(cols, r.Table, r.Name) < 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // equiLinks records, for every column-equality conjunct, where its two
 // columns resolve.
-func equiLinks(conjuncts []Expr, layouts [][]colMeta) []equiLink {
+func equiLinks(conjuncts []conjunct, layouts [][]colMeta) []equiLink {
 	var links []equiLink
 	for _, c := range conjuncts {
-		e, ok := c.(*BinOp)
+		e, ok := c.expr.(*BinOp)
 		if !ok || e.Op != OpEq {
 			continue
 		}
@@ -372,19 +436,27 @@ func (ps *prepSelect) planFor(order []int) (*selectPlan, error) {
 }
 
 // bindPlan plans block s, whose FROM items have the given layouts, for
-// one join order (nil: the written order): each step consumes the pending
-// conjuncts that bind on the columns joined so far, split into equi keys
-// and a residual; the SELECT list, grouping and ORDER BY bind against the
-// joined layout. b, when set, shares literal evalFns across the
-// statement.
-func bindPlan(b *binder, s *SelectStmt, layouts [][]colMeta, pending []Expr, order []int) (*selectPlan, error) {
+// one join order (nil: the written order). Every column reference
+// resolves once against the order's full layout, the concatenation of its
+// FROM items. A pending conjunct runs at the first step that has joined
+// every column it reads, as an equi key or in the step's residual, and
+// each step emits only the columns a later step or the block's tail reads.
+// The tail (the conjunction no step consumed, the SELECT list, grouping
+// and ORDER BY) binds against the last step's layout. A narrowed layout
+// keeps its columns in full order, and the column each name read through
+// it resolves to, so names resolve there as in the full layout. b, when
+// set, shares literal evalFns across the statement.
+func bindPlan(b *binder, s *SelectStmt, layouts [][]colMeta, pending []conjunct, order []int) (*selectPlan, error) {
 	p := &selectPlan{order: order}
 	n := len(layouts)
-	// Every step's layout is a prefix of the order's full layout, which
-	// one FROM item alone shares with its scan.
+	// all is the order's full layout; ends[k] is where the k-th item of
+	// the order ends in it, start[i] where FROM item i begins. One FROM
+	// item alone shares its scan's layout.
 	var all []colMeta
+	ends, start := make([]int, n), make([]int, n)
 	if n == 1 {
 		all = layouts[0]
+		ends[0] = len(all)
 	} else if n > 1 {
 		width := 0
 		for _, cols := range layouts {
@@ -392,43 +464,11 @@ func bindPlan(b *binder, s *SelectStmt, layouts [][]colMeta, pending []Expr, ord
 		}
 		all = make([]colMeta, 0, width)
 		for k := range n {
-			all = append(all, layouts[p.item(k)]...)
+			i := p.item(k)
+			start[i] = len(all)
+			all = append(all, layouts[i]...)
+			ends[k] = len(all)
 		}
-	}
-	var cur []colMeta
-	for k := range n {
-		next := layouts[p.item(k)]
-		if k == 0 {
-			cur = next
-			continue
-		}
-		combined := all[:len(cur)+len(next)]
-		var usable, still []Expr
-		for _, c := range pending {
-			if _, err := bindExpr(c, combined); err == nil {
-				usable = append(usable, c)
-			} else {
-				still = append(still, c)
-			}
-		}
-		var st joinStep
-		var residual []Expr
-		st.keys, residual = extractEquiKeys(usable, cur, next)
-		if res := AndAll(residual); res != nil {
-			var err error
-			if st.pred, err = bindExpr(res, combined); err != nil {
-				return nil, err
-			}
-		}
-		p.steps = append(p.steps, st)
-		cur, pending = combined, still
-	}
-	if rest := AndAll(pending); rest != nil {
-		var err error
-		if p.rest, err = bindExpr(rest, cur); err != nil {
-			return nil, err
-		}
-		p.restExpr = rest
 	}
 
 	hasAgg := len(s.GroupBy) > 0 || s.Having != nil
@@ -437,14 +477,179 @@ func bindPlan(b *binder, s *SelectStmt, layouts [][]colMeta, pending []Expr, ord
 			hasAgg = true
 		}
 	}
+	// Without aggregation, out is the output layout and stars lists the
+	// positions in all of each star item's columns. Stars expand in written
+	// FROM order whatever the join order, so a block's output layout never
+	// depends on the data.
+	var out []colMeta
+	var stars [][]int
+	if !hasAgg {
+		out = make([]colMeta, 0, len(s.Items))
+		for _, it := range s.Items {
+			if !it.Star {
+				out = append(out, itemCol(it))
+				continue
+			}
+			var pos []int
+			t := strings.ToLower(it.Table)
+			for i, f := range layouts {
+				for j, c := range f {
+					if t == "" || c.table == t {
+						out = append(out, c)
+						pos = append(pos, start[i]+j)
+					}
+				}
+			}
+			if len(pos) == 0 {
+				return nil, fmt.Errorf("sqldb: %s.* matches no columns", it.Table)
+			}
+			stars = append(stars, pos)
+		}
+	}
+
+	// at[c] is the join step pending conjunct c runs at, 0 for the tail;
+	// refPos[c] the positions in all its columns resolve to. last[q] is the
+	// last reader of position q: a step in 1..n-1, or n for the tail.
+	at := make([]int, len(pending))
+	refPos := make([][]int, len(pending))
+	var last []int
+	if n > 1 {
+		last = make([]int, len(all))
+		read := func(refs []*ColRef) {
+			for _, r := range refs {
+				if q := findCol(all, r.Table, r.Name); q >= 0 {
+					last[q] = n
+				}
+			}
+		}
+		for c, pc := range pending {
+			k := 1
+			for _, r := range pc.refs {
+				q := findCol(all, r.Table, r.Name)
+				if q < 0 {
+					k = 0
+					break
+				}
+				refPos[c] = append(refPos[c], q)
+				k = max(k, slices.IndexFunc(ends, func(end int) bool { return q < end }))
+			}
+			at[c] = k
+			if k == 0 {
+				read(pc.refs)
+				continue
+			}
+			for _, q := range refPos[c] {
+				last[q] = max(last[q], k)
+			}
+		}
+		if hasAgg {
+			for _, g := range s.GroupBy {
+				read(ColumnRefs(g))
+			}
+			read(ColumnRefs(s.Having))
+		}
+		for _, it := range s.Items {
+			read(ColumnRefs(it.Expr))
+		}
+		for _, pos := range stars {
+			for _, q := range pos {
+				last[q] = n
+			}
+		}
+		if !hasAgg && !s.Distinct {
+			for _, o := range s.OrderBy {
+				if refs := ColumnRefs(o.Expr); !resolves(refs, out) {
+					read(refs)
+				}
+			}
+		}
+	}
+
+	// cur is the joined layout, pos its positions in all (nil: all of
+	// them, while nothing is joined).
+	var cur []colMeta
+	var pos []int
+	if n > 0 {
+		cur = layouts[p.item(0)]
+	}
+	if n > 1 {
+		pos = make([]int, ends[0])
+		for i := range pos {
+			pos[i] = i
+		}
+		p.steps = make([]joinOn, 0, n-1)
+	}
+	for k := 1; k < n; k++ {
+		next := layouts[p.item(k)]
+		base := ends[k-1]
+		var st joinOn
+		var residual []Expr
+		var check []int
+		for c, pc := range pending {
+			if at[c] != k {
+				continue
+			}
+			if key, ok := equiKeyOf(pc.expr, cur, next); ok {
+				st.keys = append(st.keys, key)
+				continue
+			}
+			residual = append(residual, pc.expr)
+			check = append(check, refPos[c]...)
+		}
+		if res := AndAll(residual); res != nil {
+			slices.Sort(check)
+			check = slices.Compact(check)
+			st.check = pickOf(check, base, pos, nil)
+			var err error
+			if st.pred, err = bindExpr(res, colsAt(all, check)); err != nil {
+				return nil, err
+			}
+		}
+		keep := make([]int, 0, len(pos)+len(next))
+		for _, q := range pos {
+			if last[q] > k {
+				keep = append(keep, q)
+			}
+		}
+		for q := base; q < ends[k]; q++ {
+			if last[q] > k {
+				keep = append(keep, q)
+			}
+		}
+		st.emit = pickOf(keep, base, pos, nil)
+		p.steps = append(p.steps, st)
+		pos, cur = keep, colsAt(all, keep)
+	}
+	var rest []Expr
+	for c, pc := range pending {
+		if at[c] == 0 {
+			rest = append(rest, pc.expr)
+		}
+	}
+	if r := AndAll(rest); r != nil {
+		var err error
+		if p.rest, err = bindExpr(r, cur); err != nil {
+			return nil, err
+		}
+		p.restExpr = r
+	}
+
 	var err error
 	if hasAgg {
 		p.agg, p.out, err = bindAggregate(s, cur)
+		if err != nil {
+			return nil, err
+		}
 	} else {
-		p.proj, p.out, err = bindProjection(b, s.Items, layouts, p, cur)
-	}
-	if err != nil {
-		return nil, err
+		for _, sp := range stars {
+			for i, q := range sp {
+				sp[i] = slotIn(pos, q)
+			}
+		}
+		p.out = out
+		if p.proj, err = bindProjection(b, s.Items, stars, cur, order == nil); err != nil {
+			return nil, err
+		}
 	}
 	if len(s.OrderBy) > 0 {
 		// ORDER BY reads the input rows aligned with the output only
@@ -460,43 +665,52 @@ func bindPlan(b *binder, s *SelectStmt, layouts [][]colMeta, pending []Expr, ord
 	return p, nil
 }
 
-// bindProjection binds the SELECT list against the joined layout cols of
-// plan p's join order over FROM items laid out as layouts. Stars expand in
-// written FROM order whatever the join order, so a block's output layout
-// never depends on the data. b, when set, shares literal evalFns.
-func bindProjection(b *binder, items []SelectItem, layouts [][]colMeta, p *selectPlan, cols []colMeta) (*projection, []colMeta, error) {
-	if len(items) == 1 && items[0].Star && items[0].Table == "" && p.order == nil {
-		return &projection{passThrough: true}, cols, nil
+// colsAt returns the columns of cols at positions pos.
+func colsAt(cols []colMeta, pos []int) []colMeta {
+	out := make([]colMeta, len(pos))
+	for i, q := range pos {
+		out[i] = cols[q]
 	}
-	pr := &projection{}
-	var out []colMeta
-	var offset []int
+	return out
+}
+
+// pickOf builds the pick of positions pos of a join's full left++right
+// layout, whose left side has lw columns. A narrowed input holds the full
+// slots listed in lkeep or rkeep (ascending); nil lists all of them.
+func pickOf(pos []int, lw int, lkeep, rkeep []int) pick {
+	nl, _ := slices.BinarySearch(pos, lw)
+	pk := pick{l: make([]int, nl), r: make([]int, len(pos)-nl)}
+	for i, q := range pos[:nl] {
+		pk.l[i] = slotIn(lkeep, q)
+	}
+	for i, q := range pos[nl:] {
+		pk.r[i] = slotIn(rkeep, q-lw)
+	}
+	return pk
+}
+
+// slotIn returns the slot of full slot q in an input that holds the full
+// slots keep (nil: all of them).
+func slotIn(keep []int, q int) int {
+	if keep == nil {
+		return q
+	}
+	i, _ := slices.BinarySearch(keep, q)
+	return i
+}
+
+// bindProjection binds the SELECT list against the joined layout cols;
+// stars holds the slots in cols of each star item's columns. SELECT * over
+// the FROM items in written order passes the input relation through. b,
+// when set, shares literal evalFns.
+func bindProjection(b *binder, items []SelectItem, stars [][]int, cols []colMeta, written bool) (*projection, error) {
+	if len(items) == 1 && items[0].Star && items[0].Table == "" && written {
+		return &projection{passThrough: true}, nil
+	}
+	pr := &projection{stars: stars}
 	for _, it := range items {
 		if it.Star {
-			if offset == nil {
-				// offset[i] is where FROM item i's columns start in cols.
-				offset = make([]int, len(layouts))
-				at := 0
-				for k := range layouts {
-					offset[p.item(k)] = at
-					at += len(layouts[p.item(k)])
-				}
-			}
-			var slots []int
-			q := strings.ToLower(it.Table)
-			for i, f := range layouts {
-				for j, c := range f {
-					if q == "" || c.table == q {
-						out = append(out, c)
-						slots = append(slots, offset[i]+j)
-					}
-				}
-			}
-			if len(slots) == 0 {
-				return nil, nil, fmt.Errorf("sqldb: %s.* matches no columns", it.Table)
-			}
 			pr.fns = append(pr.fns, nil)
-			pr.stars = append(pr.stars, slots)
 			continue
 		}
 		var fn evalFn
@@ -505,13 +719,12 @@ func bindProjection(b *binder, items []SelectItem, layouts [][]colMeta, p *selec
 		} else {
 			var err error
 			if fn, err = bindExpr(it.Expr, cols); err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 		}
-		out = append(out, itemCol(it))
 		pr.fns = append(pr.fns, fn)
 	}
-	return pr, out, nil
+	return pr, nil
 }
 
 // itemCol names the output column of a computed SELECT item.
@@ -525,31 +738,34 @@ func itemCol(it SelectItem) colMeta {
 	return colMeta{name: strings.ToLower(it.Expr.String())}
 }
 
-// bindOrderBy binds each ORDER BY key to the output columns when it
-// resolves there, otherwise to the aligned input columns (nil when the
-// input rows are not aligned with the output).
+// bindOrderBy binds each ORDER BY key to the output columns when its
+// columns resolve there, otherwise to the aligned input columns (nil when
+// the input rows are not aligned with the output).
 func bindOrderBy(order []OrderItem, out, in []colMeta) (*sortPlan, error) {
 	sp := &sortPlan{keys: make([]evalFn, len(order)), desc: make([]bool, len(order)), fromInput: make([]bool, len(order))}
 	for i, o := range order {
 		sp.desc[i] = o.Desc
-		if fn, err := bindExpr(o.Expr, out); err == nil {
-			sp.keys[i] = fn
-			continue
+		cols := out
+		if !resolves(ColumnRefs(o.Expr), out) {
+			if in == nil {
+				return nil, fmt.Errorf("sqldb: cannot resolve ORDER BY expression %s", o.Expr)
+			}
+			cols, sp.fromInput[i] = in, true
 		}
-		if in == nil {
-			return nil, fmt.Errorf("sqldb: cannot resolve ORDER BY expression %s", o.Expr)
-		}
-		fn, err := bindExpr(o.Expr, in)
+		fn, err := bindExpr(o.Expr, cols)
 		if err != nil {
 			return nil, err
 		}
-		sp.keys[i], sp.fromInput[i] = fn, true
+		sp.keys[i] = fn
 	}
 	return sp, nil
 }
 
-// ref binds one FROM item and returns it with its column layout.
-func (b *binder) ref(tr TableRef) (*prepRef, []colMeta, error) {
+// ref binds one FROM item and returns it with its column layout. An
+// explicit JOIN emits only the columns of its full layout (see layout)
+// that need marks, nil marking all; a table or a derived table always
+// yields every column, so its rows stay shared.
+func (b *binder) ref(tr TableRef, need []bool) (*prepRef, []colMeta, error) {
 	switch t := tr.(type) {
 	case *BaseTable:
 		tab := b.db.Table(t.Name)
@@ -582,64 +798,151 @@ func (b *binder) ref(tr TableRef) (*prepRef, []colMeta, error) {
 		}
 		return &prepRef{name: t.Alias, sub: d.chain, id: d.id}, cols, nil
 	case *JoinRef:
-		return b.join(t)
+		return b.join(t, need)
 	}
 	return nil, nil, fmt.Errorf("sqldb: unsupported table reference %T", tr)
 }
 
-func (b *binder) join(t *JoinRef) (*prepRef, []colMeta, error) {
-	l, lcols, err := b.ref(t.L)
+// layout returns the columns a FROM item yields before narrowing: an
+// explicit JOIN's are its sides' (a NATURAL join's shared ones once).
+func (b *binder) layout(tr TableRef) ([]colMeta, error) {
+	t, ok := tr.(*JoinRef)
+	if !ok {
+		_, cols, err := b.ref(tr, nil)
+		return cols, err
+	}
+	l, err := b.layout(t.L)
+	if err != nil {
+		return nil, err
+	}
+	r, err := b.layout(t.R)
+	if err != nil {
+		return nil, err
+	}
+	joined := append(slices.Clip(l), r...)
+	if t.Kind == JoinNatural {
+		_, out := naturalKeys(l, r)
+		return colsAt(joined, out), nil
+	}
+	return joined, nil
+}
+
+// join binds an explicit JOIN that emits the columns of its full layout
+// marked in need. It reads its sides at those columns, its equi keys and
+// its residual's columns; a side that is itself a JOIN emits only those.
+func (b *binder) join(t *JoinRef, need []bool) (*prepRef, []colMeta, error) {
+	lfull, err := b.layout(t.L)
 	if err != nil {
 		return nil, nil, err
 	}
-	r, rcols, err := b.ref(t.R)
+	rfull, err := b.layout(t.R)
 	if err != nil {
 		return nil, nil, err
 	}
-	j := &prepJoin{kind: t.Kind, l: l, r: r, rWidth: len(rcols), detail: strings.ToLower(t.Kind.String())}
-	joined := make([]colMeta, 0, len(lcols)+len(rcols))
-	joined = append(append(joined, lcols...), rcols...)
-	switch t.Kind {
-	case JoinCross:
-	case JoinNatural:
+	lw := len(lfull)
+	joined := append(slices.Clip(lfull), rfull...)
+	j := &prepJoin{kind: t.Kind, detail: strings.ToLower(t.Kind.String())}
+	// out lists the slots of joined the join yields before narrowing.
+	var keys []equiKey
+	var pred Expr
+	var out []int
+	if t.Kind == JoinNatural {
 		// Join on every same-named column pair and keep the shared
 		// columns once, from the left side.
-		rUsed := make([]bool, len(rcols))
-		for ls, lc := range lcols {
-			for rs, rc := range rcols {
-				if !rUsed[rs] && lc.name == rc.name {
-					j.keys = append(j.keys, equiKey{ls, rs})
-					rUsed[rs] = true
-					break
-				}
+		keys, out = naturalKeys(lfull, rfull)
+	} else {
+		if t.Kind != JoinCross { // inner and left
+			var residual []Expr
+			keys, residual = extractEquiKeys(Conjuncts(t.On), lfull, rfull)
+			pred = t.On
+			if len(keys) > 0 {
+				pred = AndAll(residual)
 			}
 		}
-		for i := range lcols {
-			j.keep = append(j.keep, i)
+		out = make([]int, len(joined))
+		for i := range out {
+			out[i] = i
 		}
-		for i := range rcols {
-			if !rUsed[i] {
-				j.keep = append(j.keep, len(lcols)+i)
+	}
+	reads := make([]bool, len(joined))
+	var emit, check []int
+	for i, q := range out {
+		if need == nil || need[i] {
+			reads[q] = true
+			emit = append(emit, q)
+		}
+	}
+	for _, k := range keys {
+		reads[k.lSlot], reads[lw+k.rSlot] = true, true
+	}
+	if pred != nil {
+		for _, r := range ColumnRefs(pred) {
+			if q := findCol(joined, r.Table, r.Name); q >= 0 {
+				reads[q] = true
+				check = append(check, q)
 			}
 		}
-		kept := make([]colMeta, len(j.keep))
-		for i, s := range j.keep {
-			kept[i] = joined[s]
+		slices.Sort(check)
+		check = slices.Compact(check)
+	}
+	if j.l, _, err = b.ref(t.L, reads[:lw]); err != nil {
+		return nil, nil, err
+	}
+	if j.r, _, err = b.ref(t.R, reads[lw:]); err != nil {
+		return nil, nil, err
+	}
+	lkeep, rkeep := kept(t.L, reads[:lw]), kept(t.R, reads[lw:])
+	for _, k := range keys {
+		j.keys = append(j.keys, equiKey{slotIn(lkeep, k.lSlot), slotIn(rkeep, k.rSlot)})
+	}
+	j.emit = pickOf(emit, lw, lkeep, rkeep)
+	if pred != nil {
+		j.check = pickOf(check, lw, lkeep, rkeep)
+		if j.pred, err = bindExpr(pred, colsAt(joined, check)); err != nil {
+			return nil, nil, err
 		}
-		return &prepRef{join: j}, kept, nil
-	default: // inner and left
-		keys, residual := extractEquiKeys(Conjuncts(t.On), lcols, rcols)
-		pred := t.On
-		if len(keys) > 0 {
-			j.keys, pred = keys, AndAll(residual)
+	}
+	return &prepRef{join: j}, colsAt(joined, emit), nil
+}
+
+// kept lists the full slots of FROM item tr that the layout ref(tr, need)
+// returns: nil when tr yields every column.
+func kept(tr TableRef, need []bool) []int {
+	if _, ok := tr.(*JoinRef); !ok {
+		return nil
+	}
+	keep := make([]int, 0, len(need))
+	for i, ok := range need {
+		if ok {
+			keep = append(keep, i)
 		}
-		if pred != nil {
-			if j.pred, err = bindExpr(pred, joined); err != nil {
-				return nil, nil, err
+	}
+	return keep
+}
+
+// naturalKeys pairs each column of l with the first unpaired same-named
+// column of r, and lists the slots of l++r a NATURAL join yields: l's
+// columns, then r's unpaired ones.
+func naturalKeys(l, r []colMeta) (keys []equiKey, out []int) {
+	rUsed := make([]bool, len(r))
+	for ls, lc := range l {
+		for rs, rc := range r {
+			if !rUsed[rs] && lc.name == rc.name {
+				keys = append(keys, equiKey{ls, rs})
+				rUsed[rs] = true
+				break
 			}
 		}
 	}
-	return &prepRef{join: j}, joined, nil
+	for i := range l {
+		out = append(out, i)
+	}
+	for i := range r {
+		if !rUsed[i] {
+			out = append(out, len(l)+i)
+		}
+	}
+	return keys, out
 }
 
 // lit returns the shared evalFn of a literal value: unfolded arms repeat
@@ -654,30 +957,41 @@ func (b *binder) lit(v Value) evalFn {
 }
 
 // extractEquiKeys splits conjuncts into equi-join keys between the layouts
-// l and r and residual predicates. A column equality is a key only when
-// each column resolves on exactly one side.
+// l and r and residual predicates.
 func extractEquiKeys(conjuncts []Expr, l, r []colMeta) (keys []equiKey, residual []Expr) {
 	for _, c := range conjuncts {
-		if b, ok := c.(*BinOp); ok && b.Op == OpEq {
-			lc, lok := b.L.(*ColRef)
-			rc, rok := b.R.(*ColRef)
-			if lok && rok {
-				ls := findCol(l, lc.Table, lc.Name)
-				rs := findCol(r, rc.Table, rc.Name)
-				if ls >= 0 && rs >= 0 && findCol(r, lc.Table, lc.Name) < 0 && findCol(l, rc.Table, rc.Name) < 0 {
-					keys = append(keys, equiKey{ls, rs})
-					continue
-				}
-				// try swapped orientation
-				ls2 := findCol(l, rc.Table, rc.Name)
-				rs2 := findCol(r, lc.Table, lc.Name)
-				if ls2 >= 0 && rs2 >= 0 && findCol(r, rc.Table, rc.Name) < 0 && findCol(l, lc.Table, lc.Name) < 0 {
-					keys = append(keys, equiKey{ls2, rs2})
-					continue
-				}
-			}
+		if k, ok := equiKeyOf(c, l, r); ok {
+			keys = append(keys, k)
+		} else {
+			residual = append(residual, c)
 		}
-		residual = append(residual, c)
 	}
 	return keys, residual
+}
+
+// equiKeyOf returns conjunct c as an equi-join key between the layouts l
+// and r: a column equality is a key only when each column resolves on
+// exactly one side.
+func equiKeyOf(c Expr, l, r []colMeta) (equiKey, bool) {
+	b, ok := c.(*BinOp)
+	if !ok || b.Op != OpEq {
+		return equiKey{}, false
+	}
+	lc, lok := b.L.(*ColRef)
+	rc, rok := b.R.(*ColRef)
+	if !lok || !rok {
+		return equiKey{}, false
+	}
+	ls := findCol(l, lc.Table, lc.Name)
+	rs := findCol(r, rc.Table, rc.Name)
+	if ls >= 0 && rs >= 0 && findCol(r, lc.Table, lc.Name) < 0 && findCol(l, rc.Table, rc.Name) < 0 {
+		return equiKey{ls, rs}, true
+	}
+	// try swapped orientation
+	ls2 := findCol(l, rc.Table, rc.Name)
+	rs2 := findCol(r, lc.Table, lc.Name)
+	if ls2 >= 0 && rs2 >= 0 && findCol(r, rc.Table, rc.Name) < 0 && findCol(l, lc.Table, lc.Name) < 0 {
+		return equiKey{ls2, rs2}, true
+	}
+	return equiKey{}, false
 }

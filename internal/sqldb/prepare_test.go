@@ -6,6 +6,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"npdbench/internal/obs"
 )
 
 // goldenShapes reads testdata/shapes.golden into its blocks, keyed by their
@@ -134,5 +136,49 @@ func TestPreparedUnionAllocs(t *testing.T) {
 	})
 	if allocs > 68 {
 		t.Errorf("one execution allocates %.0f times, want at most 68", allocs)
+	}
+}
+
+// TestJoinEmitsOnlyReadColumns checks that every join of a 3-way join
+// materializes only the columns something above it reads: the first join
+// keeps e.name and the next step's key s.product, the second e.name and
+// p.size, so each charges rows × 2 × approxValueBytes, not the full width
+// of both inputs. The FROM list and the explicit JOINs narrow alike.
+func TestJoinEmitsOnlyReadColumns(t *testing.T) {
+	db := testDB(t, ProfileHashJoin)
+	for _, sql := range []string{
+		"SELECT e.name, p.size FROM TEmployee e, TSellsProduct s, TProduct p WHERE e.id = s.id AND s.product = p.product",
+		"SELECT e.name, p.size FROM TEmployee e JOIN TSellsProduct s ON e.id = s.id JOIN TProduct p ON s.product = p.product",
+	} {
+		p, err := Prepare(db, MustParse(sql))
+		if err != nil {
+			t.Fatal(err)
+		}
+		usage := &obs.Usage{}
+		res, prof, err := p.ExecuteProfiled(ExecOptions{Usage: usage})
+		if err != nil {
+			t.Fatal(err)
+		}
+		const width = 2
+		var joins, joinRows int
+		var walk func(*OpProfile)
+		walk = func(n *OpProfile) {
+			if n.Op == "hash join" {
+				joins++
+				joinRows += n.Rows
+			}
+			for _, c := range n.Children {
+				walk(c)
+			}
+		}
+		walk(prof)
+		if joins != 2 || len(res.Rows) != 4 {
+			t.Fatalf("%q: %d joins, %d rows; want 2 joins, 4 rows:\n%s", sql, joins, len(res.Rows), prof.Render())
+		}
+		// The projection charges its own output; the joins charge the rest.
+		want := int64(joinRows+len(res.Rows)) * width * approxValueBytes
+		if got := usage.Snapshot().BytesMaterialized; got != want {
+			t.Errorf("%q: %d bytes materialized, want %d (%d join rows at width %d)", sql, got, want, joinRows, width)
+		}
 	}
 }

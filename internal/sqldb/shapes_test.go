@@ -100,6 +100,19 @@ var shapeQueries = []string{
 	"SELECT s, COUNT(*), SUM(n), MIN(f), MAX(d) FROM TTyped GROUP BY s ORDER BY s",
 	"SELECT a.k, b.k FROM TTyped a JOIN TTyped b ON a.s = b.s WHERE a.k < b.k ORDER BY a.k, b.k",
 	"SELECT name FROM TEmployee ORDER BY branch DESC, name",
+	// Narrowed joins: an unqualified name two FROM items share resolves to
+	// the first; ORDER BY reads a dropped column of the third item; a
+	// residual reads columns no later step does; ORDER BY an alias; a
+	// star over a join; grouping on an unselected join column; a LEFT
+	// JOIN's padded columns projected; a star through nested JOINs.
+	"SELECT name, branch, task FROM TEmployee e, TSellsProduct s, TAssignment a WHERE e.id = s.id AND s.product = 'p3' AND a.task = 'task2' ORDER BY task, branch",
+	"SELECT e.name FROM TEmployee e, TSellsProduct s, TProduct p WHERE e.id = s.id AND s.product = p.product ORDER BY p.size DESC, p.product, e.name",
+	"SELECT a.k, c.k FROM TTyped a, TTyped b, TTyped c WHERE a.s = b.s AND a.k <> b.k AND b.d = c.d ORDER BY a.k, c.k",
+	"SELECT e.name AS who, s.product AS what FROM TEmployee e JOIN TSellsProduct s ON e.id = s.id ORDER BY what DESC, who",
+	"SELECT e.*, p.size FROM TSellsProduct s, TEmployee e, TProduct p WHERE e.id = s.id AND s.product = p.product ORDER BY e.id, p.size",
+	"SELECT COUNT(*) AS n, MIN(s.product) FROM TEmployee e, TSellsProduct s WHERE e.id = s.id GROUP BY e.name HAVING MAX(s.product) < 'p3'",
+	"SELECT e.name, v.product, v.size FROM TEmployee e LEFT JOIN (SELECT s.id, p.product, p.size FROM TSellsProduct s JOIN TProduct p ON s.product = p.product WHERE p.size = 'small') AS v ON e.id = v.id ORDER BY e.name",
+	"SELECT s.*, e.name FROM TEmployee e JOIN TSellsProduct s ON e.id = s.id JOIN TProduct p ON s.product = p.product WHERE p.size = 'big' ORDER BY s.id, s.product",
 }
 
 // TestShapesGolden runs every shape query at both profiles and compares

@@ -613,3 +613,22 @@ func TestSubsume(t *testing.T) {
 		}
 	}
 }
+
+// TestEnsureIndexHit checks that asking again for an existing secondary
+// index, as every foreign-key check of Insert does, returns the same index
+// and allocates nothing.
+func TestEnsureIndexHit(t *testing.T) {
+	db := testDB(t, ProfileHashJoin)
+	tab := db.Table("TSellsProduct")
+	idx := tab.EnsureIndex([]int{1})
+	if got := tab.EnsureIndex([]int{1}); got != idx {
+		t.Fatal("EnsureIndex built a second index over the same columns")
+	}
+	if other := tab.EnsureIndex([]int{0, 1}); other == idx {
+		t.Fatal("EnsureIndex shares one index between different columns")
+	}
+	cols := []int{1}
+	if allocs := testing.AllocsPerRun(100, func() { tab.EnsureIndex(cols) }); allocs != 0 {
+		t.Errorf("EnsureIndex hit allocates %.0f times, want 0", allocs)
+	}
+}

@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strings"
 	"sync"
@@ -165,19 +166,25 @@ func RowKeyOf(vals []Value) string {
 }
 
 // EnsureIndex builds (or returns) a secondary hash index over the given
-// column positions. Safe for concurrent readers.
+// column positions. Safe for concurrent readers. Every foreign-key check
+// of Insert calls it, so the lookup key is the positions as uvarints in a
+// stack buffer, and a hit allocates nothing.
 func (t *Table) EnsureIndex(cols []int) *HashIndex {
-	key := fmt.Sprint(cols)
+	var kb [16]byte
+	key := kb[:0]
+	for _, c := range cols {
+		key = binary.AppendUvarint(key, uint64(c))
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if idx, ok := t.secondary[key]; ok {
+	if idx, ok := t.secondary[string(key)]; ok {
 		return idx
 	}
 	idx := NewHashIndex(cols)
 	for pos, row := range t.Rows {
 		idx.Add(row, pos)
 	}
-	t.secondary[key] = idx
+	t.secondary[string(key)] = idx
 	return idx
 }
 

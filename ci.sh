@@ -31,6 +31,9 @@ go test -race ./...
 # Typed template disjointness prunes unfolded joins: "disjoint" must never
 # hold for two templates some values of their classes expand equally.
 go test -run '^$' -fuzz '^FuzzTemplateDisjoint$' -fuzztime 10s ./internal/r2rml
+# The SPARQL parser is the daemon's input surface: arbitrary query text must
+# parse or fail with an error, never panic.
+go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/sparql
 
 # The smokes below run the shipped engine (core.DefaultOptions): the
 # commands have no switch for any other configuration.
@@ -47,13 +50,15 @@ grep -q '^q3 ' "$MIXOUT" || {
 
 # Telemetry smoke: one query with intra-query parallelism, the slow log and
 # the metric exposition on. obdaq -slowlog prints the same JSON document
-# /debug/slowlog serves, so it must hold a captured entry with a trace id;
+# /debug/slowlog serves, and every execution is offered to it, so it must
+# hold a captured entry with a trace id and its usage block;
 # the exposition must show dispatched parallel tasks and union arms, the
 # runtime-metrics family (goroutines can never be zero in a live process)
 # and the usage accounting counters.
 "$BIN/obdaq" -q q2 -seedscale 0.15 -parallel 4 -metrics -slowlog 2 \
-    -slowthreshold 1us -rows 0 > "$MIXOUT"
+    -rows 0 > "$MIXOUT"
 for want in '"trace_id"' \
+    '"usage"' \
     'npdbench_exec_parallel_tasks_total [1-9]' \
     'npdbench_exec_parallel_union_arms_total [1-9]' \
     'npdbench_runtime_goroutines [1-9]' \

@@ -9,8 +9,6 @@
 //	obdaq -q q6 -trace                   # pipeline span tree only
 //	obdaq -q q6 -metrics                 # Prometheus metric exposition (engine + runtime)
 //	obdaq -q q6 -slowlog 8               # capture + print the slow-query log
-//	obdaq -q q6 -sample 0.5 -trace       # sampled trace retention
-//	obdaq -q q6 -budgetrows 1000         # flag queries scanning past a soft budget
 package main
 
 import (
@@ -42,10 +40,6 @@ func main() {
 		maxRows     = flag.Int("rows", 20, "result rows to print (0 = all)")
 		useStore    = flag.Bool("storebaseline", false, "answer over the materialized triple store instead")
 		slowlogCap  = flag.Int("slowlog", 0, "capture the N slowest executions and print the slow-query log as JSON")
-		slowThresh  = flag.Duration("slowthreshold", 0, "always retain traces of queries at least this slow (e.g. 50ms)")
-		sampleRate  = flag.Float64("sample", 0, "probabilistic trace retention rate in [0,1]")
-		budgetRows  = flag.Int64("budgetrows", 0, "per-query soft limit on rows scanned (0 = unlimited)")
-		budgetBytes = flag.Int64("budgetbytes", 0, "per-query soft limit on bytes materialized (0 = unlimited)")
 	)
 	flag.Parse()
 
@@ -99,20 +93,10 @@ func main() {
 		if *verify {
 			mode = core.VerifyOn
 		}
-		sampled := *sampleRate > 0 || *slowThresh > 0
-		if *explain || *trace || *metrics || sampled || *slowlogCap > 0 {
-			observer = &obs.Observer{
-				// A sampler takes over the retention decision from
-				// all-or-nothing tracing.
-				Tracing:     (*explain || *trace) && !sampled,
-				ExecProfile: *explain,
-				Budget:      obs.QueryBudget{MaxRowsScanned: *budgetRows, MaxBytesMaterialized: *budgetBytes},
-			}
+		if *explain || *trace || *metrics || *slowlogCap > 0 {
+			observer = &obs.Observer{Tracing: *explain || *trace, ExecProfile: *explain}
 			if *metrics {
 				observer.Metrics = obs.NewRegistry()
-			}
-			if sampled {
-				observer.Sampler = &obs.Sampler{Rate: *sampleRate, SlowThreshold: *slowThresh, Seed: uint64(*seed)}
 			}
 			if *slowlogCap > 0 {
 				observer.SlowLog = obs.NewSlowLog(*slowlogCap)
@@ -154,12 +138,8 @@ func main() {
 	if *showSQL && st.UnfoldedSQL != "" {
 		fmt.Printf("\nunfolded SQL:\n%s\n", st.UnfoldedSQL)
 	}
-	if (*trace || *explain) && ans.Trace != nil {
-		fmt.Printf("\npipeline trace: id=%s sampled=%v decision=%s\n%s",
-			ans.Trace.ID, ans.Sample.Sampled, ans.Sample.Reason, ans.Trace.Render())
-	}
-	if (*trace || *explain) && ans.Trace == nil && ans.Sample.Reason != "" {
-		fmt.Printf("\npipeline trace: dropped by sampler (decision=%s)\n", ans.Sample.Reason)
+	if ans.Trace != nil {
+		fmt.Printf("\npipeline trace: id=%s\n%s", ans.Trace.ID, ans.Trace.Render())
 	}
 	if *explain && st.Usage != nil {
 		fmt.Printf("\nusage: %s\n", st.Usage.String())

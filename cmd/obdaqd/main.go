@@ -40,11 +40,7 @@ func main() {
 		profile     = flag.String("profile", "hashjoin", "database profile: hashjoin | sortmerge")
 		existential = flag.Bool("existential", true, "enable tree-witness reasoning")
 		parallel    = flag.Int("parallel", 0, "intra-query parallel workers (0 = NumCPU, 1 = sequential)")
-		budgetRows  = flag.Int64("budgetrows", 0, "per-query soft limit on rows scanned (0 = unlimited)")
-		budgetBytes = flag.Int64("budgetbytes", 0, "per-query soft limit on bytes materialized (0 = unlimited)")
 		slowlogCap  = flag.Int("slowlog", 0, "capture the N slowest executions and serve them on /debug/slowlog")
-		slowThresh  = flag.Duration("slowthreshold", 0, "always retain traces of queries at least this slow (e.g. 50ms)")
-		sampleRate  = flag.Float64("sample", 0, "probabilistic trace retention rate in [0,1]")
 		maxInflight = flag.Int("maxinflight", server.DefaultMaxInflight, "concurrently executing queries before arrivals get 429")
 		timeout     = flag.Duration("timeout", 30*time.Second, "per-query deadline (0 = none)")
 		retryAfter  = flag.Duration("retryafter", time.Second, "advisory Retry-After stamped on 429 responses")
@@ -71,14 +67,8 @@ func main() {
 	fmt.Printf("obdaqd: instance NPD%g: %d rows (built in %v)\n", *scale, db.TotalRows(), genTime.Round(1e6))
 
 	// The daemon always carries a metrics registry (it serves /metrics);
-	// the slow log and sampler remain opt-in like obdaq's.
-	observer := &obs.Observer{
-		Metrics: obs.NewRegistry(),
-		Budget:  obs.QueryBudget{MaxRowsScanned: *budgetRows, MaxBytesMaterialized: *budgetBytes},
-	}
-	if *sampleRate > 0 || *slowThresh > 0 {
-		observer.Sampler = &obs.Sampler{Rate: *sampleRate, SlowThreshold: *slowThresh, Seed: uint64(*seed)}
-	}
+	// the slow log remains opt-in like obdaq's.
+	observer := &obs.Observer{Metrics: obs.NewRegistry()}
 	if *slowlogCap > 0 {
 		observer.SlowLog = obs.NewSlowLog(*slowlogCap)
 	}

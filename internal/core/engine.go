@@ -149,9 +149,6 @@ type engineMetrics struct {
 	// indexed like usageMetricNames: rows scanned, rows produced, bytes
 	// materialized.
 	usage [3]*obs.Counter
-	// budgetExceeded counts queries that tripped each soft budget limit,
-	// indexed by the obs.BudgetLimitNames bit order.
-	budgetExceeded [len(obs.BudgetLimitNames)]*obs.Counter
 }
 
 // usageMetricNames is the npdbench_usage_* family, in engineMetrics.usage
@@ -190,9 +187,6 @@ func newEngineMetrics(reg *obs.Registry) *engineMetrics {
 	m.inflight = reg.Gauge("npdbench_queries_inflight")
 	for i, name := range usageMetricNames {
 		m.usage[i] = reg.Counter(name)
-	}
-	for i, limit := range obs.BudgetLimitNames {
-		m.budgetExceeded[i] = reg.Counter(fmt.Sprintf("npdbench_budget_exceeded_total{limit=%q}", limit))
 	}
 	return m
 }
@@ -333,8 +327,7 @@ type PhaseStats struct {
 	PushdownAbandoned time.Duration
 	// Usage is the frozen per-query resource accounting block (nil when
 	// observability is fully off): base-table rows scanned, operator
-	// rows/bytes produced, parallel tasks, cache hits, and any tripped
-	// soft budget limits.
+	// rows/bytes produced, parallel tasks and cache hits.
 	Usage *obs.UsageSnapshot
 	SQL   sqldb.SQLMetrics
 	// UnfoldedSQL is the translated query text (diagnostics; empty when
@@ -379,9 +372,6 @@ type Answer struct {
 	// Profiles holds one EXPLAIN ANALYZE operator tree per SQL statement
 	// executed (nil unless Options.Obs.ExecProfile).
 	Profiles []*sqldb.OpProfile
-	// Sample is the trace sampling decision: whether the trace was
-	// retained and why ("off" when no tracing/sampling is configured).
-	Sample obs.SampleDecision
 }
 
 // queryCtx carries the per-query observability state alongside the phase
@@ -389,7 +379,6 @@ type Answer struct {
 type queryCtx struct {
 	st       *PhaseStats
 	tr       *obs.Trace
-	dec      obs.SampleDecision
 	usage    *obs.Usage
 	name     string
 	profiles []*sqldb.OpProfile
@@ -461,7 +450,7 @@ func (e *Engine) AnswerCtx(ctx context.Context, q *sparql.Query) (*Answer, error
 }
 
 // AnswerNamed is Answer with a caller-supplied query label (e.g. the NPD
-// mix's "q12") used by the slow-query log and the sampling counters.
+// mix's "q12") used by the slow-query log.
 func (e *Engine) AnswerNamed(q *sparql.Query, name string) (*Answer, error) {
 	return e.AnswerNamedCtx(context.Background(), q, name)
 }
@@ -490,12 +479,12 @@ func queryLabel(src string) string {
 	return s
 }
 
-// beginQuery opens the per-query observability state: the (possibly
-// sampled) trace, the resource-usage tracker, and the in-flight gauge.
+// beginQuery opens the per-query observability state: the trace, the
+// resource-usage tracker, and the in-flight gauge.
 // With observability fully off every field stays nil.
 func (e *Engine) beginQuery(ctx context.Context, name string) *queryCtx {
 	qc := &queryCtx{st: &PhaseStats{}, name: name, ctx: ctx}
-	qc.tr, qc.dec = e.opts.Obs.StartQuery("query")
+	qc.tr = e.opts.Obs.StartQuery("query")
 	qc.usage = e.opts.Obs.NewUsage()
 	if e.met != nil {
 		e.met.inflight.Add(1)
@@ -548,14 +537,14 @@ func (e *Engine) answer(q *sparql.Query, qc *queryCtx) (*Answer, error) {
 }
 
 // finishAnswer settles a successful query: freezes the usage snapshot
-// into the stats and the root span, finishes the trace, resolves the
-// sampling decision (dropping an unretained trace), and publishes the
-// per-query metrics.
+// into the stats and the root span, finishes the trace, offers it to the
+// slow log (dropping it from the answer unless tracing is on), and
+// publishes the per-query metrics.
 func (e *Engine) finishAnswer(rs *sparql.ResultSet, qc *queryCtx) *Answer {
 	st := qc.st
 	if !qc.settleOnce() {
 		// Already settled (defensive; the success path settles exactly once).
-		return &Answer{ResultSet: rs, Stats: *st, Sample: qc.dec}
+		return &Answer{ResultSet: rs, Stats: *st}
 	}
 	if qc.usage != nil {
 		qc.usage.AddCacheHits(int64(st.PlanCacheHits))
@@ -565,13 +554,12 @@ func (e *Engine) finishAnswer(rs *sparql.ResultSet, qc *queryCtx) *Answer {
 		}
 	}
 	qc.tr.Finish()
-	retained, dec := e.opts.Obs.FinishQuery(qc.name, qc.tr, qc.dec, st.TotalTime, st.Usage, profilesValue(qc.profiles))
-	e.recordMetrics(st)
 	tr := qc.tr
-	if !retained {
+	if !e.opts.Obs.FinishQuery(qc.name, tr, st.TotalTime, st.Usage, profilesValue(qc.profiles)) {
 		tr = nil
 	}
-	return &Answer{ResultSet: rs, Stats: *st, Trace: tr, Profiles: qc.profiles, Sample: dec}
+	e.recordMetrics(st)
+	return &Answer{ResultSet: rs, Stats: *st, Trace: tr, Profiles: qc.profiles}
 }
 
 // profilesValue erases the profile slice for the obs slow log without
@@ -634,13 +622,6 @@ func (e *Engine) recordMetrics(st *PhaseStats) {
 	if u := st.Usage; u != nil {
 		for i, v := range [3]int64{u.RowsScanned, u.RowsProduced, u.BytesMaterialized} {
 			e.met.usage[i].Add(v)
-		}
-		for _, limit := range u.BudgetExceeded {
-			for i, name := range obs.BudgetLimitNames {
-				if name == limit {
-					e.met.budgetExceeded[i].Inc()
-				}
-			}
 		}
 	}
 }

@@ -85,7 +85,7 @@ func TestNilSafety(t *testing.T) {
 		t.Fatal("nil registry text should be empty")
 	}
 	var o *Observer
-	if o.StartTrace("q") != nil || o.Profiling() || o.Registry() != nil {
+	if o.StartQuery("q") != nil || o.Profiling() || o.Registry() != nil {
 		t.Fatal("nil observer must be fully off")
 	}
 }

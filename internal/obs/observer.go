@@ -7,8 +7,8 @@ import "time"
 // zero-cost path, so instrumented code never branches on more than one nil
 // check.
 type Observer struct {
-	// Tracing records a hierarchical span tree per query (obdaq -trace).
-	// It forces retention of every trace, overriding the Sampler.
+	// Tracing records a hierarchical span tree per query and keeps it on
+	// the answer (obdaq -trace).
 	Tracing bool
 	// ExecProfile collects the operator-level execution profile of every
 	// SQL statement run (obdaq -explain: rows in/out, join algorithms,
@@ -16,77 +16,43 @@ type Observer struct {
 	ExecProfile bool
 	// Metrics, when non-nil, receives process-wide counters and histograms.
 	Metrics *Registry
-	// Sampler, when non-nil, decides which traces are retained
-	// (probabilistic head sampling plus an always-on-slow tail guard).
-	// Traces are still collected for every query so the slow threshold
-	// can promote them after the fact.
-	Sampler *Sampler
 	// SlowLog, when non-nil, captures the N slowest queries with their
 	// span tree, usage block and operator profiles (/debug/slowlog).
+	// Every execution is traced and offered to it.
 	SlowLog *SlowLog
-	// Budget holds the per-query soft resource limits enforced by the
-	// Usage tracker. The zero value means unlimited.
-	Budget QueryBudget
 }
 
-// StartTrace opens a query trace when tracing is on; otherwise returns nil
-// (all Trace/Span methods no-op on nil).
-func (o *Observer) StartTrace(name string) *Trace {
-	if o == nil || !o.Tracing {
+// StartQuery opens the per-query trace. A trace is collected when tracing
+// is on or a slow log is installed; otherwise it returns nil and the
+// caller's span calls all no-op.
+func (o *Observer) StartQuery(name string) *Trace {
+	if o == nil || (!o.Tracing && o.SlowLog == nil) {
 		return nil
 	}
 	return NewTrace(name)
 }
 
-// StartQuery opens the per-query trace and makes the head sampling
-// decision. A trace is collected whenever plain tracing is on OR a
-// sampler/slow log is installed (retention is decided at FinishQuery,
-// because "was it slow" is only known then). Nil-safe: a nil observer
-// returns (nil, off) and the caller's span calls all no-op.
-func (o *Observer) StartQuery(name string) (*Trace, SampleDecision) {
-	if o == nil {
-		return nil, SampleDecision{Reason: "off"}
-	}
-	if o.Tracing {
-		return NewTrace(name), SampleDecision{Sampled: true, Reason: "always"}
-	}
-	if o.Sampler == nil && o.SlowLog == nil {
-		return nil, SampleDecision{Reason: "off"}
-	}
-	return NewTrace(name), o.Sampler.Decide()
-}
-
-// NewUsage returns a per-query resource tracker carrying the observer's
-// budget, or nil when observability is off.
+// NewUsage returns a per-query resource tracker, or nil when
+// observability is off.
 func (o *Observer) NewUsage() *Usage {
 	if o == nil {
 		return nil
 	}
-	return NewUsage(o.Budget)
+	return &Usage{}
 }
 
-// FinishQuery settles a query's telemetry: promotes the sampling decision
-// when the duration trips the slow threshold, offers the trace to the
-// slow log, bumps the sampling counters, and reports whether the trace
-// should be retained on the answer (false means the caller drops it).
-func (o *Observer) FinishQuery(name string, tr *Trace, dec SampleDecision, dur time.Duration, usage *UsageSnapshot, profiles any) (bool, SampleDecision) {
+// FinishQuery settles a query's telemetry: it offers the finished
+// execution to the slow log and reports whether the trace stays on the
+// answer (only under Tracing; false means the caller drops it).
+func (o *Observer) FinishQuery(name string, tr *Trace, dur time.Duration, usage *UsageSnapshot, profiles any) bool {
 	if o == nil || tr == nil {
-		return tr != nil, dec
-	}
-	slow := o.Sampler.Slow(dur)
-	if slow && !dec.Sampled {
-		dec = SampleDecision{Sampled: true, Reason: "slow"}
-	}
-	if o.Metrics != nil {
-		o.Metrics.Counter(`npdbench_traces_sampled_total{decision="` + dec.Reason + `"}`).Inc()
+		return false
 	}
 	if o.SlowLog != nil {
 		admitted := o.SlowLog.Offer(&SlowEntry{
 			TraceID:    tr.ID,
 			Query:      name,
 			DurationUS: dur.Microseconds(),
-			Decision:   dec.Reason,
-			Slow:       slow,
 			Usage:      usage,
 			Trace:      tr.Root,
 			Profiles:   profiles,
@@ -95,7 +61,7 @@ func (o *Observer) FinishQuery(name string, tr *Trace, dec SampleDecision, dur t
 			o.Metrics.Counter("npdbench_slowlog_captured_total").Inc()
 		}
 	}
-	return o.Tracing || dec.Sampled, dec
+	return o.Tracing
 }
 
 // Profiling reports whether operator profiles should be collected.

@@ -7,16 +7,14 @@ import (
 	"sync"
 )
 
-// SlowEntry is one captured slow query: identity, duration, the sampling
-// decision that retained it, the usage block, the full span tree, and the
-// operator profiles (typed `any` so obs does not import the executor; the
-// engine stores its []*sqldb.OpProfile and JSON encoding preserves it).
+// SlowEntry is one captured slow query: identity, duration, the usage
+// block, the full span tree, and the operator profiles (typed `any` so obs
+// does not import the executor; the engine stores its []*sqldb.OpProfile
+// and JSON encoding preserves it).
 type SlowEntry struct {
 	TraceID    string         `json:"trace_id"`
 	Query      string         `json:"query,omitempty"`
 	DurationUS int64          `json:"duration_us"`
-	Decision   string         `json:"decision"`
-	Slow       bool           `json:"slow"`
 	Usage      *UsageSnapshot `json:"usage,omitempty"`
 	Trace      *Span          `json:"trace,omitempty"`
 	Profiles   any            `json:"profiles,omitempty"`
@@ -91,8 +89,12 @@ func (l *SlowLog) Snapshot() []*SlowEntry {
 	l.mu.Lock()
 	out := append([]*SlowEntry(nil), l.entries...)
 	l.mu.Unlock()
-	sort.SliceStable(out, func(i, j int) bool { return out[i].DurationUS > out[j].DurationUS })
+	sortSlowest(out)
 	return out
+}
+
+func sortSlowest(es []*SlowEntry) {
+	sort.SliceStable(es, func(i, j int) bool { return es[i].DurationUS > es[j].DurationUS })
 }
 
 // slowLogJSON is the document served at /debug/slowlog.
@@ -106,6 +108,8 @@ type slowLogJSON struct {
 
 // RenderJSON encodes the ring (slowest first) with its capture counters —
 // the same document /debug/slowlog serves and `obdaq -slowlog` prints.
+// Counters and entries come from one critical section, so the document
+// always satisfies offered == captured + evicted.
 func (l *SlowLog) RenderJSON() ([]byte, error) {
 	doc := slowLogJSON{Entries: []*SlowEntry{}}
 	if l != nil {
@@ -113,8 +117,9 @@ func (l *SlowLog) RenderJSON() ([]byte, error) {
 		doc.Capacity = l.capacity
 		doc.Offered = l.offered
 		doc.Evicted = l.evicted
+		doc.Entries = append(doc.Entries, l.entries...)
 		l.mu.Unlock()
-		doc.Entries = l.Snapshot()
+		sortSlowest(doc.Entries)
 		doc.Captured = len(doc.Entries)
 	}
 	return json.MarshalIndent(doc, "", "  ")

@@ -1,7 +1,7 @@
 // Package obs is the observability layer of the OBDA stack: hierarchical
 // query traces (spans), a process-wide metrics registry with Prometheus and
-// JSON encodings, per-query usage accounting, trace sampling and the
-// slow-query log. It is stdlib-only, safe for concurrent use, and every API is
+// JSON encodings, per-query usage accounting and the slow-query log. It
+// is stdlib-only, safe for concurrent use, and every API is
 // nil-receiver-safe so that instrumented code pays (almost) nothing when
 // observability is disabled.
 package obs

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -13,7 +12,7 @@ import (
 )
 
 func TestUsageAccounting(t *testing.T) {
-	u := NewUsage(QueryBudget{})
+	u := &Usage{}
 	u.AddRowsScanned(100)
 	u.AddRowsScanned(50)
 	u.AddRowsProduced(30, 3000)
@@ -24,35 +23,6 @@ func TestUsageAccounting(t *testing.T) {
 		s.ParallelTasks != 4 || s.CacheHits != 2 {
 		t.Fatalf("snapshot = %+v", s)
 	}
-	if len(s.BudgetExceeded) != 0 {
-		t.Fatalf("unlimited budget tripped: %v", s.BudgetExceeded)
-	}
-}
-
-func TestUsageBudgetTrip(t *testing.T) {
-	u := NewUsage(QueryBudget{MaxRowsScanned: 100, MaxBytesMaterialized: 1000})
-	u.AddRowsScanned(99)
-	if got := u.Exceeded(); len(got) != 0 {
-		t.Fatalf("under budget yet exceeded: %v", got)
-	}
-	u.AddRowsScanned(2) // 101 > 100
-	u.AddRowsProduced(10, 2000)
-	got := u.Exceeded()
-	if len(got) != 2 || got[0] != "rows_scanned" || got[1] != "bytes_materialized" {
-		t.Fatalf("exceeded = %v", got)
-	}
-	// Tripping again must not duplicate.
-	u.AddRowsScanned(1000)
-	if got := u.Exceeded(); len(got) != 2 {
-		t.Fatalf("re-trip duplicated: %v", got)
-	}
-	s := u.Snapshot()
-	if strings.Join(s.BudgetExceeded, ",") != "rows_scanned,bytes_materialized" {
-		t.Fatalf("snapshot exceeded = %v", s.BudgetExceeded)
-	}
-	if !strings.Contains(s.String(), "budget_exceeded=rows_scanned,bytes_materialized") {
-		t.Fatalf("String() = %q", s.String())
-	}
 }
 
 func TestUsageNilSafety(t *testing.T) {
@@ -61,8 +31,8 @@ func TestUsageNilSafety(t *testing.T) {
 	u.AddRowsProduced(1, 1)
 	u.AddParallelTasks(1)
 	u.AddCacheHits(1)
-	if u.Exceeded() != nil || u.Snapshot() != nil {
-		t.Fatal("nil usage must yield nils")
+	if u.Snapshot() != nil {
+		t.Fatal("nil usage must yield a nil snapshot")
 	}
 	var s *UsageSnapshot
 	s.Annotate(nil) // must not panic
@@ -70,75 +40,13 @@ func TestUsageNilSafety(t *testing.T) {
 
 func TestUsageAnnotate(t *testing.T) {
 	tr := NewTrace("q")
-	u := NewUsage(QueryBudget{MaxRowsScanned: 1})
+	u := &Usage{}
 	u.AddRowsScanned(5)
 	u.Snapshot().Annotate(tr.Root)
 	tr.Finish()
 	out := tr.Render()
-	if !strings.Contains(out, "rows_scanned=5") || !strings.Contains(out, "budget_exceeded=rows_scanned") {
+	if !strings.Contains(out, "rows_scanned=5") {
 		t.Fatalf("render missing usage attrs:\n%s", out)
-	}
-}
-
-func TestSamplerDecide(t *testing.T) {
-	var nilSampler *Sampler
-	if d := nilSampler.Decide(); d.Sampled || d.Reason != "unsampled" {
-		t.Fatalf("nil sampler: %+v", d)
-	}
-	always := &Sampler{Rate: 1}
-	if d := always.Decide(); !d.Sampled || d.Reason != "always" {
-		t.Fatalf("rate 1: %+v", d)
-	}
-	off := &Sampler{Rate: 0}
-	if d := off.Decide(); d.Sampled {
-		t.Fatalf("rate 0 sampled: %+v", d)
-	}
-}
-
-func TestSamplerDeterministic(t *testing.T) {
-	a := &Sampler{Rate: 0.5, Seed: 7}
-	b := &Sampler{Rate: 0.5, Seed: 7}
-	for i := 0; i < 100; i++ {
-		da, db := a.Decide(), b.Decide()
-		if da != db {
-			t.Fatalf("draw %d diverged: %+v vs %+v", i, da, db)
-		}
-	}
-}
-
-func TestSamplerRate(t *testing.T) {
-	s := &Sampler{Rate: 0.25, Seed: 42}
-	const n = 20000
-	hits := 0
-	for i := 0; i < n; i++ {
-		if d := s.Decide(); d.Sampled {
-			if d.Reason != "prob" {
-				t.Fatalf("reason = %q", d.Reason)
-			}
-			hits++
-		}
-	}
-	got := float64(hits) / n
-	if math.Abs(got-0.25) > 0.02 {
-		t.Fatalf("empirical rate %.3f, want ~0.25", got)
-	}
-}
-
-func TestSamplerSlow(t *testing.T) {
-	s := &Sampler{SlowThreshold: 10 * time.Millisecond}
-	if s.Slow(9 * time.Millisecond) {
-		t.Fatal("below threshold marked slow")
-	}
-	if !s.Slow(10 * time.Millisecond) {
-		t.Fatal("at threshold not slow")
-	}
-	var nilSampler *Sampler
-	if nilSampler.Slow(time.Hour) {
-		t.Fatal("nil sampler marked slow")
-	}
-	zero := &Sampler{}
-	if zero.Slow(time.Hour) {
-		t.Fatal("zero threshold marked slow")
 	}
 }
 
@@ -175,7 +83,7 @@ func TestSlowLogBounds(t *testing.T) {
 
 func TestSlowLogRenderJSON(t *testing.T) {
 	l := NewSlowLog(2)
-	l.Offer(&SlowEntry{TraceID: "abc", Query: "q6", DurationUS: 99, Decision: "slow", Slow: true})
+	l.Offer(&SlowEntry{TraceID: "abc", Query: "q6", DurationUS: 99})
 	data, err := l.RenderJSON()
 	if err != nil {
 		t.Fatal(err)
@@ -239,90 +147,70 @@ func TestHistQuantile(t *testing.T) {
 
 func TestObserverQueryLifecycle(t *testing.T) {
 	var nilObs *Observer
-	tr, dec := nilObs.StartQuery("q")
-	if tr != nil || dec.Reason != "off" {
-		t.Fatalf("nil observer: %v %+v", tr, dec)
+	if tr := nilObs.StartQuery("q"); tr != nil {
+		t.Fatalf("nil observer traced: %v", tr)
 	}
 	if u := nilObs.NewUsage(); u != nil {
 		t.Fatal("nil observer usage")
 	}
-	retained, _ := nilObs.FinishQuery("q", nil, dec, 0, nil, nil)
-	if retained {
+	if nilObs.FinishQuery("q", nil, 0, nil, nil) {
 		t.Fatal("nil observer retained trace")
+	}
+
+	// Metrics alone collect no trace.
+	if tr := (&Observer{Metrics: NewRegistry()}).StartQuery("q"); tr != nil {
+		t.Fatal("metrics-only observer traced")
 	}
 
 	// Plain tracing: always retained.
 	o := &Observer{Tracing: true}
-	tr, dec = o.StartQuery("q")
-	if tr == nil || !dec.Sampled || dec.Reason != "always" {
-		t.Fatalf("tracing: %v %+v", tr, dec)
+	tr := o.StartQuery("q")
+	if tr == nil {
+		t.Fatal("tracing observer collected no trace")
 	}
-	if retained, _ := o.FinishQuery("q", tr, dec, time.Second, nil, nil); !retained {
+	if !o.FinishQuery("q", tr, time.Second, nil, nil) {
 		t.Fatal("tracing trace dropped")
 	}
 
-	// Sampler at rate 0 with a slow log: trace is still collected so the
-	// slow threshold can promote it post hoc.
+	// A slow log without tracing: every execution is traced and offered,
+	// and no trace stays on the answer.
 	reg := NewRegistry()
-	o = &Observer{
-		Metrics: reg,
-		Sampler: &Sampler{Rate: 0, SlowThreshold: 10 * time.Millisecond},
-		SlowLog: NewSlowLog(4),
+	o = &Observer{Metrics: reg, SlowLog: NewSlowLog(4)}
+	tr = o.StartQuery("q-fast")
+	if tr == nil {
+		t.Fatal("slow log installed but no trace collected")
 	}
-	tr, dec = o.StartQuery("q-fast")
-	if tr == nil || dec.Sampled {
-		t.Fatalf("tail collection: %v %+v", tr, dec)
+	if o.FinishQuery("q-fast", tr, time.Millisecond, nil, nil) {
+		t.Fatal("untraced query retained its trace")
 	}
-	retained, dec = o.FinishQuery("q-fast", tr, dec, time.Millisecond, nil, nil)
-	if retained || dec.Sampled {
-		t.Fatalf("fast unsampled query retained: %v %+v", retained, dec)
-	}
-
-	tr, dec = o.StartQuery("q-slow")
-	usage := NewUsage(QueryBudget{}).Snapshot()
-	retained, dec = o.FinishQuery("q-slow", tr, dec, 50*time.Millisecond, usage, nil)
-	if !retained || dec.Reason != "slow" {
-		t.Fatalf("slow query not promoted: %v %+v", retained, dec)
+	tr = o.StartQuery("q-slow")
+	usage := (&Usage{}).Snapshot()
+	if o.FinishQuery("q-slow", tr, 50*time.Millisecond, usage, nil) {
+		t.Fatal("untraced query retained its trace")
 	}
 	if o.SlowLog.Len() != 2 {
 		t.Fatalf("slowlog captured %d, want 2 (capacity not yet full)", o.SlowLog.Len())
 	}
 	snap := o.SlowLog.Snapshot()
-	if snap[0].Query != "q-slow" || !snap[0].Slow || snap[0].Usage != usage {
+	if snap[0].Query != "q-slow" || snap[0].TraceID != tr.ID || snap[0].Usage != usage {
 		t.Fatalf("slowlog head = %+v", snap[0])
 	}
 	text := reg.PrometheusText()
-	if !strings.Contains(text, `npdbench_traces_sampled_total{decision="slow"} 1`) {
-		t.Errorf("missing slow decision counter:\n%s", text)
-	}
 	if !strings.Contains(text, "npdbench_slowlog_captured_total 2") {
 		t.Errorf("missing slowlog counter:\n%s", text)
 	}
 }
 
-func TestObserverBudgetThreading(t *testing.T) {
-	o := &Observer{Metrics: NewRegistry(), Budget: QueryBudget{MaxRowsScanned: 10}}
-	u := o.NewUsage()
-	if u == nil {
-		t.Fatal("observer with metrics must allocate usage")
-	}
-	u.AddRowsScanned(11)
-	if got := u.Exceeded(); len(got) != 1 || got[0] != "rows_scanned" {
-		t.Fatalf("budget not threaded: %v", got)
-	}
-}
-
-// TestTelemetryConcurrent drives the sampler, slow log, registry and
-// runtime collector from many goroutines while HTTP clients poll the
-// /metrics and /debug/slowlog endpoints — the -race run in ci.sh is the
-// real assertion.
+// TestTelemetryConcurrent drives the slow log, registry and runtime
+// collector from many goroutines while HTTP clients poll the /metrics and
+// /debug/slowlog endpoints; every served slow-log document must satisfy
+// offered == captured + evicted. The -race run in ci.sh is the other
+// assertion.
 func TestTelemetryConcurrent(t *testing.T) {
 	reg := NewRegistry()
 	o := &Observer{
 		Metrics: reg,
-		Sampler: &Sampler{Rate: 0.5, Seed: 1, SlowThreshold: time.Microsecond},
 		SlowLog: NewSlowLog(8),
-		Budget:  QueryBudget{MaxRowsScanned: 100},
 	}
 	rc := NewRuntimeCollector(reg)
 
@@ -338,12 +226,12 @@ func TestTelemetryConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				tr, dec := o.StartQuery("q")
+				tr := o.StartQuery("q")
 				u := o.NewUsage()
 				u.AddRowsScanned(int64(i))
 				u.AddRowsProduced(1, 64)
 				tr.Finish()
-				o.FinishQuery("q", tr, dec, time.Duration(i)*time.Microsecond, u.Snapshot(), nil)
+				o.FinishQuery("q", tr, time.Duration(i)*time.Microsecond, u.Snapshot(), nil)
 			}
 		}(w)
 	}
@@ -359,8 +247,28 @@ func TestTelemetryConcurrent(t *testing.T) {
 						t.Error(err)
 						return
 					}
-					io.Copy(io.Discard, resp.Body)
+					body, err := io.ReadAll(resp.Body)
 					resp.Body.Close()
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if url != slowSrv.URL {
+						continue
+					}
+					var doc struct {
+						Captured int   `json:"captured"`
+						Offered  int64 `json:"offered"`
+						Evicted  int64 `json:"evicted"`
+					}
+					if err := json.Unmarshal(body, &doc); err != nil {
+						t.Error(err)
+						return
+					}
+					if doc.Offered != int64(doc.Captured)+doc.Evicted {
+						t.Errorf("slowlog document: offered %d != captured %d + evicted %d", doc.Offered, doc.Captured, doc.Evicted)
+						return
+					}
 				}
 			}
 		}()
@@ -374,7 +282,7 @@ func TestTelemetryConcurrent(t *testing.T) {
 		t.Fatalf("offered = %d, want %d", o.SlowLog.offered, workers*iters)
 	}
 	text := reg.PrometheusText()
-	if !strings.Contains(text, "npdbench_traces_sampled_total") {
-		t.Error("sampling counters missing after concurrent run")
+	if !strings.Contains(text, "npdbench_slowlog_captured_total") {
+		t.Error("slow-log counter missing after concurrent run")
 	}
 }

@@ -214,7 +214,7 @@ func (ctx *execCtx) cancelled() error {
 
 // approxValueBytes is the estimated materialized footprint of one Value
 // cell (struct header plus average string payload) used by the bytes
-// accounting; an estimate is enough for budget enforcement.
+// accounting; an estimate is enough for the usage block.
 const approxValueBytes = 48
 
 // accountScan records base-table rows read into the usage tracker.
@@ -224,12 +224,18 @@ func (ctx *execCtx) accountScan(rows int) {
 	}
 }
 
-// accountRows records one operator's output relation: rows produced plus
-// their estimated materialized bytes. One batched add per operator.
-func (ctx *execCtx) accountRows(rel *relation) {
+// accountRows records one operator's output relation: rows produced plus,
+// when the operator built them, their estimated materialized bytes. An
+// operator that passes on rows it was given (a filter, a union's
+// concatenation, DISTINCT) charges none. One batched add per operator.
+func (ctx *execCtx) accountRows(rel *relation, built bool) {
 	if ctx.usage != nil && rel != nil && len(rel.rows) > 0 {
 		n := int64(len(rel.rows))
-		ctx.usage.AddRowsProduced(n, n*int64(len(rel.rows[0]))*approxValueBytes)
+		var bytes int64
+		if built {
+			bytes = n * int64(len(rel.rows[0])) * approxValueBytes
+		}
+		ctx.usage.AddRowsProduced(n, bytes)
 	}
 }
 
@@ -285,7 +291,7 @@ func evalChain(ctx *execCtx, c *prepChain) (*relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	ctx.accountRows(head)
+	ctx.accountRows(head, false)
 	if node != nil {
 		detail := fmt.Sprintf("%d arms", len(c.arms))
 		if workers > 1 {
@@ -297,7 +303,7 @@ func evalChain(ctx *execCtx, c *prepChain) (*relation, error) {
 	if c.distinct {
 		before := len(head.rows)
 		head = distinctRows(head)
-		ctx.accountRows(head)
+		ctx.accountRows(head, false)
 		ctx.addOp("distinct", "").SetInOut(before, len(head.rows))
 	}
 	return head, nil
@@ -395,7 +401,7 @@ func evalSelectBody(ctx *execCtx, ps *prepSelect) (*relation, error) {
 		if err != nil {
 			return nil, err
 		}
-		ctx.accountRows(input)
+		ctx.accountRows(input, false)
 		note := ctx.takeParNote()
 		if ctx.prof != nil {
 			ctx.addOp("filter", p.restExpr.String()+note).SetInOut(before, len(input.rows))
@@ -409,7 +415,7 @@ func evalSelectBody(ctx *execCtx, ps *prepSelect) (*relation, error) {
 		if err != nil {
 			return nil, err
 		}
-		ctx.accountRows(out)
+		ctx.accountRows(out, true)
 		if ctx.prof != nil {
 			ctx.addOpf("aggregate", "%d groups", len(out.rows)).SetInOut(len(input.rows), len(out.rows))
 		}
@@ -418,7 +424,7 @@ func evalSelectBody(ctx *execCtx, ps *prepSelect) (*relation, error) {
 		if err != nil {
 			return nil, err
 		}
-		ctx.accountRows(out)
+		ctx.accountRows(out, !p.proj.passThrough)
 		if ctx.prof != nil {
 			ctx.addOpf("project", "%d columns", len(p.out)).SetRows(len(out.rows))
 		}
@@ -428,7 +434,7 @@ func evalSelectBody(ctx *execCtx, ps *prepSelect) (*relation, error) {
 		before := len(out.rows)
 		out = distinctRows(out)
 		inputAligned = nil
-		ctx.accountRows(out)
+		ctx.accountRows(out, false)
 		ctx.addOp("distinct", "").SetInOut(before, len(out.rows))
 	}
 
@@ -480,7 +486,7 @@ func buildFrom(ctx *execCtx, ps *prepSelect) (*relation, *selectPlan, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		ctx.accountRows(fr)
+		ctx.accountRows(fr, false)
 		ctx.notePushdown(c.expr, before, len(fr.rows))
 		rels[c.item] = fr
 	}
@@ -517,7 +523,7 @@ func buildFrom(ctx *execCtx, ps *prepSelect) (*relation, *selectPlan, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		ctx.accountRows(cur)
+		ctx.accountRows(cur, true)
 		ctx.noteJoin(algo, len(st.keys), lrows, rrows, len(cur.rows))
 	}
 	return cur, p, nil
@@ -689,7 +695,7 @@ func buildRef(ctx *execCtx, ref *prepRef) (*relation, error) {
 			algo = "merge join"
 		}
 	}
-	ctx.accountRows(out)
+	ctx.accountRows(out, true)
 	note := ctx.takeParNote()
 	if ctx.prof != nil {
 		lrows, rrows := len(l.rows), len(r.rows)

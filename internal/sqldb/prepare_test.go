@@ -144,6 +144,7 @@ func TestPreparedUnionAllocs(t *testing.T) {
 // keeps e.name and the next step's key s.product, the second e.name and
 // p.size, so each charges rows × 2 × approxValueBytes, not the full width
 // of both inputs. The FROM list and the explicit JOINs narrow alike.
+// Filters and unions, which build no row, charge no bytes.
 func TestJoinEmitsOnlyReadColumns(t *testing.T) {
 	db := testDB(t, ProfileHashJoin)
 	for _, sql := range []string{
@@ -179,6 +180,33 @@ func TestJoinEmitsOnlyReadColumns(t *testing.T) {
 		want := int64(joinRows+len(res.Rows)) * width * approxValueBytes
 		if got := usage.Snapshot().BytesMaterialized; got != want {
 			t.Errorf("%q: %d bytes materialized, want %d (%d join rows at width %d)", sql, got, want, joinRows, width)
+		}
+	}
+
+	// Operators that pass on rows they were given charge none: a filter
+	// over a SELECT * builds no row, and a UNION ALL charges each arm's
+	// projected rows once, not again when it concatenates them.
+	for _, c := range []struct {
+		sql        string
+		rows, want int64
+	}{
+		{"SELECT * FROM TEmployee WHERE branch = 'B1'", 2, 0},
+		{"SELECT name FROM TEmployee WHERE branch = 'B1' UNION ALL SELECT product FROM TProduct", 6, 6 * approxValueBytes},
+	} {
+		p, err := Prepare(db, MustParse(c.sql))
+		if err != nil {
+			t.Fatal(err)
+		}
+		usage := &obs.Usage{}
+		res, err := p.Execute(ExecOptions{Usage: usage})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if int64(len(res.Rows)) != c.rows {
+			t.Fatalf("%q: %d rows, want %d", c.sql, len(res.Rows), c.rows)
+		}
+		if got := usage.Snapshot().BytesMaterialized; got != c.want {
+			t.Errorf("%q: %d bytes materialized, want %d", c.sql, got, c.want)
 		}
 	}
 }

@@ -34,6 +34,10 @@ go test -run '^$' -fuzz '^FuzzTemplateDisjoint$' -fuzztime 10s ./internal/r2rml
 # The SPARQL parser is the daemon's input surface: arbitrary query text must
 # parse or fail with an error, never panic.
 go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/sparql
+# The result writers escape by hand: for any variable name, value, language
+# tag, datatype and term kind they must write the bytes encoding/json and
+# the replacer-based TSV cell write.
+go test -run '^$' -fuzz '^FuzzWriteJSON$' -fuzztime 10s ./internal/server
 
 # The smokes below run the shipped engine (core.DefaultOptions): the
 # commands have no switch for any other configuration.
@@ -82,6 +86,10 @@ tail -n 1 "$MIXOUT" | grep -q '"correct":true'
 # The grown instance is the only workload whose joins are all hash joins at
 # scale: it checks the typed join keys against the expected answers.
 go run ./bench --workload hash_scaled --seed 1 --seconds 2 --trace 0 | tee "$MIXOUT"
+tail -n 1 "$MIXOUT" | grep -q '"correct":true'
+# The served mix is the only workload whose result bytes cross a real
+# socket: the answers are read back from the loopback connection.
+go run ./bench --workload serve_open --seed 1 --seconds 2 --trace 0 | tee "$MIXOUT"
 tail -n 1 "$MIXOUT" | grep -q '"correct":true'
 if "$BIN/mixer" -benchdiff \
     internal/mixer/testdata/results_old.json \

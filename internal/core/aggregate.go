@@ -22,7 +22,7 @@ import (
 // The inner DISTINCT enforces the RDF set semantics of the virtual graph
 // (union arms can derive the same solution repeatedly) before counting.
 // Queries outside this fragment fall back to in-memory aggregation over
-// the translated bindings.
+// the translated rows.
 
 // tryAggregatePushdown attempts the SQL compilation; ok=false means the
 // query is outside the pushable fragment. Its pipeline stages are traced as
@@ -199,35 +199,8 @@ func (e *Engine) tryAggregatePushdown(q *sparql.Query, qc *queryCtx) (rs *sparql
 	st.SQL.Unions += w.metrics.Unions
 	st.SQL.InnerQueries += w.metrics.InnerQueries
 
-	// Translate rows to bindings: 3 columns per group var, then one per agg.
-	asSpan := ag.StartChild("assemble")
-	defer asSpan.End()
-	trStart := obs.Now()
-	bindings := make([]sparql.Binding, 0, len(res.Rows))
-	for _, row := range res.Rows {
-		b := make(sparql.Binding, len(q.GroupBy)+len(aggs))
-		col := 0
-		for _, g := range q.GroupBy {
-			lex := row[col]
-			tag, _ := row[col+1].AsInt()
-			dt := row[col+2].S
-			if !lex.IsNull() {
-				b[g] = termFromValue(lex, int(tag), dt)
-			}
-			col += 3
-		}
-		for i, a := range aggs {
-			v := row[col+i]
-			if v.IsNull() {
-				continue
-			}
-			b[a.outVar] = aggregateTerm(a.name, v, varInfos[a.argVar])
-		}
-		bindings = append(bindings, b)
-	}
-	st.TranslateTime += obs.Since(trStart)
-
-	// Finalize with the aggregation stripped (it already happened in SQL).
+	// Finalize with the aggregation stripped (it already happened in SQL),
+	// over rows of the select variables, then the group variables.
 	flat := *q
 	flat.GroupBy = nil
 	flat.Having = nil
@@ -236,11 +209,24 @@ func (e *Engine) tryAggregatePushdown(q *sparql.Query, qc *queryCtx) (rs *sparql
 		items[i] = sparql.SelectItem{Var: it.Var}
 	}
 	flat.Items = items
-	rs, err = sparql.Finalize(&flat, bindings)
-	if err != nil {
-		return nil, false, err
+	ix := sparql.NewVarIndex(append(flat.SelectVars(), q.GroupBy...)...)
+
+	// Translate rows: 3 columns per group var, then one per agg.
+	asSpan := ag.StartChild("assemble")
+	defer asSpan.End()
+	trStart := obs.Now()
+	rows := translateRows(ix.Slots(q.GroupBy), ix.Len(), res)
+	for i, a := range aggs {
+		col, slot := 3*len(q.GroupBy)+i, ix.Slots([]string{a.outVar})[0]
+		for r, row := range res.Rows {
+			if v := row[col]; !v.IsNull() {
+				rows[r][slot] = aggregateTerm(a.name, v, varInfos[a.argVar])
+			}
+		}
 	}
-	return rs, true, nil
+	st.TranslateTime += obs.Since(trStart)
+
+	return sparql.Finalize(&flat, ix, rows), true, nil
 }
 
 // aggItem is one aggregate of the SELECT list.

@@ -7,7 +7,7 @@ import (
 	"npdbench/internal/sparql"
 )
 
-// answerWithoutPushdown evaluates the query through the binding-level
+// answerWithoutPushdown evaluates the query through the row-level
 // (in-memory) aggregation path, bypassing tryAggregatePushdown.
 func answerWithoutPushdown(t *testing.T, e *Engine, src string) *sparql.ResultSet {
 	t.Helper()
@@ -15,15 +15,12 @@ func answerWithoutPushdown(t *testing.T, e *Engine, src string) *sparql.ResultSe
 	if err != nil {
 		t.Fatal(err)
 	}
-	bindings, err := e.evalPattern(q.Pattern, &queryCtx{st: &PhaseStats{}})
+	qc := &queryCtx{st: &PhaseStats{}, vars: q.Index(q.Pattern)}
+	rows, err := e.evalPattern(q.Pattern, qc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, err := sparql.Finalize(q, bindings)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rs
+	return sparql.Finalize(q, qc.vars, rows)
 }
 
 func canonicalRS(rs *sparql.ResultSet) string {

@@ -8,7 +8,6 @@ import (
 	"npdbench/internal/owl"
 	"npdbench/internal/rdf"
 	"npdbench/internal/rewrite"
-	"npdbench/internal/sparql"
 	"npdbench/internal/unfold"
 )
 
@@ -50,7 +49,7 @@ func (e *Engine) CheckConsistency(maxWitnesses int) (*ConsistencyReport, error) 
 	start := obs.Now()
 	rep := &ConsistencyReport{Consistent: true}
 
-	askBoth := func(a, b owl.Concept) ([]sparql.Binding, error) {
+	askBoth := func(a, b owl.Concept) ([][]rdf.Term, error) {
 		cq := &rewrite.CQ{Answer: []string{"x"}}
 		add := func(c owl.Concept) {
 			x := rewrite.Term{Var: "x"}
@@ -83,7 +82,8 @@ func (e *Engine) CheckConsistency(maxWitnesses int) (*ConsistencyReport, error) 
 		if err != nil {
 			return nil, err
 		}
-		return translateRows(un.Vars, sqlRes), nil
+		// ?x is the first answer variable: translate its columns only.
+		return translateRows([]int{0}, 1, sqlRes), nil
 	}
 
 	for _, d := range e.spec.Onto.Disjoints {
@@ -98,7 +98,7 @@ func (e *Engine) CheckConsistency(maxWitnesses int) (*ConsistencyReport, error) 
 			}
 			rep.Consistent = false
 			rep.Violations = append(rep.Violations, Violation{
-				Kind: "class", A: d.A.String(), B: d.B.String(), Witness: w["x"],
+				Kind: "class", A: d.A.String(), B: d.B.String(), Witness: w[0],
 			})
 		}
 	}
@@ -129,10 +129,10 @@ func (e *Engine) CheckConsistency(maxWitnesses int) (*ConsistencyReport, error) 
 		if err != nil {
 			return nil, err
 		}
-		for _, b := range translateRows(un.Vars, sqlRes) {
+		for _, w := range translateRows([]int{0}, 1, sqlRes) { // ?x first, as above
 			rep.Consistent = false
 			rep.Violations = append(rep.Violations, Violation{
-				Kind: "property", A: d.A.String(), B: d.B.String(), Witness: b["x"],
+				Kind: "property", A: d.A.String(), B: d.B.String(), Witness: w[0],
 			})
 		}
 	}

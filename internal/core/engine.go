@@ -18,7 +18,6 @@ package core
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 	"runtime"
 	"strings"
@@ -382,6 +381,9 @@ type queryCtx struct {
 	usage    *obs.Usage
 	name     string
 	profiles []*sqldb.OpProfile
+	// vars numbers the query's variables: every solution the pattern
+	// evaluator builds is a row over it.
+	vars *sparql.VarIndex
 	// ctx is the query's cancellation signal (context.Background() on the
 	// batch paths): a client disconnect or per-query deadline stops the
 	// pattern evaluator at the next stage boundary and the SQL executor at
@@ -513,7 +515,7 @@ func (e *Engine) answer(q *sparql.Query, qc *queryCtx) (*Answer, error) {
 			st.TotalTime = obs.Since(start)
 			return e.finishAnswer(rs, qc), nil
 		}
-		// Fall through: in-memory aggregation over translated bindings.
+		// Fall through: in-memory aggregation over translated rows.
 		// The abandoned attempt keeps its spans in the trace (tagged
 		// abandoned=true) and its wall time stays in TotalTime, but its
 		// stage timings, shape counters, and profiles are dropped so the
@@ -522,15 +524,13 @@ func (e *Engine) answer(q *sparql.Query, qc *queryCtx) (*Answer, error) {
 		*st = PhaseStats{PushdownAbandoned: obs.Since(start)}
 		qc.profiles = nil
 	}
-	bindings, err := e.evalPattern(q.Pattern, qc)
+	qc.vars = q.Index(q.Pattern)
+	rows, err := e.evalPattern(q.Pattern, qc)
 	if err != nil {
 		return nil, e.failQuery(qc, err)
 	}
 	tStart := obs.Now()
-	rs, err := sparql.Finalize(q, bindings)
-	if err != nil {
-		return nil, e.failQuery(qc, err)
-	}
+	rs := sparql.Finalize(q, qc.vars, rows)
 	st.TranslateTime += obs.Since(tStart)
 	st.TotalTime = obs.Since(start)
 	return e.finishAnswer(rs, qc), nil
@@ -626,78 +626,23 @@ func (e *Engine) recordMetrics(st *PhaseStats) {
 	}
 }
 
-// evalPattern evaluates the SPARQL algebra; BGP leaves go through the
-// rewrite → unfold → execute pipeline, non-leaf operators combine binding
-// sets (the way OBDA engines stage OPTIONAL/UNION around SQL fragments).
-func (e *Engine) evalPattern(p sparql.GraphPattern, qc *queryCtx) ([]sparql.Binding, error) {
-	if err := qc.cancelled(); err != nil {
-		return nil, err
-	}
-	switch x := p.(type) {
-	case *sparql.BGP:
-		return e.answerBGP(x, nil, qc)
-	case *sparql.Filter:
-		// Push simple comparisons into the leaf when it is a BGP.
-		if bgp, ok := x.Inner.(*sparql.BGP); ok {
-			push := pushableFilters(x.Cond)
-			bindings, err := e.answerBGP(bgp, push, qc)
-			if err != nil {
-				return nil, err
-			}
-			return filterBindings(bindings, x.Cond), nil
-		}
-		inner, err := e.evalPattern(x.Inner, qc)
-		if err != nil {
+// evalPattern evaluates the SPARQL algebra into rows over qc.vars. Each
+// BGP goes through the rewrite → unfold → execute pipeline, with the
+// simple comparisons of a FILTER directly above it pushed into the SQL;
+// the operators above the BGPs combine row sets in memory (the way OBDA
+// engines stage OPTIONAL/UNION around SQL fragments).
+func (e *Engine) evalPattern(p sparql.GraphPattern, qc *queryCtx) ([][]rdf.Term, error) {
+	return sparql.Eval(p, qc.vars, func(bgp *sparql.BGP, cond sparql.Expr) ([][]rdf.Term, error) {
+		if err := qc.cancelled(); err != nil {
 			return nil, err
 		}
-		return filterBindings(inner, x.Cond), nil
-	case *sparql.Group:
-		cur := []sparql.Binding{{}}
-		for _, part := range x.Parts {
-			next, err := e.evalPattern(part, qc)
-			if err != nil {
-				return nil, err
-			}
-			cur = sparql.JoinBindings(cur, next)
-		}
-		return cur, nil
-	case *sparql.Optional:
-		left, err := e.evalPattern(x.Left, qc)
-		if err != nil {
-			return nil, err
-		}
-		right, err := e.evalPattern(x.Right, qc)
-		if err != nil {
-			return nil, err
-		}
-		return sparql.LeftJoinBindings(left, right), nil
-	case *sparql.Union:
-		left, err := e.evalPattern(x.Left, qc)
-		if err != nil {
-			return nil, err
-		}
-		right, err := e.evalPattern(x.Right, qc)
-		if err != nil {
-			return nil, err
-		}
-		return append(left, right...), nil
-	}
-	return nil, fmt.Errorf("core: unsupported pattern %T", p)
-}
-
-func filterBindings(bs []sparql.Binding, cond sparql.Expr) []sparql.Binding {
-	var out []sparql.Binding
-	for _, b := range bs {
-		if sparql.FilterKeeps(cond, b) {
-			out = append(out, b)
-		}
-	}
-	return out
+		return e.answerBGP(bgp, pushableFilters(cond), qc)
+	})
 }
 
 // pushableFilters extracts var-op-constant comparisons from a filter
 // conjunction; these are pushed into the unfolded SQL (and re-checked on
-// the translated bindings, which keeps pushing safe).
+// the translated rows, which keeps pushing safe).
 func pushableFilters(cond sparql.Expr) []unfold.PushFilter {
 	var out []unfold.PushFilter
 	var walk func(sparql.Expr)
@@ -748,10 +693,10 @@ func flipOp(op string) string {
 // plan, execute, assemble) under the query trace.
 // The compile half goes through the plan cache when enabled; execution
 // always runs live against the database.
-func (e *Engine) answerBGP(bgp *sparql.BGP, push []unfold.PushFilter, qc *queryCtx) ([]sparql.Binding, error) {
+func (e *Engine) answerBGP(bgp *sparql.BGP, push []unfold.PushFilter, qc *queryCtx) ([][]rdf.Term, error) {
 	st := qc.st
 	if len(bgp.Triples) == 0 {
-		return []sparql.Binding{{}}, nil
+		return [][]rdf.Term{make([]rdf.Term, qc.vars.Len())}, nil
 	}
 	plan, err := e.compiledPlanFor(bgp, push, st, qc.tr.StartSpan)
 	if err != nil {
@@ -779,16 +724,17 @@ func (e *Engine) answerBGP(bgp *sparql.BGP, push []unfold.PushFilter, qc *queryC
 
 	asSpan := qc.tr.StartSpan("assemble")
 	trStart := obs.Now()
-	bindings := translateRows(plan.vars, res)
+	slots := qc.vars.Slots(plan.vars)
+	rows := translateRows(slots, qc.vars.Len(), res)
 	st.TranslateTime += obs.Since(trStart)
 	// Distinct at the BGP level: SQL UNION ALL plus multiple mapping
 	// assertions can produce duplicate RDF solutions that a virtual graph
 	// (an RDF *set*) must not expose twice.
-	bindings = dedupeBindings(bindings, plan.vars)
+	rows = sparql.Dedupe(rows, slots)
 	asSpan.SetInt("bindings_in", len(res.Rows))
-	asSpan.SetInt("bindings_out", len(bindings))
+	asSpan.SetInt("bindings_out", len(rows))
 	asSpan.End()
-	return bindings, nil
+	return rows, nil
 }
 
 // execStmt runs one prepared SQL statement under the engine's execution
@@ -847,24 +793,26 @@ func (e *Engine) publishParallel(st *PhaseStats, span *obs.Span, s *sqldb.ExecSt
 	}
 }
 
-// translateRows is phase 4's result translation: SQL rows (lexical, tag,
-// datatype column triples) become RDF term bindings.
-func translateRows(vars []string, res *sqldb.Result) []sparql.Binding {
-	out := make([]sparql.Binding, 0, len(res.Rows))
-	for _, row := range res.Rows {
-		b := make(sparql.Binding, len(vars))
-		for i, v := range vars {
+// translateRows is phase 4's result translation: each SQL row's (lexical,
+// tag, datatype) column triples become the RDF terms of one solution row
+// of the given width, the i-th triple landing in slots[i]. All rows share
+// one backing array; a NULL lexical column leaves its slot unbound.
+func translateRows(slots []int, width int, res *sqldb.Result) [][]rdf.Term {
+	rows := make([][]rdf.Term, len(res.Rows))
+	cells := make([]rdf.Term, len(res.Rows)*width)
+	for r, row := range res.Rows {
+		out := cells[r*width : (r+1)*width : (r+1)*width]
+		for i, s := range slots {
 			lex := row[3*i]
 			if lex.IsNull() {
 				continue
 			}
 			tag, _ := row[3*i+1].AsInt()
-			dt := row[3*i+2].S
-			b[v] = termFromValue(lex, int(tag), dt)
+			out[s] = termFromValue(lex, int(tag), row[3*i+2].S)
 		}
-		out = append(out, b)
+		rows[r] = out
 	}
-	return out
+	return rows
 }
 
 func termFromValue(lex sqldb.Value, tag int, dt string) rdf.Term {
@@ -896,54 +844,4 @@ func derivedDatatype(v sqldb.Value) string {
 		return rdf.XSDDate
 	}
 	return rdf.XSDString
-}
-
-// dedupeBindings keeps the first of every set of bindings whose vars
-// render the same terms. A binding's key is its terms' encodings appended
-// into one reused buffer; a key string is allocated only for a binding not
-// seen before.
-func dedupeBindings(bs []sparql.Binding, vars []string) []sparql.Binding {
-	seen := make(map[string]struct{}, len(bs))
-	out := bs[:0]
-	var key []byte
-	for _, b := range bs {
-		key = key[:0]
-		for _, v := range vars {
-			key = appendTermKey(key, b[v])
-		}
-		if _, dup := seen[string(key)]; dup {
-			continue
-		}
-		seen[string(key)] = struct{}{}
-		out = append(out, b)
-	}
-	return out
-}
-
-// appendTermKey appends an encoding of t that two terms share exactly when
-// their N-Triples renderings (Term.String) are equal: a missing term
-// renders like the empty IRI, a literal's language tag hides its datatype,
-// xsd:string is the plain literal's datatype, and every unknown kind
-// renders as "?". Strings are length-prefixed, so the concatenated keys
-// of several terms stay unambiguous.
-func appendTermKey(buf []byte, t rdf.Term) []byte {
-	tag, value, extra := byte('?'), "", ""
-	switch t.Kind {
-	case rdf.IRI:
-		tag, value = 'I', t.Value
-	case rdf.Blank:
-		tag, value = 'B', t.Value
-	case rdf.Literal:
-		tag, value = 'S', t.Value
-		if t.Lang != "" {
-			tag, extra = 'L', t.Lang
-		} else if t.Datatype != "" && t.Datatype != rdf.XSDString {
-			tag, extra = 'T', t.Datatype
-		}
-	}
-	buf = append(buf, tag)
-	buf = binary.AppendUvarint(buf, uint64(len(value)))
-	buf = append(buf, value...)
-	buf = binary.AppendUvarint(buf, uint64(len(extra)))
-	return append(buf, extra...)
 }

@@ -8,6 +8,7 @@ import (
 	"npdbench/internal/r2rml"
 	"npdbench/internal/rdf"
 	"npdbench/internal/sqldb"
+	"npdbench/internal/unfold"
 )
 
 const exNS = "http://example.org/"
@@ -533,5 +534,39 @@ func TestVirtualGraphShape(t *testing.T) {
 	n := store.Store().CountClass(rdf.NewIRI(exNS + "ProductSize"))
 	if n != 2 {
 		t.Fatalf("ProductSize instances = %d, want 2", n)
+	}
+}
+
+// TestTranslateRowsAllocations pins phase 4's cost: translating a SQL
+// result into solution rows allocates the rows' shared backing arrays,
+// not a structure per row. String columns (IRIs built in SQL, plain and
+// typed literals) render without allocating, so the count is the same
+// for ten rows as for a thousand and well under one per row.
+func TestTranslateRowsAllocations(t *testing.T) {
+	result := func(n int) *sqldb.Result {
+		res := &sqldb.Result{}
+		for i := 0; i < n; i++ {
+			res.Rows = append(res.Rows, sqldb.Row{
+				sqldb.NewString("http://x/w/" + strings.Repeat("1", i%7+1)), sqldb.NewInt(unfold.TagIRI), sqldb.NewString(""),
+				sqldb.NewString("name"), sqldb.NewInt(unfold.TagLiteral), sqldb.NewString(""),
+				sqldb.NewString("2010-01-01"), sqldb.NewInt(unfold.TagTyped), sqldb.NewString(rdf.XSDDate),
+				sqldb.Null, sqldb.NewInt(unfold.TagLiteral), sqldb.NewString(""),
+			})
+		}
+		return res
+	}
+	slots := []int{3, 0, 1, 2}
+	small, large := result(10), result(1000)
+	allocs := func(res *sqldb.Result) float64 {
+		return testing.AllocsPerRun(20, func() { translateRows(slots, 5, res) })
+	}
+	a10, a1000 := allocs(small), allocs(large)
+	if a10 != a1000 || a1000 > 1000 {
+		t.Fatalf("translateRows: %v allocations for 10 rows, %v for 1000; want the same, at most one per row", a10, a1000)
+	}
+	rows := translateRows(slots, 5, large)
+	if got := rows[0]; got[3] != rdf.NewIRI("http://x/w/1") || got[0] != rdf.NewLiteral("name") ||
+		got[1] != rdf.NewTypedLiteral("2010-01-01", rdf.XSDDate) || !got[2].IsZero() || !got[4].IsZero() {
+		t.Fatalf("row 0 = %v", got)
 	}
 }

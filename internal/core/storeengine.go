@@ -100,7 +100,8 @@ func (se *StoreEngine) Answer(q *sparql.Query) (*Answer, error) {
 		st.RewriteTime = obs.Since(rwStart)
 	}
 	exStart := obs.Now()
-	bindings, err := sparql.EvalPattern(pattern, se.store)
+	ix := q.Index(pattern)
+	rows, err := sparql.EvalPattern(pattern, ix, se.store)
 	if err != nil {
 		return nil, err
 	}
@@ -108,12 +109,9 @@ func (se *StoreEngine) Answer(q *sparql.Query) (*Answer, error) {
 		// Reasoning rewrites BGPs into unions whose arms can derive the
 		// same certain answer repeatedly; certain-answer semantics is a
 		// set, so deduplicate over the original pattern's variables.
-		bindings = dedupeBindings(bindings, sparql.PatternVars(q.Pattern))
+		rows = sparql.Dedupe(rows, ix.Slots(sparql.PatternVars(q.Pattern)))
 	}
-	rs, err := sparql.Finalize(q, bindings)
-	if err != nil {
-		return nil, err
-	}
+	rs := sparql.Finalize(q, ix, rows)
 	st.ExecTime = obs.Since(exStart)
 	st.TotalTime = obs.Since(start)
 	return &Answer{ResultSet: rs, Stats: st}, nil
@@ -190,7 +188,7 @@ func (se *StoreEngine) rewritePattern(p sparql.GraphPattern, st *PhaseStats) (sp
 		if err != nil {
 			return nil, err
 		}
-		return &sparql.Optional{Left: l, Right: r}, nil
+		return &sparql.Optional{Left: l, Right: r, Cond: x.Cond}, nil
 	case *sparql.Union:
 		l, err := se.rewritePattern(x.Left, st)
 		if err != nil {

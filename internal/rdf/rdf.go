@@ -4,8 +4,10 @@
 package rdf
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -70,7 +72,7 @@ func NewBlank(label string) Term { return Term{Kind: Blank, Value: label} }
 
 // NewInteger returns an xsd:integer literal.
 func NewInteger(v int64) Term {
-	return NewTypedLiteral(fmt.Sprintf("%d", v), XSDInteger)
+	return NewTypedLiteral(strconv.FormatInt(v, 10), XSDInteger)
 }
 
 // IsIRI reports whether t is an IRI.
@@ -106,9 +108,37 @@ func (t Term) String() string {
 }
 
 // literalEscaper escapes a literal's lexical form for N-Triples. It is
-// built once: Term.String keys DISTINCT, joins and binding dedup, and a
-// strings.Replacer is safe for concurrent use.
+// built once; a strings.Replacer is safe for concurrent use.
 var literalEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`, "\r", `\r`, "\t", `\t`)
+
+// AppendKey appends an encoding of t that two terms share exactly when
+// their N-Triples renderings (Term.String) are equal: the zero Term (an
+// unbound slot) renders like the empty IRI, a literal's language tag hides
+// its datatype, xsd:string is the plain literal's datatype, and every
+// unknown kind renders as "?". Strings are length-prefixed, so the
+// concatenated keys of several terms stay unambiguous. It keys every
+// duplicate check and hash join over solutions without rendering a term.
+func AppendKey(buf []byte, t Term) []byte {
+	tag, value, extra := byte('?'), "", ""
+	switch t.Kind {
+	case IRI:
+		tag, value = 'I', t.Value
+	case Blank:
+		tag, value = 'B', t.Value
+	case Literal:
+		tag, value = 'S', t.Value
+		if t.Lang != "" {
+			tag, extra = 'L', t.Lang
+		} else if t.Datatype != "" && t.Datatype != XSDString {
+			tag, extra = 'T', t.Datatype
+		}
+	}
+	buf = append(buf, tag)
+	buf = binary.AppendUvarint(buf, uint64(len(value)))
+	buf = append(buf, value...)
+	buf = binary.AppendUvarint(buf, uint64(len(extra)))
+	return append(buf, extra...)
+}
 
 // LocalName returns the fragment or last path segment of an IRI.
 func (t Term) LocalName() string {

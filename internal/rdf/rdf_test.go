@@ -156,3 +156,27 @@ func TestNTriplesSkipsCommentsAndErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestAppendKeyMatchesRendering: two terms share a key exactly when their
+// N-Triples renderings are equal, and length prefixes keep the keys of
+// consecutive terms apart.
+func TestAppendKeyMatchesRendering(t *testing.T) {
+	terms := []Term{
+		{}, NewIRI(""), NewIRI("a"), NewBlank("a"), NewLiteral("a"), NewLiteral(""),
+		NewTypedLiteral("a", XSDString), NewTypedLiteral("a", XSDInteger),
+		NewLangLiteral("a", "en"), {Kind: Literal, Value: "a", Datatype: XSDInteger, Lang: "en"},
+		{Kind: 7, Value: "a"}, {Kind: 9},
+	}
+	for _, a := range terms {
+		for _, b := range terms {
+			same := string(AppendKey(nil, a)) == string(AppendKey(nil, b))
+			if same != (a.String() == b.String()) {
+				t.Errorf("%#v vs %#v: same key %v, same rendering %v", a, b, same, !same)
+			}
+		}
+	}
+	ab := AppendKey(AppendKey(nil, NewIRI("ab")), NewIRI("c"))
+	if string(ab) == string(AppendKey(AppendKey(nil, NewIRI("a")), NewIRI("bc"))) {
+		t.Error("concatenated keys of <ab><c> and <a><bc> collide")
+	}
+}

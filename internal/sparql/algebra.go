@@ -76,9 +76,12 @@ type Filter struct {
 	Cond  Expr
 }
 
-// Optional is a left join.
+// Optional is a left join. Cond holds the FILTERs of the OPTIONAL's own
+// group (nil for none); it is evaluated on the merged solution, so it may
+// read variables of either side (SPARQL 1.1 §18.2.2).
 type Optional struct {
 	Left, Right GraphPattern
+	Cond        Expr
 }
 
 // Union merges the solutions of two patterns.
@@ -113,6 +116,9 @@ func (f *Filter) String() string {
 }
 
 func (o *Optional) String() string {
+	if o.Cond != nil {
+		return o.Left.String() + " OPTIONAL { " + o.Right.String() + " FILTER(" + o.Cond.String() + ") }"
+	}
 	return o.Left.String() + " OPTIONAL { " + o.Right.String() + " }"
 }
 
@@ -248,6 +254,7 @@ func (q *Query) ComputeStats() Stats {
 			walk(x.Inner)
 		case *Optional:
 			s.Optionals++
+			s.HasFilter = s.HasFilter || x.Cond != nil
 			walk(x.Left)
 			walk(x.Right)
 		case *Union:

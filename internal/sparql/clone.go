@@ -59,7 +59,7 @@ func ClonePattern(p GraphPattern) GraphPattern {
 	case *Filter:
 		return &Filter{Inner: ClonePattern(x.Inner), Cond: CloneExpr(x.Cond)}
 	case *Optional:
-		return &Optional{Left: ClonePattern(x.Left), Right: ClonePattern(x.Right)}
+		return &Optional{Left: ClonePattern(x.Left), Right: ClonePattern(x.Right), Cond: CloneExpr(x.Cond)}
 	case *Union:
 		return &Union{Left: ClonePattern(x.Left), Right: ClonePattern(x.Right)}
 	}

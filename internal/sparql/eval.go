@@ -2,7 +2,9 @@ package sparql
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"npdbench/internal/rdf"
@@ -44,90 +46,161 @@ func (rs *ResultSet) String() string {
 	return sb.String()
 }
 
+// VarIndex numbers the variables of one query. Every solution of the
+// query is a row of Len terms: slot i holds the term bound to Names[i],
+// the zero Term when the variable is unbound. Rows of one query share
+// their width, so joining, filtering, deduplicating and projecting them
+// needs no per-solution map.
+type VarIndex struct {
+	Names []string
+	slots map[string]int
+}
+
+// NewVarIndex numbers names in order, skipping repeats.
+func NewVarIndex(names ...string) *VarIndex {
+	ix := &VarIndex{slots: make(map[string]int, len(names))}
+	ix.add(names...)
+	return ix
+}
+
+func (ix *VarIndex) add(names ...string) {
+	for _, n := range names {
+		if _, ok := ix.slots[n]; !ok {
+			ix.slots[n] = len(ix.Names)
+			ix.Names = append(ix.Names, n)
+		}
+	}
+}
+
+// Len is the width of every row over the index.
+func (ix *VarIndex) Len() int { return len(ix.Names) }
+
+// Slots maps names onto their slots; a name outside the index maps to -1.
+func (ix *VarIndex) Slots(names []string) []int {
+	out := make([]int, len(names))
+	for i, n := range names {
+		if s, ok := ix.slots[n]; ok {
+			out[i] = s
+		} else {
+			out[i] = -1
+		}
+	}
+	return out
+}
+
+// Index numbers the variables q's solutions carry when p (q's pattern or
+// a rewriting of it) is evaluated: the select variables first, so that
+// projection is a reslice, then those of p, of q's own pattern and of
+// its GROUP BY.
+func (q *Query) Index(p GraphPattern) *VarIndex {
+	ix := NewVarIndex(q.SelectVars()...)
+	ix.add(PatternVars(p)...)
+	ix.add(PatternVars(q.Pattern)...)
+	ix.add(q.GroupBy...)
+	return ix
+}
+
 // Evaluate runs the query over the triple source.
 func Evaluate(q *Query, src TripleSource) (*ResultSet, error) {
-	bindings, err := evalPattern(q.Pattern, src)
+	ix := q.Index(q.Pattern)
+	rows, err := EvalPattern(q.Pattern, ix, src)
 	if err != nil {
 		return nil, err
 	}
-	return Finalize(q, bindings)
+	return Finalize(q, ix, rows), nil
 }
 
 // Finalize applies the solution modifiers of q (aggregation, computed
-// select items, ORDER BY, projection, DISTINCT, LIMIT/OFFSET) to a set of
-// solution bindings. OBDA engines call it after producing the bindings
-// from SQL; the triple-store path calls it from Evaluate.
-func Finalize(q *Query, bindings []Binding) (*ResultSet, error) {
-	var err error
+// select items, ORDER BY, projection, DISTINCT, LIMIT/OFFSET) to solution
+// rows over ix, an index built by q.Index. OBDA engines call it after
+// producing the rows from SQL; the triple-store path calls it from
+// Evaluate. The rows are reused: computed items are written into their
+// slots, and projection reslices each row.
+func Finalize(q *Query, ix *VarIndex, rows [][]rdf.Term) *ResultSet {
 	if q.HasAggregates() {
-		bindings, err = aggregateBindings(q, bindings)
-		if err != nil {
-			return nil, err
-		}
+		rows = aggregateRows(q, ix, rows)
 	} else {
-		// evaluate computed select items
 		for _, it := range q.Items {
 			if it.Expr == nil {
 				continue
 			}
-			for _, b := range bindings {
-				if v, err := EvalExpr(it.Expr, b); err == nil {
-					b[it.Var] = v
+			s := ix.slots[it.Var]
+			for _, r := range rows {
+				if v, err := EvalExpr(it.Expr, Binding{ix, r}); err == nil {
+					r[s] = v
 				}
 			}
 		}
 	}
 	if len(q.OrderBy) > 0 {
-		sortBindings(bindings, q.OrderBy)
+		sortRows(ix, rows, q.OrderBy)
 	}
 	rs := &ResultSet{Vars: q.SelectVars()}
-	for _, b := range bindings {
-		row := make([]rdf.Term, len(rs.Vars))
-		for i, v := range rs.Vars {
-			row[i] = b[v]
-		}
-		rs.Rows = append(rs.Rows, row)
-	}
+	rs.Rows = project(ix, rs.Vars, rows)
 	if q.Distinct {
-		rs = distinctResults(rs)
+		rs.Rows = Dedupe(rs.Rows, ix.Slots(rs.Vars))
 	}
-	if q.Offset > 0 {
-		if q.Offset >= len(rs.Rows) {
-			rs.Rows = nil
-		} else {
-			rs.Rows = rs.Rows[q.Offset:]
-		}
+	rs.Rows = rs.Rows[min(q.Offset, len(rs.Rows)):]
+	if q.Limit >= 0 {
+		rs.Rows = rs.Rows[:min(q.Limit, len(rs.Rows))]
 	}
-	if q.Limit >= 0 && q.Limit < len(rs.Rows) {
-		rs.Rows = rs.Rows[:q.Limit]
-	}
-	return rs, nil
+	return rs
 }
 
-func distinctResults(rs *ResultSet) *ResultSet {
-	seen := make(map[string]bool, len(rs.Rows))
-	out := &ResultSet{Vars: rs.Vars}
-	for _, row := range rs.Rows {
-		var kb strings.Builder
-		for _, t := range row {
-			s := t.String()
-			fmt.Fprintf(&kb, "%d:%s", len(s), s)
+// project narrows each row to vars: a reslice when ix numbers vars first
+// (Query.Index does, unless a variable is selected twice), a copy
+// otherwise.
+func project(ix *VarIndex, vars []string, rows [][]rdf.Term) [][]rdf.Term {
+	w := len(vars)
+	if w <= ix.Len() && slices.Equal(ix.Names[:w], vars) {
+		for i, r := range rows {
+			rows[i] = r[:w:w]
 		}
-		k := kb.String()
-		if seen[k] {
+		return rows
+	}
+	slots := ix.Slots(vars)
+	alloc := rowAlloc{width: w}
+	for i, r := range rows {
+		p := alloc.row()
+		for j, s := range slots {
+			p[j] = r[s] // every select variable is in the index
+		}
+		rows[i] = p
+	}
+	return rows
+}
+
+// Dedupe keeps, in place, the first of every set of rows whose slots hold
+// terms that render the same. A key string is allocated only for a row
+// not seen before.
+func Dedupe(rows [][]rdf.Term, slots []int) [][]rdf.Term {
+	seen := make(map[string]struct{}, len(rows))
+	out := rows[:0]
+	var key []byte
+	for _, r := range rows {
+		key = appendRowKey(key[:0], r, slots)
+		if _, dup := seen[string(key)]; dup {
 			continue
 		}
-		seen[k] = true
-		out.Rows = append(out.Rows, row)
+		seen[string(key)] = struct{}{}
+		out = append(out, r)
 	}
 	return out
 }
 
-func sortBindings(bs []Binding, keys []OrderKey) {
-	sort.SliceStable(bs, func(i, j int) bool {
+// appendRowKey appends the rdf.AppendKey encodings of the row's slots.
+func appendRowKey(buf []byte, row []rdf.Term, slots []int) []byte {
+	for _, s := range slots {
+		buf = rdf.AppendKey(buf, row[s])
+	}
+	return buf
+}
+
+func sortRows(ix *VarIndex, rows [][]rdf.Term, keys []OrderKey) {
+	sort.SliceStable(rows, func(i, j int) bool {
 		for _, k := range keys {
-			vi, ei := EvalExpr(k.Expr, bs[i])
-			vj, ej := EvalExpr(k.Expr, bs[j])
+			vi, ei := EvalExpr(k.Expr, Binding{ix, rows[i]})
+			vj, ej := EvalExpr(k.Expr, Binding{ix, rows[j]})
 			if ei != nil && ej != nil {
 				continue
 			}
@@ -164,107 +237,177 @@ func FilterKeeps(cond Expr, b Binding) bool {
 	return err == nil && ok
 }
 
-// JoinBindings computes the SPARQL join of two solution sequences.
-func JoinBindings(left, right []Binding) []Binding {
-	return joinBindings(left, right)
-}
-
-// LeftJoinBindings computes the SPARQL left join (OPTIONAL) of two solution
-// sequences.
-func LeftJoinBindings(left, right []Binding) []Binding {
-	shared := sharedBoundVars(left, right)
-	if len(shared) == 0 || len(left)*len(right) < 1024 {
-		var out []Binding
-		for _, lb := range left {
-			matched := false
-			for _, rb := range right {
-				if merged, ok := mergeBindings(lb, rb); ok {
-					out = append(out, merged)
-					matched = true
-				}
-			}
-			if !matched {
-				out = append(out, lb)
-			}
-		}
-		return out
-	}
-	ht := make(map[string][]Binding, len(right))
-	for _, rb := range right {
-		ht[bindingKey(rb, shared)] = append(ht[bindingKey(rb, shared)], rb)
-	}
-	var out []Binding
-	for _, lb := range left {
-		matched := false
-		for _, rb := range ht[bindingKey(lb, shared)] {
-			if merged, ok := mergeBindings(lb, rb); ok {
-				out = append(out, merged)
-				matched = true
-			}
-		}
-		if !matched {
-			out = append(out, lb)
+// FilterRows keeps, in place, the rows over ix that satisfy cond.
+func FilterRows(ix *VarIndex, rows [][]rdf.Term, cond Expr) [][]rdf.Term {
+	out := rows[:0]
+	for _, r := range rows {
+		if FilterKeeps(cond, Binding{ix, r}) {
+			out = append(out, r)
 		}
 	}
 	return out
 }
 
-// MergeBindings merges two compatible bindings; ok=false on conflict.
-func MergeBindings(a, b Binding) (Binding, bool) { return mergeBindings(a, b) }
-
-// EvalPattern evaluates a graph pattern over the source, returning the
-// solution bindings (no solution modifiers applied).
-func EvalPattern(p GraphPattern, src TripleSource) ([]Binding, error) {
-	return evalPattern(p, src)
+// rowAlloc carves rows of one width out of shared chunks, so building
+// solutions costs an allocation per chunk rather than per row.
+type rowAlloc struct {
+	width int
+	free  []rdf.Term
+	n     int
 }
 
-func evalPattern(p GraphPattern, src TripleSource) ([]Binding, error) {
+func (a *rowAlloc) row() []rdf.Term {
+	if len(a.free) < a.width {
+		a.free = make([]rdf.Term, a.width*min(max(a.n, 16), 1024))
+	}
+	r := a.free[:a.width:a.width]
+	a.free = a.free[a.width:]
+	a.n++
+	return r
+}
+
+// merge writes the union of two compatible rows into a fresh row;
+// ok=false, with nothing allocated, when they bind one variable to
+// different terms.
+func merge(l, r []rdf.Term, alloc *rowAlloc) ([]rdf.Term, bool) {
+	for i, t := range r {
+		if !t.IsZero() && !l[i].IsZero() && l[i] != t {
+			return nil, false
+		}
+	}
+	out := alloc.row()
+	for i, t := range l {
+		if t.IsZero() {
+			t = r[i]
+		}
+		out[i] = t
+	}
+	return out, true
+}
+
+// Join computes the SPARQL join of two solution sequences over one index.
+func Join(left, right [][]rdf.Term) [][]rdf.Term {
+	return join(nil, left, right, nil, false)
+}
+
+// LeftJoin computes the SPARQL left join (OPTIONAL) of two solution
+// sequences over ix. A merged row is kept when cond (nil for none) holds
+// on it; a left row with no such partner is kept unextended (SPARQL 1.1
+// §18.5). The condition sees both sides, which is why the FILTERs of an
+// OPTIONAL's own group are its cond and not a filter on the right side.
+func LeftJoin(ix *VarIndex, left, right [][]rdf.Term, cond Expr) [][]rdf.Term {
+	return join(ix, left, right, cond, true)
+}
+
+// join pairs every left row with its compatible right rows: by nested
+// loop over small inputs, and otherwise by a hash table over the slots
+// bound in every row of both sides (merge still checks the rest).
+func join(ix *VarIndex, left, right [][]rdf.Term, cond Expr, optional bool) [][]rdf.Term {
+	if len(left) == 0 || (len(right) == 0 && !optional) {
+		return nil
+	}
+	var table map[string][][]rdf.Term
+	var shared []int
+	var key []byte
+	if len(left)*len(right) >= 1024 {
+		shared = sharedBoundSlots(left, right)
+	}
+	if len(shared) > 0 {
+		table = make(map[string][][]rdf.Term, len(right))
+		for _, r := range right {
+			key = appendRowKey(key[:0], r, shared)
+			table[string(key)] = append(table[string(key)], r)
+		}
+	}
+	alloc := rowAlloc{width: len(left[0])}
+	var out [][]rdf.Term
+	for _, l := range left {
+		partners := right
+		if table != nil {
+			key = appendRowKey(key[:0], l, shared)
+			partners = table[string(key)]
+		}
+		matched := false
+		for _, r := range partners {
+			if m, ok := merge(l, r, &alloc); ok && (cond == nil || FilterKeeps(cond, Binding{ix, m})) {
+				out = append(out, m)
+				matched = true
+			}
+		}
+		if optional && !matched {
+			out = append(out, l)
+		}
+	}
+	return out
+}
+
+// sharedBoundSlots returns the slots bound in every row of both sides.
+func sharedBoundSlots(left, right [][]rdf.Term) []int {
+	var out []int
+	for s := range left[0] {
+		if boundEverywhere(left, s) && boundEverywhere(right, s) {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+func boundEverywhere(rows [][]rdf.Term, s int) bool {
+	for _, r := range rows {
+		if r[s].IsZero() {
+			return false
+		}
+	}
+	return true
+}
+
+// Leaf answers one BGP of a pattern as rows over the evaluator's index.
+// cond is the FILTER directly above the BGP (nil for none): the leaf may
+// use it to prune, and Eval applies it to the leaf's rows either way.
+type Leaf func(bgp *BGP, cond Expr) ([][]rdf.Term, error)
+
+// Eval evaluates the algebra above the BGPs into rows over ix, with no
+// solution modifiers applied: joins, left joins with their conditions,
+// filters and unions of the rows leaf returns. The OBDA engine answers
+// each BGP with SQL, the triple-store baseline by matching triples.
+func Eval(p GraphPattern, ix *VarIndex, leaf Leaf) ([][]rdf.Term, error) {
 	switch x := p.(type) {
 	case *BGP:
-		return evalBGP(x, src, []Binding{{}})
+		return leaf(x, nil)
+	case *Filter:
+		var rows [][]rdf.Term
+		var err error
+		if bgp, ok := x.Inner.(*BGP); ok {
+			rows, err = leaf(bgp, x.Cond)
+		} else {
+			rows, err = Eval(x.Inner, ix, leaf)
+		}
+		if err != nil {
+			return nil, err
+		}
+		return FilterRows(ix, rows, x.Cond), nil
 	case *Group:
-		cur := []Binding{{}}
-		for _, part := range x.Parts {
-			next, err := evalPattern(part, src)
+		cur := [][]rdf.Term{make([]rdf.Term, ix.Len())}
+		for i, part := range x.Parts {
+			next, err := Eval(part, ix, leaf)
 			if err != nil {
 				return nil, err
 			}
-			cur = joinBindings(cur, next)
+			if i == 0 {
+				cur = next
+			} else {
+				cur = Join(cur, next)
+			}
 		}
 		return cur, nil
-	case *Filter:
-		inner, err := evalPattern(x.Inner, src)
-		if err != nil {
-			return nil, err
-		}
-		var out []Binding
-		for _, b := range inner {
-			v, err := EvalExpr(x.Cond, b)
-			if err != nil {
-				continue // type error eliminates the solution
-			}
-			ok, err := ebv(v)
-			if err == nil && ok {
-				out = append(out, b)
-			}
-		}
-		return out, nil
 	case *Optional:
-		left, err := evalPattern(x.Left, src)
+		left, right, err := evalPair(x.Left, x.Right, ix, leaf)
 		if err != nil {
 			return nil, err
 		}
-		right, err := evalPattern(x.Right, src)
-		if err != nil {
-			return nil, err
-		}
-		return LeftJoinBindings(left, right), nil
+		return LeftJoin(ix, left, right, x.Cond), nil
 	case *Union:
-		left, err := evalPattern(x.Left, src)
-		if err != nil {
-			return nil, err
-		}
-		right, err := evalPattern(x.Right, src)
+		left, right, err := evalPair(x.Left, x.Right, ix, leaf)
 		if err != nil {
 			return nil, err
 		}
@@ -273,24 +416,36 @@ func evalPattern(p GraphPattern, src TripleSource) ([]Binding, error) {
 	return nil, fmt.Errorf("sparql: unknown pattern %T", p)
 }
 
-// evalBGP extends each seed binding through the triple patterns, greedily
-// choosing the most-bound pattern next.
-func evalBGP(bgp *BGP, src TripleSource, seeds []Binding) ([]Binding, error) {
+// evalPair evaluates the operands of a binary operator, left first.
+func evalPair(l, r GraphPattern, ix *VarIndex, leaf Leaf) (left, right [][]rdf.Term, err error) {
+	if left, err = Eval(l, ix, leaf); err == nil {
+		right, err = Eval(r, ix, leaf)
+	}
+	return left, right, err
+}
+
+// EvalPattern evaluates a graph pattern over the source into solution rows
+// over ix, which must number every variable of p.
+func EvalPattern(p GraphPattern, ix *VarIndex, src TripleSource) ([][]rdf.Term, error) {
+	return Eval(p, ix, func(bgp *BGP, _ Expr) ([][]rdf.Term, error) {
+		return evalBGP(bgp, ix, src), nil
+	})
+}
+
+// evalBGP extends the empty solution through the triple patterns,
+// greedily choosing the most-bound pattern next.
+func evalBGP(bgp *BGP, ix *VarIndex, src TripleSource) [][]rdf.Term {
 	remaining := append([]TriplePattern{}, bgp.Triples...)
-	cur := seeds
+	cur := [][]rdf.Term{make([]rdf.Term, ix.Len())}
+	alloc := rowAlloc{width: ix.Len()}
 	for len(remaining) > 0 {
-		// choose pattern with most positions bound under current bindings
-		bound := map[string]bool{}
-		if len(cur) > 0 {
-			for v := range cur[0] {
-				bound[v] = true
-			}
-		}
+		// choose the pattern with the most positions bound in the
+		// current solutions (all of them bind the same variables)
 		best, bestScore := 0, -1
 		for i, tp := range remaining {
 			score := 0
-			for _, t := range []TermOrVar{tp.S, tp.P, tp.O} {
-				if !t.IsVar() || bound[t.Var] {
+			for _, t := range [3]TermOrVar{tp.S, tp.P, tp.O} {
+				if !t.IsVar() || !cur[0][ix.slots[t.Var]].IsZero() {
 					score++
 				}
 			}
@@ -300,176 +455,86 @@ func evalBGP(bgp *BGP, src TripleSource, seeds []Binding) ([]Binding, error) {
 		}
 		tp := remaining[best]
 		remaining = append(remaining[:best], remaining[best+1:]...)
-		var next []Binding
-		for _, b := range cur {
-			next = append(next, matchPattern(tp, src, b)...)
+		var next [][]rdf.Term
+		for _, r := range cur {
+			next = matchPattern(tp, ix, src, r, &alloc, next)
 		}
 		cur = next
 		if len(cur) == 0 {
-			return nil, nil
+			return nil
 		}
 	}
-	return cur, nil
+	return cur
 }
 
-func matchPattern(tp TriplePattern, src TripleSource, b Binding) []Binding {
-	resolve := func(t TermOrVar) *rdf.Term {
-		if !t.IsVar() {
-			v := t.Term
-			return &v
+// matchPattern appends to out every extension of row r by a triple that
+// matches tp.
+func matchPattern(tp TriplePattern, ix *VarIndex, src TripleSource, r []rdf.Term, alloc *rowAlloc, out [][]rdf.Term) [][]rdf.Term {
+	pos := [3]TermOrVar{tp.S, tp.P, tp.O}
+	var slot [3]int
+	var fixed [3]*rdf.Term
+	for i, t := range pos {
+		slot[i] = -1
+		switch {
+		case !t.IsVar():
+			fixed[i] = &pos[i].Term
+		case !r[ix.slots[t.Var]].IsZero():
+			fixed[i] = &r[ix.slots[t.Var]]
+		default:
+			slot[i] = ix.slots[t.Var]
 		}
-		if v, ok := b[t.Var]; ok {
-			return &v
-		}
-		return nil
 	}
-	s, p, o := resolve(tp.S), resolve(tp.P), resolve(tp.O)
-	var out []Binding
-	for _, tr := range src.Match(s, p, o) {
-		nb := b.Clone()
+	for _, tr := range src.Match(fixed[0], fixed[1], fixed[2]) {
+		nr := alloc.row()
+		copy(nr, r)
 		ok := true
-		bind := func(t TermOrVar, val rdf.Term) {
-			if !t.IsVar() {
-				return
+		for i, v := range [3]rdf.Term{tr.S, tr.P, tr.O} {
+			// A variable repeated in the pattern (?x :p ?x) must match
+			// the same term at each of its positions.
+			if s := slot[i]; s >= 0 {
+				ok = ok && (nr[s].IsZero() || nr[s] == v)
+				nr[s] = v
 			}
-			if prev, exists := nb[t.Var]; exists {
-				if prev != val {
-					ok = false
-				}
-				return
-			}
-			nb[t.Var] = val
 		}
-		bind(tp.S, tr.S)
-		bind(tp.P, tr.P)
-		bind(tp.O, tr.O)
 		if ok {
-			out = append(out, nb)
+			out = append(out, nr)
 		}
 	}
 	return out
 }
 
-func joinBindings(left, right []Binding) []Binding {
-	shared := sharedBoundVars(left, right)
-	if len(shared) == 0 || len(left)*len(right) < 1024 {
-		var out []Binding
-		for _, lb := range left {
-			for _, rb := range right {
-				if merged, ok := mergeBindings(lb, rb); ok {
-					out = append(out, merged)
-				}
-			}
-		}
-		return out
-	}
-	// hash join on the variables bound in every binding of both sides;
-	// mergeBindings still verifies full compatibility.
-	ht := make(map[string][]Binding, len(right))
-	for _, rb := range right {
-		k := bindingKey(rb, shared)
-		ht[k] = append(ht[k], rb)
-	}
-	var out []Binding
-	for _, lb := range left {
-		for _, rb := range ht[bindingKey(lb, shared)] {
-			if merged, ok := mergeBindings(lb, rb); ok {
-				out = append(out, merged)
-			}
-		}
-	}
-	return out
-}
-
-// sharedBoundVars returns variables bound in every binding on both sides.
-func sharedBoundVars(left, right []Binding) []string {
-	if len(left) == 0 || len(right) == 0 {
-		return nil
-	}
-	everywhere := func(bs []Binding) map[string]bool {
-		m := map[string]bool{}
-		for v := range bs[0] {
-			m[v] = true
-		}
-		for _, b := range bs[1:] {
-			for v := range m {
-				if _, ok := b[v]; !ok {
-					delete(m, v)
-				}
-			}
-		}
-		return m
-	}
-	l := everywhere(left)
-	r := everywhere(right)
-	var out []string
-	for v := range l {
-		if r[v] {
-			out = append(out, v)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-func bindingKey(b Binding, vars []string) string {
-	var sb strings.Builder
-	for _, v := range vars {
-		s := b[v].String()
-		fmt.Fprintf(&sb, "%d:%s", len(s), s)
-	}
-	return sb.String()
-}
-
-func mergeBindings(a, b Binding) (Binding, bool) {
-	out := a.Clone()
-	for k, v := range b {
-		if prev, ok := out[k]; ok {
-			if prev != v {
-				return nil, false
-			}
-			continue
-		}
-		out[k] = v
-	}
-	return out, true
-}
-
-// aggregateBindings implements GROUP BY + aggregate projection + HAVING.
-func aggregateBindings(q *Query, bindings []Binding) ([]Binding, error) {
+// aggregateRows implements GROUP BY + aggregate projection + HAVING. Each
+// group yields a row binding its GROUP BY variables and aggregate items.
+func aggregateRows(q *Query, ix *VarIndex, rows [][]rdf.Term) [][]rdf.Term {
 	type group struct {
-		key  Binding
-		rows []Binding
+		key  []rdf.Term
+		rows [][]rdf.Term
 	}
+	groupSlots := ix.Slots(q.GroupBy)
 	groups := map[string]*group{}
-	var order []string
-	for _, b := range bindings {
-		var kb strings.Builder
-		key := Binding{}
-		for _, g := range q.GroupBy {
-			t := b[g]
-			key[g] = t
-			s := t.String()
-			fmt.Fprintf(&kb, "%d:%s", len(s), s)
-		}
-		k := kb.String()
-		gr, ok := groups[k]
+	var order []*group
+	var kb []byte
+	for _, r := range rows {
+		kb = appendRowKey(kb[:0], r, groupSlots)
+		gr, ok := groups[string(kb)]
 		if !ok {
-			gr = &group{key: key}
-			groups[k] = gr
-			order = append(order, k)
+			gr = &group{key: make([]rdf.Term, ix.Len())}
+			for _, s := range groupSlots {
+				gr.key[s] = r[s]
+			}
+			groups[string(kb)] = gr
+			order = append(order, gr)
 		}
-		gr.rows = append(gr.rows, b)
+		gr.rows = append(gr.rows, r)
 	}
 	if len(q.GroupBy) == 0 && len(order) == 0 {
-		groups[""] = &group{key: Binding{}}
-		order = append(order, "")
+		order = append(order, &group{key: make([]rdf.Term, ix.Len())})
 	}
-	var out []Binding
-	for _, k := range order {
-		gr := groups[k]
+	var out [][]rdf.Term
+	for _, gr := range order {
+		key := Binding{ix, gr.key}
 		if q.Having != nil {
-			hv, err := evalAggregateExpr(q.Having, gr.rows, gr.key)
+			hv, err := evalAggregateExpr(q.Having, ix, gr.rows, key)
 			if err != nil {
 				continue
 			}
@@ -478,43 +543,43 @@ func aggregateBindings(q *Query, bindings []Binding) ([]Binding, error) {
 				continue
 			}
 		}
-		nb := gr.key.Clone()
+		nr := slices.Clone(gr.key)
 		for _, it := range q.Items {
 			if it.Expr == nil {
 				continue // plain var: must be a GROUP BY var, already in key
 			}
-			v, err := evalAggregateExpr(it.Expr, gr.rows, gr.key)
+			v, err := evalAggregateExpr(it.Expr, ix, gr.rows, key)
 			if err != nil {
 				continue
 			}
-			nb[it.Var] = v
+			nr[ix.slots[it.Var]] = v
 		}
-		out = append(out, nb)
+		out = append(out, nr)
 	}
-	return out, nil
+	return out
 }
 
 // evalAggregateExpr evaluates expressions that may contain aggregate calls
 // over a group of solutions.
-func evalAggregateExpr(e Expr, rows []Binding, key Binding) (rdf.Term, error) {
+func evalAggregateExpr(e Expr, ix *VarIndex, rows [][]rdf.Term, key Binding) (rdf.Term, error) {
 	switch x := e.(type) {
 	case *AggExpr:
-		return computeAgg(x, rows)
+		return computeAgg(x, ix, rows)
 	case *BinExpr:
 		if !exprHasAggregate(x) {
 			return EvalExpr(x, key)
 		}
-		lv, err := evalAggregateExpr(x.L, rows, key)
+		lv, err := evalAggregateExpr(x.L, ix, rows, key)
 		if err != nil {
 			return rdf.Term{}, err
 		}
-		rv, err := evalAggregateExpr(x.R, rows, key)
+		rv, err := evalAggregateExpr(x.R, ix, rows, key)
 		if err != nil {
 			return rdf.Term{}, err
 		}
 		return evalBin(&BinExpr{Op: x.Op, L: &TermExpr{Term: lv}, R: &TermExpr{Term: rv}}, Binding{})
 	case *NotExpr:
-		v, err := evalAggregateExpr(x.E, rows, key)
+		v, err := evalAggregateExpr(x.E, ix, rows, key)
 		if err != nil {
 			return rdf.Term{}, err
 		}
@@ -528,7 +593,7 @@ func evalAggregateExpr(e Expr, rows []Binding, key Binding) (rdf.Term, error) {
 	}
 }
 
-func computeAgg(a *AggExpr, rows []Binding) (rdf.Term, error) {
+func computeAgg(a *AggExpr, ix *VarIndex, rows [][]rdf.Term) (rdf.Term, error) {
 	if a.Star {
 		if a.Name != "COUNT" {
 			return rdf.Term{}, fmt.Errorf("sparql: %s(*) invalid", a.Name)
@@ -537,17 +602,18 @@ func computeAgg(a *AggExpr, rows []Binding) (rdf.Term, error) {
 	}
 	var vals []rdf.Term
 	seen := map[string]bool{}
-	for _, b := range rows {
-		v, err := EvalExpr(a.Arg, b)
+	var kb []byte
+	for _, r := range rows {
+		v, err := EvalExpr(a.Arg, Binding{ix, r})
 		if err != nil {
 			continue
 		}
 		if a.Distinct {
-			k := v.String()
-			if seen[k] {
+			kb = rdf.AppendKey(kb[:0], v)
+			if seen[string(kb)] {
 				continue
 			}
-			seen[k] = true
+			seen[string(kb)] = true
 		}
 		vals = append(vals, v)
 	}
@@ -572,12 +638,12 @@ func computeAgg(a *AggExpr, rows []Binding) (rdf.Term, error) {
 				return rdf.NewInteger(0), nil
 			}
 			avg := sum / float64(len(vals))
-			return rdf.NewTypedLiteral(fmt.Sprintf("%g", avg), rdf.XSDDouble), nil
+			return rdf.NewTypedLiteral(strconv.FormatFloat(avg, 'g', -1, 64), rdf.XSDDouble), nil
 		}
 		if allInt {
 			return rdf.NewInteger(int64(sum)), nil
 		}
-		return rdf.NewTypedLiteral(fmt.Sprintf("%g", sum), rdf.XSDDouble), nil
+		return rdf.NewTypedLiteral(strconv.FormatFloat(sum, 'g', -1, 64), rdf.XSDDouble), nil
 	case "MIN", "MAX":
 		if len(vals) == 0 {
 			return rdf.Term{}, errTypeError

@@ -20,6 +20,17 @@ func num(n int64) Expr              { return &TermExpr{Term: rdf.NewInteger(n)} 
 func iriExpr(s string) Expr         { return &TermExpr{Term: rdf.NewIRI(s)} }
 func bin(op string, l, r Expr) Expr { return &BinExpr{Op: op, L: l, R: r} }
 
+// bindingOf builds the evaluator's view of one solution from a map.
+func bindingOf(m map[string]rdf.Term) Binding {
+	ix := NewVarIndex()
+	row := make([]rdf.Term, 0, len(m))
+	for name, t := range m {
+		ix.add(name)
+		row = append(row, t)
+	}
+	return Binding{Vars: ix, Row: row}
+}
+
 // evalErr reports whether evaluating e under b yields a type error.
 func evalErr(t *testing.T, e Expr, b Binding) bool {
 	t.Helper()
@@ -31,7 +42,7 @@ func evalErr(t *testing.T, e Expr, b Binding) bool {
 }
 
 func TestEvalUnboundVariableIsTypeError(t *testing.T) {
-	b := Binding{"x": rdf.NewInteger(1)}
+	b := bindingOf(map[string]rdf.Term{"x": rdf.NewInteger(1)})
 	if !evalErr(t, v("missing"), b) {
 		t.Fatal("unbound variable should raise a type error")
 	}
@@ -42,11 +53,11 @@ func TestEvalUnboundVariableIsTypeError(t *testing.T) {
 }
 
 func TestEvalCrossTypeComparison(t *testing.T) {
-	b := Binding{
+	b := bindingOf(map[string]rdf.Term{
 		"i": rdf.NewIRI("http://x/a"),
 		"n": rdf.NewInteger(3),
 		"s": rdf.NewLiteral("abc"),
-	}
+	})
 	// Ordering an IRI against a number is a type error, eliminating the row.
 	if FilterKeeps(bin("<", v("i"), v("n")), b) {
 		t.Fatal("IRI < number must not keep the solution")
@@ -70,7 +81,7 @@ func TestEvalCrossTypeComparison(t *testing.T) {
 }
 
 func TestEvalArithmeticTypeErrors(t *testing.T) {
-	b := Binding{"s": rdf.NewLiteral("abc"), "n": rdf.NewInteger(4)}
+	b := bindingOf(map[string]rdf.Term{"s": rdf.NewLiteral("abc"), "n": rdf.NewInteger(4)})
 	if !evalErr(t, bin("+", v("s"), v("n")), b) {
 		t.Fatal("string + number should be a type error")
 	}
@@ -85,7 +96,7 @@ func TestEvalArithmeticTypeErrors(t *testing.T) {
 // The SPARQL three-valued truth tables: && and || recover from an errored
 // operand when the other operand already determines the result.
 func TestEvalLogicalErrorAbsorption(t *testing.T) {
-	b := Binding{"n": rdf.NewInteger(1)}
+	b := bindingOf(map[string]rdf.Term{"n": rdf.NewInteger(1)})
 	errExpr := bin(">", v("unbound"), num(0)) // always a type error
 	trueExpr := bin("=", v("n"), num(1))
 	falseExpr := bin("=", v("n"), num(2))
@@ -125,7 +136,7 @@ func TestEvalLogicalErrorAbsorption(t *testing.T) {
 }
 
 func TestEvalNegationPropagatesErrors(t *testing.T) {
-	b := Binding{}
+	b := bindingOf(map[string]rdf.Term{})
 	e := &NotExpr{E: bin(">", v("unbound"), num(0))}
 	if !evalErr(t, e, b) {
 		t.Fatal("!(error) should remain an error, not become true")
@@ -141,14 +152,14 @@ func TestEvalNegationPropagatesErrors(t *testing.T) {
 }
 
 func TestEvalEffectiveBooleanValue(t *testing.T) {
-	b := Binding{
+	b := bindingOf(map[string]rdf.Term{
 		"iri":     rdf.NewIRI("http://x/a"),
 		"empty":   rdf.NewLiteral(""),
 		"full":    rdf.NewLiteral("x"),
 		"zero":    rdf.NewInteger(0),
 		"badint":  rdf.NewTypedLiteral("notanumber", rdf.XSDInteger),
 		"boolLit": rdf.NewTypedLiteral("true", rdf.XSDBoolean),
-	}
+	})
 	if FilterKeeps(v("iri"), b) {
 		t.Fatal("an IRI has no effective boolean value")
 	}
@@ -170,7 +181,7 @@ func TestEvalEffectiveBooleanValue(t *testing.T) {
 }
 
 func TestEvalBoundBuiltin(t *testing.T) {
-	b := Binding{"x": rdf.NewInteger(1)}
+	b := bindingOf(map[string]rdf.Term{"x": rdf.NewInteger(1)})
 	keep := &CallExpr{Name: "BOUND", Args: []Expr{v("x")}}
 	drop := &CallExpr{Name: "BOUND", Args: []Expr{v("y")}}
 	if !FilterKeeps(keep, b) {
@@ -263,5 +274,80 @@ func TestOptionalScopedFilter(t *testing.T) {
 	}
 	if rs3.Len() != 1 || rs3.Rows[0][0].Value != ns+"w3" {
 		t.Fatalf("want only w3 via !BOUND, got:\n%s", rs3)
+	}
+}
+
+// TestOptionalFilterSeesLeftSide pins SPARQL 1.1 §18.2.2: a FILTER inside
+// OPTIONAL is the left join's condition, evaluated on the merged solution,
+// so it may compare a variable of the optional part with one bound only
+// on the left. Filtering the right side alone leaves ?m unbound there, a
+// type error that drops every right row.
+func TestOptionalFilterSeesLeftSide(t *testing.T) {
+	ns := "http://t/"
+	st := triplestore.New()
+	w1, w2 := rdf.NewIRI(ns+"w1"), rdf.NewIRI(ns+"w2")
+	minYear, year := rdf.NewIRI(ns+"min"), rdf.NewIRI(ns+"year")
+	st.Add(rdf.Triple{S: w1, P: minYear, O: rdf.NewInteger(2000)})
+	st.Add(rdf.Triple{S: w1, P: year, O: rdf.NewInteger(1995)})
+	st.Add(rdf.Triple{S: w1, P: year, O: rdf.NewInteger(2010)})
+	st.Add(rdf.Triple{S: w2, P: minYear, O: rdf.NewInteger(2020)})
+	st.Add(rdf.Triple{S: w2, P: year, O: rdf.NewInteger(2010)})
+
+	q, err := Parse(`SELECT ?w ?y WHERE {
+		?w <http://t/min> ?m
+		OPTIONAL { ?w <http://t/year> ?y FILTER(?y >= ?m) }
+	} ORDER BY ?w`, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt, ok := q.Pattern.(*Optional)
+	if !ok || opt.Cond == nil {
+		t.Fatalf("OPTIONAL's FILTER must become its condition, got %s", q.Pattern)
+	}
+	rs, err := Evaluate(q, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// w1 keeps only its 2010 year; no year of w2 reaches 2020, so w2 stays
+	// unextended.
+	want := "w\ty\n<http://t/w1>\t\"2010\"^^<" + rdf.XSDInteger + ">\n<http://t/w2>\t_\n"
+	if got := rs.String(); got != want {
+		t.Fatalf("got:\n%s\nwant:\n%s", got, want)
+	}
+
+	// A FILTER in a group nested inside the OPTIONAL filters that group
+	// alone: ?m is unbound there, so nothing extends either wellbore.
+	q2, err := Parse(`SELECT ?w ?y WHERE {
+		?w <http://t/min> ?m
+		OPTIONAL { { ?w <http://t/year> ?y FILTER(?y >= ?m) } }
+	} ORDER BY ?w`, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs2, err := Evaluate(q2, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rs2.String(); got != "w\ty\n<http://t/w1>\t_\n<http://t/w2>\t_\n" {
+		t.Fatalf("nested group filter: got:\n%s", got)
+	}
+}
+
+// TestEvalCallArity: a built-in called with the wrong number of arguments
+// is an evaluation error that drops the solution, never an index panic.
+func TestEvalCallArity(t *testing.T) {
+	b := bindingOf(map[string]rdf.Term{"x": rdf.NewLiteral("a")})
+	for _, c := range []*CallExpr{
+		{Name: "LANG"},
+		{Name: "DATATYPE"},
+		{Name: "STR", Args: []Expr{v("x"), v("x")}},
+		{Name: "REGEX", Args: []Expr{v("x")}},
+	} {
+		if _, err := EvalExpr(c, b); err == nil {
+			t.Errorf("%s with %d arguments: no error", c.Name, len(c.Args))
+		}
+		if FilterKeeps(c, b) {
+			t.Errorf("%s with %d arguments kept the solution", c.Name, len(c.Args))
+		}
 	}
 }

@@ -124,16 +124,21 @@ func ExprVars(e Expr) []string {
 	return out
 }
 
-// Binding maps variable names to RDF terms. Absent variables are unbound.
-type Binding map[string]rdf.Term
+// Binding is the expression evaluator's view of one solution: a row of
+// terms over the query's variable index. A variable outside the index, or
+// in a slot holding the zero Term, is unbound.
+type Binding struct {
+	Vars *VarIndex
+	Row  []rdf.Term
+}
 
-// Clone copies the binding.
-func (b Binding) Clone() Binding {
-	nb := make(Binding, len(b)+1)
-	for k, v := range b {
-		nb[k] = v
+func (b Binding) lookup(name string) (rdf.Term, bool) {
+	if b.Vars != nil {
+		if i, ok := b.Vars.slots[name]; ok && i < len(b.Row) && !b.Row[i].IsZero() {
+			return b.Row[i], true
+		}
 	}
-	return nb
+	return rdf.Term{}, false
 }
 
 // errTypeError marks SPARQL type errors, which make filters eliminate the
@@ -145,7 +150,7 @@ var errTypeError = fmt.Errorf("sparql: type error")
 func EvalExpr(e Expr, b Binding) (rdf.Term, error) {
 	switch x := e.(type) {
 	case *VarExpr:
-		t, ok := b[x.Name]
+		t, ok := b.lookup(x.Name)
 		if !ok {
 			return rdf.Term{}, errTypeError
 		}
@@ -173,50 +178,32 @@ func EvalExpr(e Expr, b Binding) (rdf.Term, error) {
 }
 
 func evalCall(x *CallExpr, b Binding) (rdf.Term, error) {
-	switch x.Name {
-	case "BOUND":
-		if len(x.Args) != 1 {
-			return rdf.Term{}, fmt.Errorf("sparql: BOUND arity")
-		}
+	if n := len(x.Args); n == 0 || x.Name == "REGEX" && n < 2 || x.Name != "REGEX" && n != 1 {
+		return rdf.Term{}, fmt.Errorf("sparql: %s arity", x.Name)
+	}
+	if x.Name == "BOUND" {
 		v, ok := x.Args[0].(*VarExpr)
 		if !ok {
 			return rdf.Term{}, fmt.Errorf("sparql: BOUND requires a variable")
 		}
-		_, bound := b[v.Name]
+		_, bound := b.lookup(v.Name)
 		return boolTerm(bound), nil
+	}
+	v, err := EvalExpr(x.Args[0], b)
+	if err != nil {
+		return rdf.Term{}, err
+	}
+	switch x.Name {
 	case "STR":
-		if len(x.Args) != 1 {
-			return rdf.Term{}, fmt.Errorf("sparql: STR arity")
-		}
-		v, err := EvalExpr(x.Args[0], b)
-		if err != nil {
-			return rdf.Term{}, err
-		}
 		return rdf.NewLiteral(v.Value), nil
 	case "LANG":
-		v, err := EvalExpr(x.Args[0], b)
-		if err != nil {
-			return rdf.Term{}, err
-		}
 		return rdf.NewLiteral(v.Lang), nil
 	case "DATATYPE":
-		v, err := EvalExpr(x.Args[0], b)
-		if err != nil {
-			return rdf.Term{}, err
+		if v.Datatype == "" {
+			return rdf.NewIRI(rdf.XSDString), nil
 		}
-		dt := v.Datatype
-		if dt == "" {
-			dt = rdf.XSDString
-		}
-		return rdf.NewIRI(dt), nil
+		return rdf.NewIRI(v.Datatype), nil
 	case "REGEX":
-		if len(x.Args) < 2 {
-			return rdf.Term{}, fmt.Errorf("sparql: REGEX arity")
-		}
-		v, err := EvalExpr(x.Args[0], b)
-		if err != nil {
-			return rdf.Term{}, err
-		}
 		p, err := EvalExpr(x.Args[1], b)
 		if err != nil {
 			return rdf.Term{}, err
@@ -229,15 +216,14 @@ func evalCall(x *CallExpr, b Binding) (rdf.Term, error) {
 
 func evalBin(x *BinExpr, b Binding) (rdf.Term, error) {
 	switch x.Op {
-	case "&&":
+	case "&&", "||":
+		// Three-valued logic: an operand that decides the result (false
+		// for &&, true for ||) wins over a type error in the other.
+		decisive := x.Op == "||"
 		lv, lerr := evalBool(x.L, b)
 		rv, rerr := evalBool(x.R, b)
-		// SPARQL: error && false = false
-		if lerr == nil && !lv {
-			return boolTerm(false), nil
-		}
-		if rerr == nil && !rv {
-			return boolTerm(false), nil
+		if lerr == nil && lv == decisive || rerr == nil && rv == decisive {
+			return boolTerm(decisive), nil
 		}
 		if lerr != nil {
 			return rdf.Term{}, lerr
@@ -245,23 +231,7 @@ func evalBin(x *BinExpr, b Binding) (rdf.Term, error) {
 		if rerr != nil {
 			return rdf.Term{}, rerr
 		}
-		return boolTerm(true), nil
-	case "||":
-		lv, lerr := evalBool(x.L, b)
-		rv, rerr := evalBool(x.R, b)
-		if lerr == nil && lv {
-			return boolTerm(true), nil
-		}
-		if rerr == nil && rv {
-			return boolTerm(true), nil
-		}
-		if lerr != nil {
-			return rdf.Term{}, lerr
-		}
-		if rerr != nil {
-			return rdf.Term{}, rerr
-		}
-		return boolTerm(false), nil
+		return boolTerm(!decisive), nil
 	}
 	lv, err := EvalExpr(x.L, b)
 	if err != nil {

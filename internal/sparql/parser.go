@@ -2,6 +2,7 @@ package sparql
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -422,9 +423,22 @@ func (p *sparser) parseInt() (int, error) {
 }
 
 // parseGroupGraphPattern parses { ... } including FILTER/OPTIONAL/UNION.
+// The group's FILTERs apply to the whole group.
 func (p *sparser) parseGroupGraphPattern() (GraphPattern, error) {
-	if err := p.expectSymbol("{"); err != nil {
+	inner, filters, err := p.parseGroup()
+	if err != nil {
 		return nil, err
+	}
+	for _, f := range filters {
+		inner = &Filter{Inner: inner, Cond: f}
+	}
+	return inner, nil
+}
+
+// parseGroup parses { ... } into the group's pattern and its FILTERs.
+func (p *sparser) parseGroup() (GraphPattern, []Expr, error) {
+	if err := p.expectSymbol("{"); err != nil {
+		return nil, nil, err
 	}
 	var parts []GraphPattern
 	cur := &BGP{}
@@ -450,29 +464,35 @@ func (p *sparser) parseGroupGraphPattern() (GraphPattern, error) {
 			default:
 				inner = &Group{Parts: parts}
 			}
-			for _, f := range filters {
-				inner = &Filter{Inner: inner, Cond: f}
-			}
-			return inner, nil
+			return inner, filters, nil
 		case t.kind == stKeyword && t.text == "FILTER":
 			p.advance()
 			if err := p.expectSymbol("("); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			e, err := p.parseExpr()
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			if err := p.expectSymbol(")"); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			filters = append(filters, e)
 			p.acceptSymbol(".")
 		case t.kind == stKeyword && t.text == "OPTIONAL":
 			p.advance()
-			right, err := p.parseGroupGraphPattern()
+			right, rightFilters, err := p.parseGroup()
 			if err != nil {
-				return nil, err
+				return nil, nil, err
+			}
+			// The OPTIONAL's own FILTERs become its left-join condition.
+			var cond Expr
+			for _, f := range rightFilters {
+				if cond == nil {
+					cond = f
+				} else {
+					cond = &BinExpr{Op: "&&", L: cond, R: f}
+				}
 			}
 			flush()
 			var left GraphPattern
@@ -484,18 +504,18 @@ func (p *sparser) parseGroupGraphPattern() (GraphPattern, error) {
 			default:
 				left = &Group{Parts: parts}
 			}
-			parts = []GraphPattern{&Optional{Left: left, Right: right}}
+			parts = []GraphPattern{&Optional{Left: left, Right: right, Cond: cond}}
 			p.acceptSymbol(".")
 		case t.kind == stSymbol && t.text == "{":
 			sub, err := p.parseGroupGraphPattern()
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			// possible UNION chain
 			for p.acceptKeyword("UNION") {
 				rhs, err := p.parseGroupGraphPattern()
 				if err != nil {
-					return nil, err
+					return nil, nil, err
 				}
 				sub = &Union{Left: sub, Right: rhs}
 			}
@@ -505,13 +525,13 @@ func (p *sparser) parseGroupGraphPattern() (GraphPattern, error) {
 		default:
 			// triples block
 			if err := p.parseTriplesSameSubject(cur); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			if !p.acceptSymbol(".") {
 				// allowed before }
 				if !(p.peek().kind == stSymbol && p.peek().text == "}") &&
 					!(p.peek().kind == stKeyword && (p.peek().text == "FILTER" || p.peek().text == "OPTIONAL")) {
-					return nil, p.errf("expected '.' or '}', got %q", p.peek().text)
+					return nil, nil, p.errf("expected '.' or '}', got %q", p.peek().text)
 				}
 			}
 		}
@@ -564,26 +584,14 @@ func (p *sparser) parsePropertyList(bgp *BGP, subj TermOrVar, required bool) err
 }
 
 func (p *sparser) parsePredicate() (TermOrVar, error) {
-	t := p.peek()
-	switch {
-	case t.kind == stKeyword && t.text == "A":
-		p.advance()
+	if p.acceptKeyword("A") {
 		return T(rdf.NewIRI(rdf.RDFType)), nil
-	case t.kind == stVar:
-		p.advance()
-		return V(t.text), nil
-	case t.kind == stIRI:
-		p.advance()
-		return T(rdf.NewIRI(t.text)), nil
-	case t.kind == stPName:
-		p.advance()
-		iri, err := p.prefixes.Expand(t.text)
-		if err != nil {
-			return TermOrVar{}, p.errf("%v", err)
-		}
-		return T(rdf.NewIRI(iri)), nil
 	}
-	return TermOrVar{}, p.errf("expected predicate, got %q", t.text)
+	switch p.peek().kind {
+	case stVar, stIRI, stPName:
+		return p.parseTermOrVarAllowBNode(nil)
+	}
+	return TermOrVar{}, p.errf("expected predicate, got %q", p.peek().text)
 }
 
 // parseTermOrVarAllowBNode parses a node, expanding [ ... ] blank node
@@ -669,36 +677,27 @@ func (p *sparser) parseTermOrVarAllowBNode(bgp *BGP) (TermOrVar, error) {
 
 // ---- expression parsing ----
 
-func (p *sparser) parseExpr() (Expr, error) { return p.parseOrExpr() }
+func (p *sparser) parseExpr() (Expr, error)    { return p.parseBinary(p.parseAndExpr, "||") }
+func (p *sparser) parseAndExpr() (Expr, error) { return p.parseBinary(p.parseRelExpr, "&&") }
+func (p *sparser) parseAddExpr() (Expr, error) { return p.parseBinary(p.parseMulExpr, "+", "-") }
+func (p *sparser) parseMulExpr() (Expr, error) { return p.parseBinary(p.parseUnaryExpr, "*", "/") }
 
-func (p *sparser) parseOrExpr() (Expr, error) {
-	l, err := p.parseAndExpr()
-	if err != nil {
-		return nil, err
-	}
-	for p.acceptSymbol("||") {
-		r, err := p.parseAndExpr()
-		if err != nil {
-			return nil, err
+// parseBinary parses a left-associative chain of operands, each parsed by
+// next, joined by any of ops.
+func (p *sparser) parseBinary(next func() (Expr, error), ops ...string) (Expr, error) {
+	l, err := next()
+	for err == nil {
+		t := p.peek()
+		if t.kind != stSymbol || !slices.Contains(ops, t.text) {
+			return l, nil
 		}
-		l = &BinExpr{Op: "||", L: l, R: r}
-	}
-	return l, nil
-}
-
-func (p *sparser) parseAndExpr() (Expr, error) {
-	l, err := p.parseRelExpr()
-	if err != nil {
-		return nil, err
-	}
-	for p.acceptSymbol("&&") {
-		r, err := p.parseRelExpr()
-		if err != nil {
-			return nil, err
+		p.advance()
+		var r Expr
+		if r, err = next(); err == nil {
+			l = &BinExpr{Op: t.text, L: l, R: r}
 		}
-		l = &BinExpr{Op: "&&", L: l, R: r}
 	}
-	return l, nil
+	return nil, err
 }
 
 func (p *sparser) parseRelExpr() (Expr, error) {
@@ -719,46 +718,6 @@ func (p *sparser) parseRelExpr() (Expr, error) {
 		}
 	}
 	return l, nil
-}
-
-func (p *sparser) parseAddExpr() (Expr, error) {
-	l, err := p.parseMulExpr()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		t := p.peek()
-		if t.kind == stSymbol && (t.text == "+" || t.text == "-") {
-			p.advance()
-			r, err := p.parseMulExpr()
-			if err != nil {
-				return nil, err
-			}
-			l = &BinExpr{Op: t.text, L: l, R: r}
-			continue
-		}
-		return l, nil
-	}
-}
-
-func (p *sparser) parseMulExpr() (Expr, error) {
-	l, err := p.parseUnaryExpr()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		t := p.peek()
-		if t.kind == stSymbol && (t.text == "*" || t.text == "/") {
-			p.advance()
-			r, err := p.parseUnaryExpr()
-			if err != nil {
-				return nil, err
-			}
-			l = &BinExpr{Op: t.text, L: l, R: r}
-			continue
-		}
-		return l, nil
-	}
 }
 
 func (p *sparser) parseUnaryExpr() (Expr, error) {

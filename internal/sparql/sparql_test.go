@@ -331,22 +331,24 @@ func TestEffectiveBooleanValue(t *testing.T) {
 }
 
 func TestBindingHelpers(t *testing.T) {
-	a := Binding{"x": iri("alice")}
-	b := Binding{"x": iri("alice"), "y": iri("bob")}
-	merged, ok := MergeBindings(a, b)
-	if !ok || len(merged) != 2 {
-		t.Fatalf("merge failed: %v %v", merged, ok)
-	}
-	c := Binding{"x": iri("carol")}
-	if _, ok := MergeBindings(a, c); ok {
-		t.Fatal("conflicting bindings must not merge")
-	}
-	joined := JoinBindings([]Binding{a}, []Binding{b, c})
-	if len(joined) != 1 {
+	// Rows over one index of (x, y): a binds x, b binds x and y, c
+	// binds x to another term.
+	ix := NewVarIndex("x", "y")
+	a := []rdf.Term{iri("alice"), {}}
+	b := []rdf.Term{iri("alice"), iri("bob")}
+	c := []rdf.Term{iri("carol"), {}}
+	joined := Join([][]rdf.Term{a}, [][]rdf.Term{b, c})
+	if len(joined) != 1 || joined[0][1] != iri("bob") {
 		t.Fatalf("join: %v", joined)
 	}
-	left := LeftJoinBindings([]Binding{c}, []Binding{b})
-	if len(left) != 1 || len(left[0]) != 1 {
+	if len(Join([][]rdf.Term{a}, [][]rdf.Term{c})) != 0 {
+		t.Fatal("conflicting rows must not merge")
+	}
+	left := LeftJoin(ix, [][]rdf.Term{c}, [][]rdf.Term{b}, nil)
+	if len(left) != 1 || !left[0][1].IsZero() {
 		t.Fatalf("left join must keep unmatched left: %v", left)
+	}
+	if got := Dedupe([][]rdf.Term{a, b, {iri("alice"), {}}}, []int{0}); len(got) != 1 {
+		t.Fatalf("dedupe on x: %v", got)
 	}
 }

@@ -30,14 +30,14 @@ go test -race ./...
 "$BIN/obdalint" -strict -quiet
 # Typed template disjointness prunes unfolded joins: "disjoint" must never
 # hold for two templates some values of their classes expand equally.
-go test -run '^$' -fuzz '^FuzzTemplateDisjoint$' -fuzztime 10s ./internal/r2rml
+go test -run '^$' -fuzz '^FuzzTemplateDisjoint$' -fuzztime 10s -fuzzminimizetime 1s ./internal/r2rml
 # The SPARQL parser is the daemon's input surface: arbitrary query text must
 # parse or fail with an error, never panic.
-go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/sparql
+go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s -fuzzminimizetime 1s ./internal/sparql
 # The result writers escape by hand: for any variable name, value, language
 # tag, datatype and term kind they must write the bytes encoding/json and
 # the replacer-based TSV cell write.
-go test -run '^$' -fuzz '^FuzzWriteJSON$' -fuzztime 10s ./internal/server
+go test -run '^$' -fuzz '^FuzzWriteJSON$' -fuzztime 10s -fuzzminimizetime 1s ./internal/server
 
 # The smokes below run the shipped engine (core.DefaultOptions): the
 # commands have no switch for any other configuration.

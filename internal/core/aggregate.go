@@ -48,12 +48,12 @@ func (e *Engine) tryAggregatePushdown(q *sparql.Query, qc *queryCtx) (rs *sparql
 		}
 		// Every filter conjunct must be pushable, otherwise rows would be
 		// aggregated before filtering.
-		if !fullyPushable(p.Cond) {
+		var all bool
+		if filters, all = pushableFilters(p.Cond); !all {
 			return nil, false, nil
 		}
 		bgp = inner
 		cond = p.Cond
-		filters = pushableFilters(p.Cond)
 	default:
 		return nil, false, nil
 	}
@@ -150,27 +150,7 @@ func (e *Engine) tryAggregatePushdown(q *sparql.Query, qc *queryCtx) (rs *sparql
 			return nil, false, nil
 		}
 	}
-	w, err := plan.aggWrapper(aggShape(q.GroupBy, aggs), func() (*aggWrapper, error) {
-		// The plan keeps the union prepared and as text, not as an AST, so
-		// the wrapper is built around a placeholder that stands for the
-		// union in binding, rendering and metrics alike.
-		union := sqldb.NewSelect()
-		union.Items = []sqldb.SelectItem{{Star: true}}
-		union.From = []sqldb.TableRef{&sqldb.BaseTable{Name: "u"}}
-		outer := aggregateSQL(union, q.GroupBy, aggs)
-		prep, err := sqldb.PrepareWith(e.spec.DB, outer, union, plan.prep)
-		if err != nil {
-			return nil, err
-		}
-		placeholder := "(" + union.String() + ") AS u"
-		sql := strings.Replace(outer.String(), placeholder, "("+plan.sql+") AS u", 1)
-		m := outer.Metrics()
-		m.Joins += plan.sqlMetrics.Joins
-		m.LeftJoins += plan.sqlMetrics.LeftJoins
-		m.Unions += plan.sqlMetrics.Unions
-		m.InnerQueries += plan.sqlMetrics.InnerQueries
-		return &aggWrapper{prep: prep, sql: sql, metrics: m}, nil
-	})
+	w, err := e.aggregateStmt(plan, q.GroupBy, aggs)
 	if err != nil {
 		// SQL that does not bind is a fallback condition, like SQL that
 		// fails to execute (below).
@@ -195,9 +175,9 @@ func (e *Engine) tryAggregatePushdown(q *sparql.Query, qc *queryCtx) (rs *sparql
 	st.ExecTime += obs.Since(exStart)
 	exSpan.SetInt("rows", len(res.Rows))
 	st.UnfoldedSQL = w.sql
-	st.SQL.Joins += w.metrics.Joins
-	st.SQL.Unions += w.metrics.Unions
-	st.SQL.InnerQueries += w.metrics.InnerQueries
+	st.SQL.Joins += w.sqlMetrics.Joins
+	st.SQL.Unions += w.sqlMetrics.Unions
+	st.SQL.InnerQueries += w.sqlMetrics.InnerQueries
 
 	// Finalize with the aggregation stripped (it already happened in SQL),
 	// over rows of the select variables, then the group variables.
@@ -237,7 +217,7 @@ type aggItem struct {
 	distinct bool
 }
 
-// aggShape keys the wrapper of one (GROUP BY, aggregates) shape over a
+// aggShape keys the statement of one (GROUP BY, aggregates) shape over a
 // plan: everything aggregateSQL reads besides the plan's statement.
 func aggShape(groupBy []string, aggs []aggItem) string {
 	var sb strings.Builder
@@ -255,6 +235,47 @@ func aggShape(groupBy []string, aggs []aggItem) string {
 		}
 	}
 	return sb.String()
+}
+
+// aggregateStmt returns the pushdown statement of one (GROUP BY,
+// aggregates) shape over plan. With the cache on it is a cache entry of
+// its own, keyed by the plan's key and the shape and put under the epoch
+// the plan was compiled in, so every statement counts against the one
+// bound and none built over an invalidated plan is published.
+func (e *Engine) aggregateStmt(plan *compiledPlan, groupBy []string, aggs []aggItem) (*compiledPlan, error) {
+	var key string
+	if e.cache != nil {
+		key = plan.key + "\x1c" + aggShape(groupBy, aggs)
+		if w, ok := e.cache.get(key); ok {
+			return w, nil
+		}
+	}
+	// The plan keeps the union prepared and as text, not as an AST, so the
+	// statement is built around a placeholder that stands for the union in
+	// binding, rendering and metrics alike.
+	union := sqldb.NewSelect()
+	union.Items = []sqldb.SelectItem{{Star: true}}
+	union.From = []sqldb.TableRef{&sqldb.BaseTable{Name: "u"}}
+	outer := aggregateSQL(union, groupBy, aggs)
+	prep, err := sqldb.PrepareWith(e.spec.DB, outer, union, plan.prep)
+	if err != nil {
+		return nil, err
+	}
+	placeholder := "(" + union.String() + ") AS u"
+	m := outer.Metrics()
+	m.Joins += plan.sqlMetrics.Joins
+	m.LeftJoins += plan.sqlMetrics.LeftJoins
+	m.Unions += plan.sqlMetrics.Unions
+	m.InnerQueries += plan.sqlMetrics.InnerQueries
+	w := &compiledPlan{
+		prep:       prep,
+		sql:        strings.Replace(outer.String(), placeholder, "("+plan.sql+") AS u", 1),
+		sqlMetrics: m,
+	}
+	if e.cache != nil {
+		e.cache.put(key, w, plan.epoch)
+	}
+	return w, nil
 }
 
 // aggregateSQL builds the pushdown statement over the unfolded union:
@@ -310,32 +331,6 @@ func aggregateTerm(name string, v sqldb.Value, info unfold.VarInfo) rdf.Term {
 		return rdf.NewTypedLiteral(v.String(), rdf.XSDBoolean)
 	}
 	return rdf.NewLiteral(v.String())
-}
-
-// fullyPushable reports whether the filter condition is a conjunction of
-// var-op-literal comparisons (everything pushableFilters can translate).
-func fullyPushable(cond sparql.Expr) bool {
-	b, ok := cond.(*sparql.BinExpr)
-	if !ok {
-		return false
-	}
-	if b.Op == "&&" {
-		return fullyPushable(b.L) && fullyPushable(b.R)
-	}
-	switch b.Op {
-	case "=", "!=", "<", "<=", ">", ">=":
-		if _, okv := b.L.(*sparql.VarExpr); okv {
-			if t, okt := b.R.(*sparql.TermExpr); okt && t.Term.IsLiteral() {
-				return true
-			}
-		}
-		if _, okv := b.R.(*sparql.VarExpr); okv {
-			if t, okt := b.L.(*sparql.TermExpr); okt && t.Term.IsLiteral() {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 func containsStr(xs []string, x string) bool {

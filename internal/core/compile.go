@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"npdbench/internal/obs"
 	"npdbench/internal/rewrite"
@@ -13,11 +12,12 @@ import (
 )
 
 // compiledPlan is the result of compiling one BGP (with its pushed
-// filters) through rewrite → unfold → plan. It is what the plan cache
-// stores and what concurrent clients share: the executor never mutates a
-// Prepared, so one plan serves any number of simultaneous executions. Only
-// the aggregate-pushdown wrappers are added later, under aggMu. The plan
-// keeps the unfolded statement prepared and as text, not as an AST.
+// filters) through rewrite → unfold → plan, or one aggregate-pushdown
+// statement over such a plan (prep, sql and sqlMetrics only). It is what
+// the plan cache stores and what concurrent clients share: it is never
+// changed once published, and the executor never mutates a Prepared, so one
+// plan serves any number of simultaneous executions. The plan keeps the
+// unfolded statement prepared and as text, not as an AST.
 type compiledPlan struct {
 	// prep is the unfolded SQL statement prepared against the engine's
 	// database: names resolved once, executed on every answer. nil means
@@ -49,43 +49,12 @@ type compiledPlan struct {
 	// (aggregate pushdown's MIN/MAX/SUM faithfulness check).
 	varInfos map[string]unfold.VarInfo
 
-	aggMu sync.Mutex
-	aggs  map[string]*aggWrapper // guarded by aggMu; keyed by aggregate shape
-}
-
-// aggWrapper is the aggregate-pushdown statement of one aggregate shape
-// over a plan: built, rendered and prepared once, executed on every
-// answer.
-type aggWrapper struct {
-	prep    *sqldb.Prepared
-	sql     string
-	metrics sqldb.SQLMetrics
-}
-
-// aggWrapper returns the wrapper cached under key, building it with build
-// on first use. build runs outside the lock; of two racing builds the
-// first stored wins.
-func (p *compiledPlan) aggWrapper(key string, build func() (*aggWrapper, error)) (*aggWrapper, error) {
-	p.aggMu.Lock()
-	w, ok := p.aggs[key]
-	p.aggMu.Unlock()
-	if ok {
-		return w, nil
-	}
-	w, err := build()
-	if err != nil {
-		return nil, err
-	}
-	p.aggMu.Lock()
-	defer p.aggMu.Unlock()
-	if prev, ok := p.aggs[key]; ok {
-		return prev, nil
-	}
-	if p.aggs == nil {
-		p.aggs = make(map[string]*aggWrapper)
-	}
-	p.aggs[key] = w
-	return w, nil
+	// key and epoch are the plan's cache key and the epoch it was compiled
+	// under (unset with the cache off): an aggregate-pushdown statement
+	// built over the plan is cached under key plus its shape, guarded by
+	// the same epoch.
+	key   string
+	epoch uint64
 }
 
 // addTo replays the plan-shape measures into the per-query stats.
@@ -127,6 +96,7 @@ func (e *Engine) compiledPlanFor(bgp *sparql.BGP, push []unfold.PushFilter, st *
 		return nil, err
 	}
 	st.PlanCacheMisses++
+	plan.key, plan.epoch = key, epoch
 	e.cache.put(key, plan, epoch)
 	return plan, nil
 }

@@ -74,11 +74,11 @@ type Options struct {
 	// value (VerifyAuto) verifies under `go test` only.
 	VerifyPlans VerifyMode
 	// PlanCache memoizes per-BGP compilation results (rewritten UCQ,
-	// unfolded SQL plan, projection/tag metadata) in a bounded sharded
-	// LRU, so repeated executions of the same BGP+filter shape pay
-	// execute-only cost. Cached plans are immutable and safe to share
-	// across concurrent Answer calls. The cache holds DefaultPlanCacheSize
-	// plans.
+	// unfolded SQL plan, projection/tag metadata) and aggregate-pushdown
+	// statements in one bounded map, so repeated executions of the same
+	// BGP+filter shape pay execute-only cost. Cached plans are immutable
+	// and safe to share across concurrent Answer calls. The cache holds
+	// DefaultPlanCacheSize entries.
 	PlanCache bool
 	// Parallelism caps the intra-query parallel workers each SQL
 	// statement may use (union-arm fan-out, partitioned hash joins,
@@ -319,11 +319,6 @@ type PhaseStats struct {
 	// query's SQL statements (all zero when Options.Parallelism is 1 or
 	// the statements were too small to fan out).
 	Parallel ParallelStats
-	// PushdownAbandoned is the wall time an abandoned aggregate-pushdown
-	// attempt consumed before the query fell back to in-memory
-	// aggregation. It is part of TotalTime but of no per-stage time: the
-	// stage measures describe only the path that produced the answer.
-	PushdownAbandoned time.Duration
 	// Usage is the frozen per-query resource accounting block (nil when
 	// observability is fully off): base-table rows scanned, operator
 	// rows/bytes produced, parallel tasks and cache hits.
@@ -519,9 +514,8 @@ func (e *Engine) answer(q *sparql.Query, qc *queryCtx) (*Answer, error) {
 		// The abandoned attempt keeps its spans in the trace (tagged
 		// abandoned=true) and its wall time stays in TotalTime, but its
 		// stage timings, shape counters, and profiles are dropped so the
-		// per-stage stats describe only the path that answers the query;
-		// the attempt's cost is reported separately as PushdownAbandoned.
-		*st = PhaseStats{PushdownAbandoned: obs.Since(start)}
+		// per-stage stats describe only the path that answers the query.
+		*st = PhaseStats{}
 		qc.profiles = nil
 	}
 	qc.vars = q.Index(q.Pattern)
@@ -636,19 +630,22 @@ func (e *Engine) evalPattern(p sparql.GraphPattern, qc *queryCtx) ([][]rdf.Term,
 		if err := qc.cancelled(); err != nil {
 			return nil, err
 		}
-		return e.answerBGP(bgp, pushableFilters(cond), qc)
+		push, _ := pushableFilters(cond)
+		return e.answerBGP(bgp, push, qc)
 	})
 }
 
 // pushableFilters extracts var-op-constant comparisons from a filter
 // conjunction; these are pushed into the unfolded SQL (and re-checked on
-// the translated rows, which keeps pushing safe).
-func pushableFilters(cond sparql.Expr) []unfold.PushFilter {
-	var out []unfold.PushFilter
+// the translated rows, which keeps pushing safe). all reports whether
+// every conjunct was one.
+func pushableFilters(cond sparql.Expr) (out []unfold.PushFilter, all bool) {
+	all = true
 	var walk func(sparql.Expr)
 	walk = func(ex sparql.Expr) {
 		b, ok := ex.(*sparql.BinExpr)
 		if !ok {
+			all = false
 			return
 		}
 		if b.Op == "&&" {
@@ -656,6 +653,7 @@ func pushableFilters(cond sparql.Expr) []unfold.PushFilter {
 			walk(b.R)
 			return
 		}
+		n := len(out)
 		switch b.Op {
 		case "=", "!=", "<", "<=", ">", ">=":
 			if v, okv := b.L.(*sparql.VarExpr); okv {
@@ -669,9 +667,12 @@ func pushableFilters(cond sparql.Expr) []unfold.PushFilter {
 				}
 			}
 		}
+		if len(out) == n {
+			all = false
+		}
 	}
 	walk(cond)
-	return out
+	return out, all
 }
 
 func flipOp(op string) string {

@@ -51,39 +51,23 @@ func TestPlanKeyCanonicalization(t *testing.T) {
 	}
 }
 
-// sameShardKeys returns n keys that all hash to the same shard as the first
-// generated key, so LRU behavior can be tested deterministically.
-func sameShardKeys(c *planCache, n int) []string {
-	target := c.shard("seed-key")
-	keys := []string{}
-	for i := 0; len(keys) < n; i++ {
-		k := fmt.Sprintf("key-%d", i)
-		if c.shard(k) == target {
-			keys = append(keys, k)
-		}
+func TestPlanCacheEvictsOneAtCapacity(t *testing.T) {
+	c := newPlanCache(2, nil)
+	c.put("a", &compiledPlan{}, 0)
+	c.put("b", &compiledPlan{}, 0)
+	c.put("b", &compiledPlan{}, 0) // a present key replaces, never evicts
+	if st := c.stats(); st.Evictions != 0 || st.Entries != 2 {
+		t.Fatalf("before capacity: %+v, want 0 evictions and 2 entries", st)
 	}
-	return keys
-}
+	c.put("c", &compiledPlan{}, 0) // at capacity: exactly one of a, b goes
 
-func TestPlanCacheLRUEviction(t *testing.T) {
-	c := newPlanCache(16, nil) // 2 entries per shard
-	keys := sameShardKeys(c, 3)
-
-	c.put(keys[0], &compiledPlan{}, 0)
-	c.put(keys[1], &compiledPlan{}, 0)
-	if _, ok := c.get(keys[0]); !ok { // keys[0] becomes most recently used
-		t.Fatal("expected hit on keys[0]")
-	}
-	c.put(keys[2], &compiledPlan{}, 0) // shard over cap: evicts LRU keys[1]
-
-	if _, ok := c.get(keys[1]); ok {
-		t.Fatal("LRU entry survived eviction")
-	}
-	if _, ok := c.get(keys[0]); !ok {
-		t.Fatal("recently used entry was evicted")
-	}
-	if _, ok := c.get(keys[2]); !ok {
+	if _, ok := c.get("c"); !ok {
 		t.Fatal("newest entry was evicted")
+	}
+	_, okA := c.get("a")
+	_, okB := c.get("b")
+	if okA == okB {
+		t.Fatalf("a kept %v, b kept %v: want exactly one older entry evicted", okA, okB)
 	}
 	st := c.stats()
 	if st.Evictions != 1 {
@@ -92,8 +76,49 @@ func TestPlanCacheLRUEviction(t *testing.T) {
 	if st.Entries != 2 {
 		t.Fatalf("entries = %d, want 2", st.Entries)
 	}
-	if st.Capacity != 16 {
-		t.Fatalf("capacity = %d, want 16", st.Capacity)
+	if st.Capacity != 2 {
+		t.Fatalf("capacity = %d, want 2", st.Capacity)
+	}
+}
+
+// TestPlanCacheBoundsAggregateShapes sends more distinct aggregate shapes
+// over one BGP than the cache holds: every pushdown statement is an entry
+// of the one bounded cache, so the cache evicts instead of growing.
+func TestPlanCacheBoundsAggregateShapes(t *testing.T) {
+	e, err := NewEngine(exampleSpec(t), DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var items []string
+	for _, v := range []string{"?x", "?n", "?p"} {
+		items = append(items, "COUNT("+v+")", "COUNT(DISTINCT "+v+")")
+	}
+	items = append(items, "COUNT(*)")
+	shapes := 0
+	for _, a := range items {
+		for _, b := range items {
+			for _, c := range items {
+				q := fmt.Sprintf(`SELECT (%s AS ?a) (%s AS ?b) (%s AS ?c) WHERE { ?x :name ?n . ?x :SellsProduct ?p }`, a, b, c)
+				ans, err := e.Query(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ans.Stats.UnfoldedSQL == "" || ans.Len() != 1 {
+					t.Fatalf("%s: not answered by one pushed statement (%d rows)", q, ans.Len())
+				}
+				shapes++
+			}
+		}
+	}
+	st, _ := e.PlanCacheStats()
+	if shapes < 300 {
+		t.Fatalf("only %d shapes sent", shapes)
+	}
+	if st.Entries > st.Capacity {
+		t.Fatalf("%d shapes left %d entries, over capacity %d", shapes, st.Entries, st.Capacity)
+	}
+	if st.Evictions == 0 {
+		t.Fatalf("%d shapes caused no eviction: %+v", shapes, st)
 	}
 }
 

@@ -15,8 +15,7 @@ import (
 // read or write of a guarded field is checked against the set. Methods
 // whose callers hold the lock declare it with //lint:holds <mu>: inside
 // them the receiver's guarded fields are accessible, and each call site
-// is checked for the lock instead (the plancache's intrusive LRU helpers
-// run under the shard mutex this way).
+// is checked for the lock instead.
 //
 // The tracking is best-effort by design: branches are analyzed with a
 // copy of the held set and do not propagate lock-state changes outward,

@@ -1,6 +1,5 @@
 // Package rdf provides the RDF data model used throughout the OBDA stack:
-// IRIs, typed literals, blank nodes, triples, and an interning term store
-// that keeps large virtual-instance materializations compact.
+// IRIs, typed literals, blank nodes and triples.
 package rdf
 
 import (
